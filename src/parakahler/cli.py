@@ -163,6 +163,9 @@ def _cmd_verify(args, with_extensions: bool) -> int:
             bad_axioms = [k for k, v in f.axioms.items() if not v["ok"]]
             if bad_axioms:
                 detail = f" axiom={','.join(bad_axioms)}"
+            elif f.metric["symmetric"] and f.label["computed"] is None:
+                # a metric without curvature: verify_entry found the form degenerate
+                detail = " degenerate-form"
             elif not f.label["match"]:
                 detail = f" label {f.label['expected']}->{f.label['computed']}"
             elif f.ric_comparison["residuals"]:

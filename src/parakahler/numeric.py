@@ -4,7 +4,10 @@ Everything here works on plain ``Fraction`` values.  The curvature functions
 re-implement the connection/curvature/Ricci formulas with independent code
 (Gauss-Jordan inversion instead of adjugates, plain loops instead of the
 symbolic fast paths) so they can serve as an oracle for the symbolic pipeline:
-at any admissible parameter sample the two must agree exactly.
+at any admissible parameter sample the two must agree exactly.  The loops of
+``christoffel`` and ``curvature`` run only over the nonzero entries of their
+inputs; a skipped factor is exactly zero, so the sums equal the dense formulas
+in the docstrings.  Nothing here is shared with the symbolic path.
 """
 
 from __future__ import annotations
@@ -95,41 +98,61 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[Tuple[Fraction, ...]
 # -- independent curvature pipeline -----------------------------------------
 
 
+def _nonzero(row: Sequence) -> List[Tuple[int, Fraction]]:
+    return [(idx, v) for idx, v in enumerate(row) if v]
+
+
 def christoffel(c: Sequence, g: Mat) -> list:
     """Gamma[i][j][m] = (1/2) g^{km} (C^p_ij g_pk + C^p_ki g_pj + C^p_kj g_ip)."""
     n = len(g)
-    ginv = invert(g)
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    ginv_rows = [_nonzero(row) for row in invert(g)]
+    g_rows = [_nonzero(row) for row in g]
+    c_rows = [[_nonzero(c[i][j]) for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
+    gamma = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for m in range(n):
-                acc = Fraction(0)
-                for k in range(n):
-                    inner = Fraction(0)
-                    for p in range(n):
-                        inner += c[i][j][p] * g[p][k]
-                        inner += c[k][i][p] * g[p][j]
-                        inner += c[k][j][p] * g[i][p]
-                    acc += ginv[k][m] * inner
-                gamma[i][j][m] = half * acc
+            # inner[k] = C^p_ij g_pk + C^p_ki g_pj + C^p_kj g_ip, once per (i, j, k)
+            inner = [Fraction(0)] * n
+            for p, cp in c_rows[i][j]:
+                for k, gpk in g_rows[p]:
+                    inner[k] += cp * gpk
+            for k in range(n):
+                for p, cp in c_rows[k][i]:
+                    if g[p][j]:
+                        inner[k] += cp * g[p][j]
+                for p, cp in c_rows[k][j]:
+                    if g[i][p]:
+                        inner[k] += cp * g[i][p]
+            acc = [Fraction(0)] * n
+            for k, v in enumerate(inner):
+                if v:
+                    for m, gkm in ginv_rows[k]:
+                        acc[m] += gkm * v
+            gamma[i][j] = [half * v for v in acc]
     return gamma
 
 
 def curvature(c: Sequence, gamma: Sequence) -> list:
     """R[i][j][k][s] = Gamma^s_ip Gamma^p_jk - Gamma^s_jp Gamma^p_ik - C^p_ij Gamma^s_pk."""
     n = len(gamma)
-    riem = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    gamma_rows = [[_nonzero(gamma[i][j]) for j in range(n)] for i in range(n)]
+    c_rows = [[_nonzero(c[i][j]) for j in range(n)] for i in range(n)]
+    riem = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                for s in range(n):
-                    acc = Fraction(0)
-                    for p in range(n):
-                        acc += gamma[i][p][s] * gamma[j][k][p]
-                        acc -= gamma[j][p][s] * gamma[i][k][p]
-                        acc -= c[i][j][p] * gamma[p][k][s]
-                    riem[i][j][k][s] = acc
+                acc = [Fraction(0)] * n
+                for p, gjkp in gamma_rows[j][k]:
+                    for s, gips in gamma_rows[i][p]:
+                        acc[s] += gips * gjkp
+                for p, gikp in gamma_rows[i][k]:
+                    for s, gjps in gamma_rows[j][p]:
+                        acc[s] -= gjps * gikp
+                for p, cp in c_rows[i][j]:
+                    for s, gpks in gamma_rows[p][k]:
+                        acc[s] -= cp * gpks
+                riem[i][j][k] = acc
     return riem
 
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from . import numeric
 from .catalog import Catalog, CatalogEntry
 from .contact import (
+    NonSymplecticError,
     almost_paracontact_residuals,
     build_paracontact,
     central_extend,
@@ -208,6 +209,17 @@ def verify_entry(
     if g is not None:
         metric_info["compat"] = check_metric_compat(g, entry.j_matrix).ok
         metric_info["roundtrip"] = omega_from(g, entry.j_matrix) == form
+        # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
+        # identically exactly when the form is degenerate.
+        det_g = g.matrix.det()
+        if det_g.is_zero:
+            failure = True
+            notes.append(
+                f"form {entry.form!r} is degenerate (det omega = 0): the metric "
+                "is singular, so no curvature is computed"
+            )
+            g = None
+    if g is not None:
         bundle = curvature_bundle(algebra, g)
         classification = classify(bundle, entry.j_matrix)
         label_info["computed"] = classification.label
@@ -239,7 +251,6 @@ def verify_entry(
                 ]
         domains = catalog.domains_of(entry)
         avoid = collect_avoid_polynomials(algebra, form, entry)
-        det_g = g.matrix.det()
         if not det_g.is_const:
             avoid = avoid + (det_g.num,)
         rng = DeterministicRng(config.seed * 0x10001 + len(entry.entry_id))
@@ -332,7 +343,24 @@ def verify_extension(
     start = time.perf_counter()
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
-    ext = central_extend(algebra, form)
+    try:
+        ext = central_extend(algebra, form)
+    except NonSymplecticError as exc:
+        return ExtensionFinding(
+            entry_id=entry.entry_id,
+            contact_ok=False,
+            contact_coefficient="n/a",
+            almost_paracontact_ok=False,
+            compatible_metric_ok=False,
+            restriction_ok=False,
+            reeb_ok=False,
+            phi_vs_deta="mismatch",
+            curvature_identities={},
+            ricci_identities={},
+            residuals=(("central_extension", f"form {entry.form!r}: {exc}"),),
+            status="failure",
+            timing_ms=(time.perf_counter() - start) * 1000.0,
+        )
     ps = build_paracontact(ext, entry.j_matrix)
     g = metric_from(form, entry.j_matrix)
     base_bundle = curvature_bundle(algebra, g)

@@ -144,3 +144,53 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
     assert main(["report", "--filter", "rn4.*", "--samples", "2", "--out", str(out1)]) == 0
     doc = json.loads(out1.read_text())
     assert doc["config"]["seed"] == 11
+
+
+def _degenerate_catalog(tmp_path):
+    # r2r2.lambda0 reduced to e1^e2 alone: closed, and J21 stays compatible
+    # with it, but det omega = 0
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    for alg in doc["algebras"]:
+        if alg["name"] == "r2r2":
+            for form in alg["forms"]:
+                if form["id"] == "lambda0":
+                    form["terms"] = [[1, 2, "1"]]
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_verify_degenerate_form_is_failure(tmp_path, capsys):
+    path = _degenerate_catalog(tmp_path)
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "verify", "--catalog", str(path), "--filter", "r2r2.lambda0.J21",
+            "--samples", "2", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "FAILURE      r2r2.lambda0.J21 degenerate-form" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    (entry,) = doc["entries"]
+    assert entry["status"] == "failure"
+    assert any("'lambda0' is degenerate" in note for note in entry["notes"])
+    assert doc["gates"]["r2r2"]["forms"]["lambda0"]["nondegenerate"] is False
+
+
+def test_report_degenerate_form_is_failure(tmp_path):
+    path = _degenerate_catalog(tmp_path)
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "report", "--catalog", str(path), "--filter", "r2r2.lambda0.J21",
+            "--samples", "2", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert doc["entries"][0]["status"] == "failure"
+    (ext,) = doc["sasakian"]
+    assert ext["status"] == "failure"
+    assert "'lambda0'" in ext["residuals"][0][1]
+    assert doc["summary"]["sasakian_failures"] == 1

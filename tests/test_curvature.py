@@ -1,5 +1,7 @@
 """Connection, curvature tensor, Ricci data, and classification labels."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from parakahler.curvature import (
 )
 from parakahler.expressions import ExprMatrix, SingularMatrixError, expr
 from parakahler.structures import Metric, metric_from
+from parakahler.verify import _numeric_corroboration
 
 from conftest import make_algebra, make_form
 
@@ -321,31 +324,132 @@ def test_connection_and_curvature_identities_across_catalog():
         assert anti_invariance_residual(bundle.ricci.ricci, entry.j_matrix).is_zero
 
 
-def test_full_pipeline_matches_numeric_oracle():
+D42_OMEGA2_J22 = ExprMatrix.from_rows(
+    [
+        ["-a", 0, 0, "-b*(a+1)"],
+        [0, 1, 0, 0],
+        [0, "b", -1, 0],
+        ["(a-1)/b", 0, 0, "a"],
+    ]
+)
+
+
+def _d42_bundle():
     d42 = make_algebra("d42")
-    omega2 = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    j22 = ExprMatrix.from_rows(
-        [
-            ["-a", 0, 0, "-b*(a+1)"],
-            [0, 1, 0, 0],
-            [0, "b", -1, 0],
-            ["(a-1)/b", 0, 0, "a"],
-        ]
-    )
-    g = metric_from(omega2, j22)
-    bundle = curvature_bundle(d42, g)
+    g = metric_from(make_form(4, [(1, 4, 1), (2, 3, 1)]), D42_OMEGA2_J22)
+    return d42, g, curvature_bundle(d42, g)
+
+
+def test_full_pipeline_matches_numeric_oracle():
+    d42, g, bundle = _d42_bundle()
+    assert _numeric_corroboration(d42, g, bundle, FULL_POINT) is True
+
+
+# -- the sparse Fraction oracle against the dense loops it replaced ----------
+
+
+def dense_christoffel(c, g):
+    n = len(g)
+    ginv = numeric.invert(g)
+    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    half = Fraction(1, 2)
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                acc = Fraction(0)
+                for k in range(n):
+                    inner = Fraction(0)
+                    for p in range(n):
+                        inner += c[i][j][p] * g[p][k]
+                        inner += c[k][i][p] * g[p][j]
+                        inner += c[k][j][p] * g[i][p]
+                    acc += ginv[k][m] * inner
+                gamma[i][j][m] = half * acc
+    return gamma
+
+
+def dense_curvature(c, gamma):
+    n = len(gamma)
+    riem = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for s in range(n):
+                    acc = Fraction(0)
+                    for p in range(n):
+                        acc += gamma[i][p][s] * gamma[j][k][p]
+                        acc -= gamma[j][p][s] * gamma[i][k][p]
+                        acc -= c[i][j][p] * gamma[p][k][s]
+                    riem[i][j][k][s] = acc
+    return riem
+
+
+def _random_fraction(rng, density):
+    if rng.random() >= density:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def _random_tensor(rng, n, density):
+    return [
+        [[_random_fraction(rng, density) for _ in range(n)] for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _random_invertible(rng, n, density):
+    while True:
+        g = [[_random_fraction(rng, density) for _ in range(n)] for _ in range(n)]
+        try:
+            numeric.invert(g)
+        except ZeroDivisionError:
+            continue
+        return g
+
+
+@pytest.mark.parametrize("n, cases", [(4, 150), (5, 50)])
+def test_sparse_oracle_equals_dense_loops(n, cases):
+    # Neither C nor g is given any symmetry, so an index swapped in the
+    # sparse loops cannot hide behind an antisymmetric C or a symmetric g.
+    rng = random.Random(20200812 + n)
+    for case in range(cases):
+        density = (0.1, 0.3, 0.6, 1.0)[case % 4]
+        c = _random_tensor(rng, n, density)
+        g = _random_invertible(rng, n, max(density, 0.3))
+        gamma = numeric.christoffel(c, g)
+        assert gamma == dense_christoffel(c, g), (n, case)
+        assert numeric.curvature(c, gamma) == dense_curvature(c, gamma), (n, case)
+
+
+def test_corroboration_detects_single_perturbations():
+    d42, g, bundle = _d42_bundle()
     point = FULL_POINT
-    c_num = d42.structure_eval(point)
-    g_num = g.matrix.eval_at(point)
-    gamma_num = numeric.christoffel(c_num, g_num)
-    riem_num = numeric.curvature(c_num, gamma_num)
-    ric_num, op_num, s_num = numeric.ricci(riem_num, g_num)
-    for i in range(4):
-        for j in range(4):
-            assert bundle.ricci.ricci[i, j].eval(point) == ric_num[i][j]
-            assert bundle.ricci.operator[i, j].eval(point) == op_num[i][j]
-            for k in range(4):
-                assert bundle.christoffel.gamma[i][j][k].eval(point) == gamma_num[i][j][k]
-                for s in range(4):
-                    assert bundle.riemann.comps[i][j][k][s].eval(point) == riem_num[i][j][k][s]
-    assert bundle.ricci.scalar.eval(point) == s_num
+    gamma_num = numeric.christoffel(d42.structure_eval(point), g.matrix.eval_at(point))
+    comps = [(i, j, m) for i in range(4) for j in range(4) for m in range(4)]
+    nonzero = next(x for x in comps if gamma_num[x[0]][x[1]][x[2]] != 0)
+    zero = next(x for x in comps if gamma_num[x[0]][x[1]][x[2]] == 0)
+
+    def with_gamma(i, j, m):
+        gamma = [[list(row) for row in plane] for plane in bundle.christoffel.gamma]
+        gamma[i][j][m] = gamma[i][j][m] + expr(1)
+        christ = dataclasses.replace(bundle.christoffel, gamma=gamma)
+        return dataclasses.replace(bundle, christoffel=christ)
+
+    def with_riemann(i, j, k, s):
+        comps = [[[list(r) for r in plane] for plane in block] for block in bundle.riemann.comps]
+        comps[i][j][k][s] = comps[i][j][k][s] + expr(1)
+        return dataclasses.replace(
+            bundle, riemann=dataclasses.replace(bundle.riemann, comps=comps)
+        )
+
+    def with_scalar():
+        ricci = dataclasses.replace(bundle.ricci, scalar=bundle.ricci.scalar + expr(1))
+        return dataclasses.replace(bundle, ricci=ricci)
+
+    for perturbed in (
+        with_gamma(*nonzero),
+        with_gamma(*zero),
+        with_riemann(2, 1, 3, 0),
+        with_scalar(),
+    ):
+        assert _numeric_corroboration(d42, g, perturbed, point) is False
