@@ -32,7 +32,6 @@ from .curvature import (
     curvature_bundle,
     label_holds,
     ricci,
-    scalar_curvature,
 )
 from .expressions import (
     PARAMS,

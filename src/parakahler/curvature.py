@@ -8,6 +8,8 @@ connection coefficients and curvature are
     Ric_jk     = R^i_ijk,   RIC = Ric . g^{-1},   S = trace(RIC)
 
 (the torsion-free condition appears as Gamma^m_ij - Gamma^m_ji = C^m_ij).
+Each kernel clears its inputs to one shared denominator, forms every output
+numerator with polynomial ring operations and normalizes it once.
 Everything is exact; classification labels are decided by symbolic zero
 tests, never by sampling.
 """
@@ -15,14 +17,21 @@ tests, never by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from typing import Optional
 
-from .expressions import EXPR_ZERO, ExprMatrix, RationalExpr, expr
+from .expressions import (
+    _P_ZERO,
+    EXPR_ZERO,
+    ExprMatrix,
+    RationalExpr,
+    _make,
+    common_denominator,
+    expr,
+)
 from .liealgebra import LieAlgebra
 from .structures import Metric
-
-HALF = expr("1/2")
-QUARTER = expr("1/4")
 
 LABELS = ("flat", "ricci_flat", "einstein", "hermitian_ricci", "generic")
 
@@ -41,30 +50,24 @@ def christoffel(algebra: LieAlgebra, g: Metric, _ginv: ExprMatrix = None) -> Chr
     if g.dim != n:
         raise ValueError("metric dimension does not match the algebra")
     ginv = g.matrix.inverse() if _ginv is None else _ginv
-    gm = g.matrix
-    # lowered brackets: low[x][y][z] = sum_p C^p_xy g_pz
-    low = [[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (x, y, p, c) in algebra.nonzero_constants():
-        for z in range(n):
-            gpz = gm[p, z]
-            if not gpz.is_zero:
-                low[x][y][z] = low[x][y][z] + c * gpz
+    dg, gm = g.matrix._cleared()
+    dinv, gi = ginv._cleared()
+    dc, constants = algebra.cleared_constants()
+    # lowered brackets over dc*dg: low[x][y][z] = sum_p C^p_xy g_pz
+    low = [[[_P_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (x, y, p, c), z in product(constants, range(n)):
+        if not gm[p][z].is_zero:
+            low[x][y][z] = low[x][y][z] + c * gm[p][z]
+    den = (dc * dg * dinv).scale(Fraction(2))
     gamma = [[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            inner = [low[i][j][k] + low[k][i][j] + low[k][j][i] for k in range(n)]
-            for m in range(n):
-                acc = EXPR_ZERO
-                for k in range(n):
-                    term = inner[k]
-                    if term.is_zero:
-                        continue
-                    gkm = ginv[k, m]
-                    if gkm.is_zero:
-                        continue
+    for i, j in product(range(n), repeat=2):
+        inner = [low[i][j][k] + low[k][i][j] + low[k][j][i] for k in range(n)]
+        for m in range(n):
+            acc = _P_ZERO
+            for term, gkm in zip(inner, (row[m] for row in gi)):
+                if not term.is_zero and not gkm.is_zero:
                     acc = acc + term * gkm
-                if not acc.is_zero:
-                    gamma[i][j][m] = HALF * acc
+            gamma[i][j][m] = _make(acc, den)
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
     return Christoffel(n, frozen)
 
@@ -130,27 +133,31 @@ class CurvatureTensor:
 
 def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
     n = algebra.dim
-    g = gam.gamma
+    dg, flat = common_denominator([x for plane in gam.gamma for row in plane for x in row])
+    g = [[flat[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    dc, constants = algebra.cleared_constants()
+    # quad[i][j][k][s] = Gamma^s_ip Gamma^p_jk, shared by R^s_ijk and R^s_jik;
+    # lin[i][j][k][s] = C^p_ij Gamma^s_pk
+    quad = [[[[_P_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    lin = [[[[_P_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k, p in product(range(n), repeat=4):
+        b, acc = g[j][k][p], quad[i][j][k]
+        if b.is_zero:
+            continue
+        for s, a in enumerate(g[i][p]):
+            if not a.is_zero:
+                acc[s] = acc[s] + a * b
+    for (i, j, p, c), k in product(constants, range(n)):
+        acc = lin[i][j][k]
+        for s, b in enumerate(g[p][k]):
+            if not b.is_zero:
+                acc[s] = acc[s] + c * b
+    # R = ((quad_ij - quad_ji) dc - lin dg) / (dg^2 dc)
+    den = dg * dg * dc
     comps = [[[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cij = [algebra.c(i, j, p) for p in range(n)]
-            for k in range(n):
-                for s in range(n):
-                    acc = EXPR_ZERO
-                    for p in range(n):
-                        a, b = g[i][p][s], g[j][k][p]
-                        if not a.is_zero and not b.is_zero:
-                            acc = acc + a * b
-                        a, b = g[j][p][s], g[i][k][p]
-                        if not a.is_zero and not b.is_zero:
-                            acc = acc - a * b
-                        c = cij[p]
-                        if not c.is_zero:
-                            b = g[p][k][s]
-                            if not b.is_zero:
-                                acc = acc - c * b
-                    comps[i][j][k][s] = acc
+    for i, j, k, s in product(range(n), repeat=4):
+        num = (quad[i][j][k][s] - quad[j][i][k][s]) * dc - lin[i][j][k][s] * dg
+        comps[i][j][k][s] = _make(num, den)
     frozen = tuple(
         tuple(tuple(tuple(row) for row in plane) for plane in block) for block in comps
     )
@@ -173,22 +180,18 @@ def ricci(
     """Ric_jk = R^i_ijk, operator RIC = Ric . g^{-1}, scalar S = trace(RIC)."""
     n = algebra.dim
     ginv = g.matrix.inverse() if _ginv is None else _ginv
-    ric_rows = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            acc = EXPR_ZERO
-            for i in range(n):
-                acc = acc + riemann.comps[i][j][k][i]
-            row.append(acc)
-        ric_rows.append(row)
-    ric = ExprMatrix(ric_rows)
-    operator = ric @ ginv
-    return RicciData(ricci=ric, operator=operator, scalar=operator.trace())
-
-
-def scalar_curvature(data: RicciData) -> RationalExpr:
-    return data.scalar
+    comps = riemann.comps
+    dr, flat = common_denominator(
+        [comps[i][j][k][i] for j in range(n) for k in range(n) for i in range(n)]
+    )
+    terms = [flat[r * n : (r + 1) * n] for r in range(n * n)]  # R^i_ijk at j * n + k
+    ric = ExprMatrix(
+        [[_make(sum(terms[j * n + k], _P_ZERO), dr) for k in range(n)] for j in range(n)]
+    )
+    den, op = ric._product(ginv)
+    operator = ExprMatrix([[_make(x, den) for x in row] for row in op])
+    scalar = _make(sum((op[i][i] for i in range(n)), _P_ZERO), den)
+    return RicciData(ricci=ric, operator=operator, scalar=scalar)
 
 
 @dataclass(frozen=True)

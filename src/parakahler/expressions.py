@@ -9,14 +9,19 @@ an expression is zero iff its numerator normalizes to the empty dictionary.
 
 Quotients are kept reduced (multivariate GCD via a primitive polynomial
 remainder sequence) with an integer-primitive, positive-leading denominator,
-and collapse to denominator 1 whenever the division is exact.
+and collapse to denominator 1 whenever the division is exact.  Reduction is
+canonical, so the matrix kernels (and those of ``curvature`` and
+``structures``) bring their inputs to one shared denominator, combine the
+numerators with plain polynomial ring operations and normalize once per
+output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Union
+from operator import add as _add
+from typing import Iterable, List, Mapping, Tuple, Union
 
 PARAMS = ("a", "b", "c", "d", "lam", "alpha", "beta")
 
@@ -74,6 +79,16 @@ def _guard(terms: dict) -> dict:
             f"({_term_limit}); raise the limit if this is intentional"
         )
     return terms
+
+
+def _integer_terms(terms: dict):
+    """(d, [(exp, n), ...]) with every coefficient equal to n / d, n and d ints."""
+    den = 1
+    for c in terms.values():
+        q = c.denominator
+        if den % q:
+            den = den * q // _int_gcd(den, q)
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 def _grlex(exp: tuple) -> tuple:
@@ -164,21 +179,20 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.terms or not other.terms:
             return _P_ZERO
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                s = out.get(exp)
-                if s is None:
-                    out[exp] = prod
-                else:
-                    s = s + prod
-                    if s:
-                        out[exp] = s
-                    else:
-                        del out[exp]
-        return Polynomial(_guard(out))
+        if self == _P_ONE or other == _P_ONE:
+            return other if self == _P_ONE else self
+        # multiply integer numerators, then reduce each output coefficient once
+        d1, t1 = _integer_terms(self.terms)
+        d2, t2 = _integer_terms(other.terms)
+        acc: dict = {}
+        for e1, c1 in t1:
+            for e2, c2 in t2:
+                exp = tuple(map(_add, e1, e2))
+                acc[exp] = acc.get(exp, 0) + c1 * c2
+        den = d1 * d2
+        if den == 1:
+            return Polynomial(_guard({e: Fraction(c) for e, c in acc.items() if c}))
+        return Polynomial(_guard({e: Fraction(c, den) for e, c in acc.items() if c}))
 
     def scale(self, factor: Fraction) -> "Polynomial":
         if factor == 0:
@@ -750,6 +764,59 @@ def format_expr(e: RationalExpr) -> str:
     return f"{num}/{den}"
 
 
+# -- shared denominators --------------------------------------------------
+
+
+def common_denominator(values) -> Tuple[Polynomial, List[Polynomial]]:
+    """(D, numerators) with values[i] == numerators[i] / D, D the lcm of the
+    denominators; divisibility is tried both ways before a gcd is computed."""
+    dens = {v.den: None for v in values if not v.num.is_zero}
+    lcm = _P_ONE
+    for d in dens:
+        if d == lcm or exact_div(lcm, d) is not None:
+            continue
+        if exact_div(d, lcm) is not None:
+            lcm = d
+        else:
+            lcm = d * exact_div(lcm, poly_gcd(lcm, d))
+    cofactors = {d: exact_div(lcm, d) for d in dens if d != lcm}
+    return lcm, [v.num * cofactors[v.den] if v.den in cofactors else v.num for v in values]
+
+
+def _laplace(m: List[List[Polynomial]], adjugate: bool = False):
+    """(det, adj or None) of a polynomial matrix; memoized minors are expanded
+    along their first row, so the cofactors share the determinant's."""
+    memo: dict = {}
+
+    def minor(rows: tuple, cols: tuple) -> Polynomial:
+        if not rows:
+            return _P_ONE
+        if (rows, cols) in memo:
+            return memo[rows, cols]
+        acc = _P_ZERO
+        for pos, c in enumerate(cols):
+            e = m[rows[0]][c]
+            if e.is_zero:
+                continue
+            sub = minor(rows[1:], cols[:pos] + cols[pos + 1 :])
+            if not sub.is_zero:
+                acc = acc + e * sub if pos % 2 == 0 else acc - e * sub
+        memo[rows, cols] = acc
+        return acc
+
+    n = len(m)
+    full = tuple(range(n))
+    det = minor(full, full)
+    if not adjugate:
+        return det, None
+    adj = [[_P_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = minor(full[:i] + full[i + 1 :], full[:j] + full[j + 1 :])
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return det, adj
+
+
 # -- matrices ----------------------------------------------------------------
 
 
@@ -824,26 +891,35 @@ class ExprMatrix:
         return ExprMatrix([[-x for x in row] for row in self.entries])
 
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
+        den, nums = self._product(other)
+        return ExprMatrix([[_make(x, den) for x in row] for row in nums])
+
+    def _product(self, other: "ExprMatrix"):
+        """(D, N) with (self @ other)[i, j] == N[i][j] / D, one D per operand."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        da, na = self._cleared()
+        db, nb = other._cleared()
         out = []
-        for i in range(self.rows):
-            row = []
+        for row in na:
+            out_row = []
             for j in range(other.cols):
-                acc = EXPR_ZERO
-                for k in range(self.cols):
-                    x = self.entries[i][k]
-                    if x.is_zero:
-                        continue
-                    y = other.entries[k][j]
-                    if y.is_zero:
-                        continue
-                    acc = acc + x * y
-                row.append(acc)
-            out.append(row)
-        return ExprMatrix(out)
+                acc = _P_ZERO
+                for x, other_row in zip(row, nb):
+                    y = other_row[j]
+                    if not x.is_zero and not y.is_zero:
+                        acc = acc + x * y
+                out_row.append(acc)
+            out.append(out_row)
+        return da * db, out
+
+    def _cleared(self):
+        """(D, N): the entries as polynomial numerators N[i][j] over one D."""
+        den, flat = common_denominator([x for row in self.entries for x in row])
+        c = self.cols
+        return den, [flat[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def scale(self, factor: ExprLike) -> "ExprMatrix":
         f = expr(factor)
@@ -863,61 +939,18 @@ class ExprMatrix:
 
     def det(self) -> RationalExpr:
         self._square()
-        n = self.rows
-        if n == 0:
-            return EXPR_ONE
-        memo: dict = {}
-
-        def minor(r: int, cols: tuple) -> RationalExpr:
-            if r == n:
-                return EXPR_ONE
-            key = cols
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            acc = EXPR_ZERO
-            for pos, c in enumerate(cols):
-                e = self.entries[r][c]
-                if e.is_zero:
-                    continue
-                sub = minor(r + 1, cols[:pos] + cols[pos + 1 :])
-                if sub.is_zero:
-                    continue
-                term = e * sub
-                acc = acc + term if pos % 2 == 0 else acc - term
-            memo[key] = acc
-            return acc
-
-        return minor(0, tuple(range(n)))
-
-    def _minor_det(self, drop_row: int, drop_col: int) -> RationalExpr:
-        sub = [
-            [self.entries[i][j] for j in range(self.cols) if j != drop_col]
-            for i in range(self.rows)
-            if i != drop_row
-        ]
-        return ExprMatrix(sub).det()
-
-    def adjugate(self) -> "ExprMatrix":
-        self._square()
-        n = self.rows
-        out = [[EXPR_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = self._minor_det(i, j)
-                if (i + j) % 2:
-                    cof = -cof
-                out[j][i] = cof
-        return ExprMatrix(out)
+        den, nums = self._cleared()
+        det, _ = _laplace(nums)
+        return _make(det, den ** self.rows)
 
     def inverse(self) -> "ExprMatrix":
-        d = self.det()
-        if d.is_zero:
+        """A = N/D gives A^-1 = D adj(N) / det(N), one normalization per entry."""
+        self._square()
+        den, nums = self._cleared()
+        det, adj = _laplace(nums, adjugate=True)
+        if det.is_zero:
             raise SingularMatrixError("matrix determinant is identically zero")
-        return self.adjugate().scale(EXPR_ONE / d)
-
-    def map(self, fn) -> "ExprMatrix":
-        return ExprMatrix([[fn(x) for x in row] for row in self.entries])
+        return ExprMatrix([[_make(x * den, det) for x in row] for row in adj])
 
     def eval_at(self, point: Mapping[str, Fraction]):
         return [[x.eval(point) for x in row] for row in self.entries]

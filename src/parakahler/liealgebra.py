@@ -24,6 +24,7 @@ from .expressions import (
     ExprMatrix,
     Polynomial,
     RationalExpr,
+    common_denominator,
     expr,
     format_expr,
 )
@@ -234,9 +235,10 @@ class LieAlgebra:
             out[k] = out[k] + cexpr * xs[i] * ys[j]
         return tuple(out)
 
-    def bracket_basis(self, i: int, j: int) -> Tuple[RationalExpr, ...]:
-        """[e_i, e_j] as a coefficient vector, 0-based indices."""
-        return tuple(self._c[i][j][k] for k in range(self.dim))
+    def cleared_constants(self) -> Tuple[Polynomial, Tuple[tuple, ...]]:
+        """(D, ((i, j, k, N), ...)) with C^k_ij = N / D over the nonzero constants."""
+        den, nums = common_denominator([v for (_, _, _, v) in self._nonzero])
+        return den, tuple((i, j, k, x) for (i, j, k, _), x in zip(self._nonzero, nums))
 
     def structure_eval(self, point) -> list:
         """Structure constants as nested lists of Fractions at a sample."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from . import numeric
-from .expressions import EXPR_ZERO, ExprMatrix, RationalExpr, format_expr
+from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
 from .liealgebra import LieAlgebra, TwoForm
 
 
@@ -134,9 +134,14 @@ def nijenhuis(algebra: LieAlgebra, j_matrix: ExprMatrix) -> NijenhuisTensor:
     n = algebra.dim
     if j_matrix.rows != n:
         raise ValueError("endomorphism dimension does not match the algebra")
-    j = j_matrix.entries
-    comps = [[[algebra.c(i, jj, k) for k in range(n)] for jj in range(n)] for i in range(n)]
-    for (l, m, k, c) in algebra.nonzero_constants():
+    dj, j = j_matrix._cleared()
+    dc, constants = algebra.cleared_constants()
+    dj2 = dj * dj
+    # numerators over dj^2 dc
+    comps = [[[_P_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, jj, k, c) in constants:
+        comps[i][jj][k] = c * dj2
+    for (l, m, k, c) in constants:
         # + J^l_i J^m_j C^k_lm
         for i in range(n):
             jli = j[l][i]
@@ -147,7 +152,7 @@ def nijenhuis(algebra: LieAlgebra, j_matrix: ExprMatrix) -> NijenhuisTensor:
                 if jmj.is_zero:
                     continue
                 comps[i][jj][k] = comps[i][jj][k] + jli * jmj * c
-    for (l, jj, m, c) in algebra.nonzero_constants():
+    for (l, jj, m, c) in constants:
         # - J^l_i J^k_m C^m_lj
         for i in range(n):
             jli = j[l][i]
@@ -158,7 +163,7 @@ def nijenhuis(algebra: LieAlgebra, j_matrix: ExprMatrix) -> NijenhuisTensor:
                 if jkm.is_zero:
                     continue
                 comps[i][jj][k] = comps[i][jj][k] - jli * jkm * c
-    for (i, l, m, c) in algebra.nonzero_constants():
+    for (i, l, m, c) in constants:
         # - J^l_j J^k_m C^m_il
         for jj in range(n):
             jlj = j[l][jj]
@@ -169,7 +174,10 @@ def nijenhuis(algebra: LieAlgebra, j_matrix: ExprMatrix) -> NijenhuisTensor:
                 if jkm.is_zero:
                     continue
                 comps[i][jj][k] = comps[i][jj][k] - jlj * jkm * c
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in comps)
+    den = dj2 * dc
+    frozen = tuple(
+        tuple(tuple(_make(x, den) for x in row) for row in plane) for plane in comps
+    )
     return NijenhuisTensor(n, frozen)
 
 

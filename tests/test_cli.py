@@ -194,3 +194,23 @@ def test_report_degenerate_form_is_failure(tmp_path):
     assert ext["status"] == "failure"
     assert "'lambda0'" in ext["residuals"][0][1]
     assert doc["summary"]["sasakian_failures"] == 1
+
+
+def test_ric_exact_counts_only_compared_entries(tmp_path):
+    # with lambda0 degenerate no curvature is computed, so no published Ricci
+    # operator of the family was compared and none may count as exact
+    path = _degenerate_catalog(tmp_path)
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "verify", "--catalog", str(path), "--filter", "r2r2.lambda0.*",
+            "--samples", "2", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    doc = json.loads(out.read_text())
+    summary = doc["summary"]
+    assert summary["failures"] == summary["total"] == len(doc["entries"]) > 1
+    assert all(e["label"]["computed"] is None for e in doc["entries"])
+    assert any(e["ric_comparison"]["expected_present"] for e in doc["entries"])
+    assert summary["ric_exact"] == 0

@@ -271,7 +271,8 @@ def test_matrix_identities_randomized():
         a, b = random_matrix(), random_matrix()
         assert (a @ b).transpose() == b.transpose() @ a.transpose()
         assert (a @ b).det() == a.det() * b.det()
-        assert a.adjugate() @ a == ExprMatrix.identity(3).scale(a.det())
+        if not a.det().is_zero:
+            assert a @ a.inverse() == ExprMatrix.identity(3)
 
 
 def test_term_limit_guard():
