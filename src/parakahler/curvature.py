@@ -188,10 +188,8 @@ def ricci(
     ric = ExprMatrix(
         [[_make(sum(terms[j * n + k], _P_ZERO), dr) for k in range(n)] for j in range(n)]
     )
-    den, op = ric._product(ginv)
-    operator = ExprMatrix([[_make(x, den) for x in row] for row in op])
-    scalar = _make(sum((op[i][i] for i in range(n)), _P_ZERO), den)
-    return RicciData(ricci=ric, operator=operator, scalar=scalar)
+    operator = ric @ ginv
+    return RicciData(ricci=ric, operator=operator, scalar=operator.trace())
 
 
 @dataclass(frozen=True)

@@ -891,11 +891,7 @@ class ExprMatrix:
         return ExprMatrix([[-x for x in row] for row in self.entries])
 
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
-        den, nums = self._product(other)
-        return ExprMatrix([[_make(x, den) for x in row] for row in nums])
-
-    def _product(self, other: "ExprMatrix"):
-        """(D, N) with (self @ other)[i, j] == N[i][j] / D, one D per operand."""
+        """One shared denominator per operand, one normalization per entry."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -913,7 +909,8 @@ class ExprMatrix:
                         acc = acc + x * y
                 out_row.append(acc)
             out.append(out_row)
-        return da * db, out
+        den = da * db
+        return ExprMatrix([[_make(x, den) for x in row] for row in out])
 
     def _cleared(self):
         """(D, N): the entries as polynomial numerators N[i][j] over one D."""

@@ -8,8 +8,8 @@ symbolic pipeline: at any admissible parameter sample the two must agree
 exactly.  The loops of ``christoffel`` and ``curvature`` run only over the
 nonzero entries of their inputs; a skipped factor is exactly zero, so the sums
 equal the dense formulas in the docstrings.  ``christoffel`` and ``ricci``
-invert g themselves unless the caller passes ``ginv``.  Nothing here is shared
-with the symbolic path.
+take g^{-1} from the caller, who inverts g once.  Nothing here is shared with
+the symbolic path.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def _nonzero(row: Sequence) -> List[Tuple[int, Fraction]]:
     return [(idx, v) for idx, v in enumerate(row) if v]
 
 
-def christoffel(c: Sequence, g: Mat, ginv: Mat = None) -> list:
+def christoffel(c: Sequence, g: Mat, ginv: Mat) -> list:
     """Gamma[i][j][m] = (1/2) g^{km} (C^p_ij g_pk + C^p_ki g_pj + C^p_kj g_ip)."""
     n = len(g)
-    ginv_rows = [_nonzero(row) for row in (invert(g) if ginv is None else ginv)]
+    ginv_rows = [_nonzero(row) for row in ginv]
     g_rows = [_nonzero(row) for row in g]
     c_rows = [[_nonzero(c[i][j]) for j in range(n)] for i in range(n)]
     half = Fraction(1, 2)
@@ -158,14 +158,14 @@ def curvature(c: Sequence, gamma: Sequence) -> list:
     return riem
 
 
-def ricci(riem: Sequence, g: Mat, ginv: Mat = None) -> Tuple[Mat, Mat, Fraction]:
+def ricci(riem: Sequence, ginv: Mat) -> Tuple[Mat, Mat, Fraction]:
     """Ricci tensor Ric_jk = R^i_ijk, operator Ric * g^{-1}, scalar trace."""
-    n = len(g)
+    n = len(ginv)
     ric = [
         [sum((riem[i][j][k][i] for i in range(n)), Fraction(0)) for k in range(n)]
         for j in range(n)
     ]
-    operator = mat_mul(ric, invert(g) if ginv is None else ginv)
+    operator = mat_mul(ric, ginv)
     scalar = sum((operator[i][i] for i in range(n)), Fraction(0))
     return ric, operator, scalar
 

@@ -77,22 +77,23 @@ def _axiom_dict(check) -> dict:
     return out
 
 
-def _denominators(values) -> List[Polynomial]:
-    return [v.den for v in values if not v.den.is_const]
-
-
-def _form_denominators(algebra: LieAlgebra, form: TwoForm) -> List[Polynomial]:
-    return list(algebra.denominators()) + _denominators(v for _, _, v in form.terms())
-
-
 def collect_avoid_polynomials(
     algebra: LieAlgebra, form: TwoForm, entry: CatalogEntry
 ) -> Tuple[Polynomial, ...]:
     """Denominators plus form determinant: the sampler must dodge their zeros."""
-    avoid = _form_denominators(algebra, form)
-    avoid += _denominators(v for row in entry.j_matrix.entries for v in row)
+    avoid: List[Polynomial] = list(algebra.denominators())
+    for _, _, v in form.terms():
+        if not v.den.is_const:
+            avoid.append(v.den)
+    for row in entry.j_matrix.entries:
+        for v in row:
+            if not v.den.is_const:
+                avoid.append(v.den)
     if entry.expected.ric is not None:
-        avoid += _denominators(v for row in entry.expected.ric.entries for v in row)
+        for row in entry.expected.ric.entries:
+            for v in row:
+                if not v.den.is_const:
+                    avoid.append(v.den)
     det = form.matrix.det()
     if not det.is_const:
         avoid.append(det.num)
@@ -138,7 +139,7 @@ def _numeric_corroboration(algebra, g, bundle, point) -> bool:
     g_inv = numeric.invert(g_num)
     gamma_num = numeric.christoffel(c_num, g_num, g_inv)
     riem_num = numeric.curvature(c_num, gamma_num)
-    ric_num, op_num, s_num = numeric.ricci(riem_num, g_num, g_inv)
+    ric_num, op_num, s_num = numeric.ricci(riem_num, g_inv)
     gamma = bundle.christoffel.gamma
     riem = bundle.riemann.comps
     for i in range(n):
@@ -455,7 +456,10 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig) -> Dict[str, di
             rep = is_symplectic(algebra, form)
             det_nonzero = 0
             rng = DeterministicRng(config.seed * 0x20001 + len(name) + len(fid))
-            avoid = _form_denominators(algebra, form)
+            avoid = list(algebra.denominators())
+            for _, _, v in form.terms():
+                if not v.den.is_const:
+                    avoid.append(v.den)
             for _ in range(config.samples):
                 point = sample_point(rng, dict(algebra.params), avoid)
                 if rep.det.eval(point) != 0:

@@ -60,7 +60,8 @@ def test_christoffel_against_numeric_oracle():
     g = metric_from(omega, j1)
     gam = christoffel(rr3m1, g)
     point = dict(FULL_POINT, a=Fraction(0), b=Fraction(0))
-    oracle = numeric.christoffel(rr3m1.structure_eval(point), g.matrix.eval_at(point))
+    g_num = g.matrix.eval_at(point)
+    oracle = numeric.christoffel(rr3m1.structure_eval(point), g_num, numeric.invert(g_num))
     for i in range(4):
         for j in range(4):
             for m in range(4):
@@ -416,7 +417,7 @@ def test_sparse_oracle_equals_dense_loops(n, cases):
         density = (0.1, 0.3, 0.6, 1.0)[case % 4]
         c = _random_tensor(rng, n, density)
         g = _random_invertible(rng, n, max(density, 0.3))
-        gamma = numeric.christoffel(c, g)
+        gamma = numeric.christoffel(c, g, numeric.invert(g))
         assert gamma == dense_christoffel(c, g), (n, case)
         assert numeric.curvature(c, gamma) == dense_curvature(c, gamma), (n, case)
 
@@ -424,7 +425,8 @@ def test_sparse_oracle_equals_dense_loops(n, cases):
 def test_corroboration_detects_single_perturbations():
     d42, g, bundle = _d42_bundle()
     point = FULL_POINT
-    gamma_num = numeric.christoffel(d42.structure_eval(point), g.matrix.eval_at(point))
+    g_num = g.matrix.eval_at(point)
+    gamma_num = numeric.christoffel(d42.structure_eval(point), g_num, numeric.invert(g_num))
     comps = [(i, j, m) for i in range(4) for j in range(4) for m in range(4)]
     nonzero = next(x for x in comps if gamma_num[x[0]][x[1]][x[2]] != 0)
     zero = next(x for x in comps if gamma_num[x[0]][x[1]][x[2]] == 0)
