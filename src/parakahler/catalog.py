@@ -30,6 +30,7 @@ from .expressions import (
     ExprMatrix,
     ExprSyntaxError,
     RationalExpr,
+    SymbolicZeroDivisionError,
     UnknownParameterError,
     expr,
     format_expr,
@@ -105,8 +106,17 @@ def _parse(path: str, text) -> RationalExpr:
         return expr(text)
     except UnknownParameterError as exc:
         raise CatalogFormatError(path, str(exc)) from exc
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, SymbolicZeroDivisionError) as exc:
         raise CatalogFormatError(path, f"cannot parse expression {text!r}: {exc}") from exc
+
+
+def _items(path: str, owner: dict, key: str) -> list:
+    """``owner[key]`` (absent: empty) as a list; ``path`` locates ``owner``."""
+    raw = owner.get(key, ())
+    if not isinstance(raw, (list, tuple)):
+        where = f"{path}.{key}" if path else key
+        raise CatalogFormatError(where, f"expected a list, got {raw!r}")
+    return raw
 
 
 def _parse_domain(path: str, raw) -> ParamDomain:
@@ -151,18 +161,24 @@ def load_catalog(document: dict) -> Catalog:
     forms: Dict[Tuple[str, str], TwoForm] = {}
     entries: List[CatalogEntry] = []
     seen_ids = set()
-    for a_idx, alg_raw in enumerate(document["algebras"]):
+    for a_idx, alg_raw in enumerate(_items("", document, "algebras")):
         apath = f"algebras[{a_idx}]"
+        if not isinstance(alg_raw, dict):
+            raise CatalogFormatError(apath, "algebra must be an object")
         for key in ("name", "dim"):
             if key not in alg_raw:
                 raise CatalogFormatError(apath, f"missing field {key!r}")
         name = alg_raw["name"]
         dim = alg_raw["dim"]
+        if type(dim) is not int or dim < 1:
+            raise CatalogFormatError(
+                f"{apath}.dim", f"expected a positive integer, got {dim!r}"
+            )
         if name in algebras:
             raise CatalogFormatError(apath, f"duplicate algebra name {name!r}")
         params = _parse_params(f"{apath}.params", alg_raw.get("params"))
         brackets = []
-        for b_idx, item in enumerate(alg_raw.get("brackets", ())):
+        for b_idx, item in enumerate(_items(apath, alg_raw, "brackets")):
             bpath = f"{apath}.brackets[{b_idx}]"
             if len(item) != 4:
                 raise CatalogFormatError(bpath, "bracket entries are [i, j, k, expr]")
@@ -178,7 +194,7 @@ def load_catalog(document: dict) -> Catalog:
             raise CatalogFormatError(apath, str(exc)) from exc
         algebras[name] = algebra
         form_ids = set()
-        for f_idx, form_raw in enumerate(alg_raw.get("forms", ())):
+        for f_idx, form_raw in enumerate(_items(apath, alg_raw, "forms")):
             fpath = f"{apath}.forms[{f_idx}]"
             if "id" not in form_raw:
                 raise CatalogFormatError(fpath, "missing form id")
@@ -198,7 +214,7 @@ def load_catalog(document: dict) -> Catalog:
                     )
                 terms.append((i, j, _parse(tpath, text)))
             forms[(name, fid)] = TwoForm.from_terms(dim, terms)
-        for s_idx, s_raw in enumerate(alg_raw.get("structures", ())):
+        for s_idx, s_raw in enumerate(_items(apath, alg_raw, "structures")):
             spath = f"{apath}.structures[{s_idx}]"
             for key in ("id", "form", "J"):
                 if key not in s_raw:

@@ -13,14 +13,19 @@ expressions they must satisfy when the base is para-Kahler:
     R(X,Y)Z   = R_g(X,Y)Z - 1/4 g(X,JZ) JY + 1/4 g(Y,JZ) JX - 1/2 g(X,JY) JZ
     R(X,Y)xi  = 0,  R(X,xi)Z = 1/4 g(X,Z) xi,  R(X,xi)xi = -1/4 X
     Ric(Y,Z)  = Ric_g(Y,Z) + 1/2 g(Y,Z),  Ric(Y,xi) = 0,  Ric(xi,xi) = -1
+
+Both identity checks take their curvature bundles as given: the 4D bundle the
+base verification already computed and the 5D bundle of h on the extended
+algebra.  Neither computes a bundle of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
-from .curvature import CurvatureBundle, curvature_bundle
+from .curvature import CurvatureBundle
 from .expressions import (
     EXPR_ONE,
     EXPR_ZERO,
@@ -156,27 +161,21 @@ class ContactReport:
     coefficient: RationalExpr  # eta ^ d(eta) ^ d(eta) on (e_1..e_4, xi)
 
 
-def check_contact(ext: CentralExtension, eta=None) -> ContactReport:
+def check_contact(ext: CentralExtension) -> ContactReport:
     """Evaluate eta ^ (d eta)^2 on the full basis; contact iff nonzero."""
     n5 = ext.extended.dim
     xi = ext.xi_index
-    if eta is None:
-        eta = tuple(EXPR_ONE if i == xi else EXPR_ZERO for i in range(n5))
+    eta = tuple(EXPR_ONE if i == xi else EXPR_ZERO for i in range(n5))
     d_eta = ce_differential_1(ext.extended, eta)
-    # (eta ^ d_eta ^ d_eta)(v_1..v_5) expanded along the 1-form slot
-    total = EXPR_ZERO
-    for i in range(n5):
-        if eta[i].is_zero:
-            continue
-        rest = [p for p in range(n5) if p != i]
-        a, b, c, d = rest
-        pf = (
-            d_eta(a, b) * d_eta(c, d)
-            - d_eta(a, c) * d_eta(b, d)
-            + d_eta(a, d) * d_eta(b, c)
-        )
-        sign = -1 if i % 2 else 1  # (-1)^i for pulling slot i to the front
-        total = total + expr(2 * sign) * eta[i] * pf
+    # eta = xi^*, so the expansion along the 1-form slot has only the xi term
+    a, b, c, d = (p for p in range(n5) if p != xi)
+    pf = (
+        d_eta(a, b) * d_eta(c, d)
+        - d_eta(a, c) * d_eta(b, d)
+        + d_eta(a, d) * d_eta(b, c)
+    )
+    sign = -1 if xi % 2 else 1  # (-1)^xi for pulling slot xi to the front
+    total = expr(2 * sign) * pf
     return ContactReport(ok=not total.is_zero, coefficient=total)
 
 
@@ -265,18 +264,24 @@ QUARTER = expr("1/4")
 HALF = expr("1/2")
 
 
+def _record(identities, residuals, identity, tag, value) -> None:
+    """Clear ``identity`` on a nonzero residual; keep the first 16 residual texts."""
+    if not value.is_zero:
+        identities[identity] = False
+        if len(residuals) < 16:
+            residuals.append((tag, format_expr(value)))
+
+
 def verify_lifted_curvature(
     ps: ParacontactStructure,
     base_bundle: CurvatureBundle,
     j_matrix: ExprMatrix,
-    ext_bundle: Optional[CurvatureBundle] = None,
+    ext_bundle: CurvatureBundle,
 ) -> IdentityReport:
     """Compare the 5D curvature with its para-Sasakian closed form."""
     ext = ps.extension
     n = ext.base.dim
     xi = ext.xi_index
-    if ext_bundle is None:
-        ext_bundle = curvature_bundle(ext.extended, ps.h)
     riem5 = ext_bundle.riemann.comps
     riem4 = base_bundle.riemann.comps
     g = base_bundle.metric.matrix
@@ -289,13 +294,7 @@ def verify_lifted_curvature(
         "r_x_xi_z": True,
         "r_x_xi_xi": True,
     }
-
-    def record(identity, tag, value):
-        if not value.is_zero:
-            identities[identity] = False
-            if len(residuals) < 16:
-                residuals.append((tag, format_expr(value)))
-
+    record = partial(_record, identities, residuals)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -340,26 +339,18 @@ def verify_lifted_curvature(
 def verify_lifted_ricci(
     ps: ParacontactStructure,
     base_bundle: CurvatureBundle,
-    ext_bundle: Optional[CurvatureBundle] = None,
+    ext_bundle: CurvatureBundle,
 ) -> IdentityReport:
     """Ric_h = Ric_g + g/2 on the base, Ric_h(., xi) = 0, Ric_h(xi, xi) = -n/2."""
     ext = ps.extension
     n = ext.base.dim
     xi = ext.xi_index
-    if ext_bundle is None:
-        ext_bundle = curvature_bundle(ext.extended, ps.h)
     ric5 = ext_bundle.ricci.ricci
     ric4 = base_bundle.ricci.ricci
     g = base_bundle.metric.matrix
     residuals: List[Tuple[str, str]] = []
     identities = {"ric_base": True, "ric_y_xi": True, "ric_xi_xi": True}
-
-    def record(identity, tag, value):
-        if not value.is_zero:
-            identities[identity] = False
-            if len(residuals) < 16:
-                residuals.append((tag, format_expr(value)))
-
+    record = partial(_record, identities, residuals)
     for j in range(n):
         for k in range(n):
             record(

@@ -33,23 +33,16 @@ from .expressions import (
 from .liealgebra import LieAlgebra
 from .structures import Metric
 
-LABELS = ("flat", "ricci_flat", "einstein", "hermitian_ricci", "generic")
-
-
 @dataclass(frozen=True)
 class Christoffel:
     dim: int
     gamma: tuple  # gamma[i][j][m] = Gamma^m_ij
 
-    def component(self, i: int, j: int, m: int) -> RationalExpr:
-        return self.gamma[i][j][m]
 
-
-def christoffel(algebra: LieAlgebra, g: Metric, _ginv: ExprMatrix = None) -> Christoffel:
+def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel:
     n = algebra.dim
     if g.dim != n:
         raise ValueError("metric dimension does not match the algebra")
-    ginv = g.matrix.inverse() if _ginv is None else _ginv
     dg, gm = g.matrix._cleared()
     dinv, gi = ginv._cleared()
     dc, constants = algebra.cleared_constants()
@@ -105,9 +98,6 @@ def connection_metric_residuals(algebra: LieAlgebra, gam: Christoffel, g: Metric
 class CurvatureTensor:
     dim: int
     comps: tuple  # comps[i][j][k][s] = R^s_ijk
-
-    def component(self, i: int, j: int, k: int, s: int) -> RationalExpr:
-        return self.comps[i][j][k][s]
 
     @property
     def is_zero(self) -> bool:
@@ -171,15 +161,9 @@ class RicciData:
     scalar: RationalExpr
 
 
-def ricci(
-    algebra: LieAlgebra,
-    riemann: CurvatureTensor,
-    g: Metric,
-    _ginv: ExprMatrix = None,
-) -> RicciData:
+def ricci(riemann: CurvatureTensor, ginv: ExprMatrix) -> RicciData:
     """Ric_jk = R^i_ijk, operator RIC = Ric . g^{-1}, scalar S = trace(RIC)."""
-    n = algebra.dim
-    ginv = g.matrix.inverse() if _ginv is None else _ginv
+    n = riemann.dim
     comps = riemann.comps
     dr, flat = common_denominator(
         [comps[i][j][k][i] for j in range(n) for k in range(n) for i in range(n)]
@@ -204,9 +188,9 @@ class CurvatureBundle:
 def curvature_bundle(algebra: LieAlgebra, g: Metric) -> CurvatureBundle:
     """Run the whole pipeline sharing one metric inversion."""
     ginv = g.matrix.inverse()
-    gam = christoffel(algebra, g, _ginv=ginv)
+    gam = christoffel(algebra, g, ginv)
     riem = curvature(algebra, gam)
-    ric = ricci(algebra, riem, g, _ginv=ginv)
+    ric = ricci(riem, ginv)
     return CurvatureBundle(gam, riem, ric, g, ginv)
 
 
@@ -214,7 +198,6 @@ def curvature_bundle(algebra: LieAlgebra, g: Metric) -> CurvatureBundle:
 class Classification:
     label: str
     einstein_factor: Optional[RationalExpr]
-    hermitian: bool
 
 
 def hermitian_residual(ric: ExprMatrix, j_matrix: ExprMatrix) -> ExprMatrix:
@@ -232,17 +215,16 @@ def classify(
 ) -> Classification:
     """Most specific label wins: flat > ricci_flat > einstein > hermitian > generic."""
     ric = bundle.ricci.ricci
-    hermitian = hermitian_residual(ric, j_matrix).is_zero
     if bundle.riemann.is_zero:
-        return Classification("flat", EXPR_ZERO, hermitian)
+        return Classification("flat", EXPR_ZERO)
     if ric.is_zero:
-        return Classification("ricci_flat", EXPR_ZERO, hermitian)
+        return Classification("ricci_flat", EXPR_ZERO)
     factor = bundle.ricci.scalar / expr(bundle.metric.dim)
     if (ric - bundle.metric.matrix.scale(factor)).is_zero:
-        return Classification("einstein", factor, hermitian)
-    if hermitian:
-        return Classification("hermitian_ricci", None, True)
-    return Classification("generic", None, False)
+        return Classification("einstein", factor)
+    if hermitian_residual(ric, j_matrix).is_zero:
+        return Classification("hermitian_ricci", None)
+    return Classification("generic", None)
 
 
 def label_holds(

@@ -68,10 +68,6 @@ def set_term_limit(limit: int) -> None:
     _term_limit = limit
 
 
-def get_term_limit() -> int:
-    return _term_limit
-
-
 def _guard(terms: dict) -> dict:
     if len(terms) > _term_limit:
         raise ExpressionBlowupError(

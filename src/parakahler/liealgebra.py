@@ -74,9 +74,6 @@ class ParamDomain:
         return True
 
 
-FREE = ParamDomain()
-
-
 class TwoForm:
     """Skew bilinear form on the basis, omega(e_i, e_j) = matrix entry (i, j)."""
 
@@ -160,12 +157,6 @@ class ThreeForm:
     @property
     def is_zero(self) -> bool:
         return not self._comp
-
-    def first_nonzero(self):
-        if not self._comp:
-            return None
-        key = min(self._comp)
-        return (key[0] + 1, key[1] + 1, key[2] + 1, self._comp[key])
 
 
 class LieAlgebra:
@@ -332,22 +323,15 @@ class SymplecticReport:
     ok: bool
     closed: bool
     det: RationalExpr
-    first_nonclosed: Optional[Tuple[int, int, int, RationalExpr]] = None
 
 
 def is_symplectic(algebra: LieAlgebra, omega: TwoForm) -> SymplecticReport:
     """Closedness (symbolic) plus nondegeneracy (det not identically zero)."""
     if algebra.dim % 2:
         raise OddDimensionError("symplectic forms need even dimension")
-    d_omega = ce_differential_2(algebra, omega)
-    closed = d_omega.is_zero
+    closed = ce_differential_2(algebra, omega).is_zero
     det = omega.matrix.det()
-    return SymplecticReport(
-        ok=closed and not det.is_zero,
-        closed=closed,
-        det=det,
-        first_nonclosed=None if closed else d_omega.first_nonzero(),
-    )
+    return SymplecticReport(ok=closed and not det.is_zero, closed=closed, det=det)
 
 
 def pfaffian4(omega: TwoForm) -> RationalExpr:

@@ -10,7 +10,7 @@ parameter domains and against a list of polynomials that must not vanish
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence
 
 from .expressions import PARAMS, Polynomial
 
@@ -84,13 +84,3 @@ def sample_point(
         f"{sorted(domains)} avoiding {len(avoid)} polynomials"
     )
 
-
-def sample_points(
-    seed: int,
-    count: int,
-    domains: Mapping[str, "ParamDomainLike"],
-    avoid: Iterable[Polynomial] = (),
-) -> Tuple[dict, ...]:
-    rng = DeterministicRng(seed)
-    avoid = tuple(avoid)
-    return tuple(sample_point(rng, domains, avoid) for _ in range(count))

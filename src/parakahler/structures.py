@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from . import numeric
 from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
@@ -42,10 +42,6 @@ class AxiomCheck:
     axiom: str
     ok: bool
     issues: Tuple[AxiomIssue, ...] = ()
-
-    @property
-    def first_issue(self) -> Optional[AxiomIssue]:
-        return self.issues[0] if self.issues else None
 
 
 _MAX_ISSUES = 8

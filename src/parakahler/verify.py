@@ -11,12 +11,16 @@ expression-size guard) propagate.
 Published labels and matrices that disagree with the exact recomputation are
 *discrepancies*: they are reported with the recomputed value but do not count
 as failures, mirroring how a typo in a printed table should surface.
+
+``verify_extension`` checks the 5D para-Sasakian lift of an entry and takes
+the entry's 4D curvature bundle from ``verify_entry`` as given.  An entry whose
+4D check built no bundle (its J fails an axiom) has nothing to lift: its
+extension is a recorded failure, like a form that is not symplectic.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,23 +81,20 @@ def _axiom_dict(check) -> dict:
     return out
 
 
+def _denominators(values) -> List[Polynomial]:
+    """The non-constant denominators of ``values``, in order."""
+    return [v.den for v in values if not v.den.is_const]
+
+
 def collect_avoid_polynomials(
     algebra: LieAlgebra, form: TwoForm, entry: CatalogEntry
 ) -> Tuple[Polynomial, ...]:
     """Denominators plus form determinant: the sampler must dodge their zeros."""
-    avoid: List[Polynomial] = list(algebra.denominators())
-    for _, _, v in form.terms():
-        if not v.den.is_const:
-            avoid.append(v.den)
-    for row in entry.j_matrix.entries:
-        for v in row:
-            if not v.den.is_const:
-                avoid.append(v.den)
+    avoid = list(algebra.denominators())
+    avoid += _denominators(v for _, _, v in form.terms())
+    avoid += _denominators(v for row in entry.j_matrix.entries for v in row)
     if entry.expected.ric is not None:
-        for row in entry.expected.ric.entries:
-            for v in row:
-                if not v.den.is_const:
-                    avoid.append(v.den)
+        avoid += _denominators(v for row in entry.expected.ric.entries for v in row)
     det = form.matrix.det()
     if not det.is_const:
         avoid.append(det.num)
@@ -112,7 +113,6 @@ class EntryFinding:
     corroboration: Dict[str, int]
     status: str  # ok | discrepancy | failure
     notes: Tuple[str, ...] = ()
-    timing_ms: float = 0.0
     # the 4D curvature, handed on to the extension check; never reported
     bundle: Optional[CurvatureBundle] = field(default=None, repr=False, compare=False)
 
@@ -160,7 +160,6 @@ def _numeric_corroboration(algebra, g, bundle, point) -> bool:
 def verify_entry(
     catalog: Catalog, entry: CatalogEntry, config: RunConfig = RunConfig()
 ) -> EntryFinding:
-    start = time.perf_counter()
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
     notes: List[str] = []
@@ -254,9 +253,8 @@ def verify_entry(
                     for i in range(op.rows)
                 ]
         domains = catalog.domains_of(entry)
+        # det g = +-det omega (J^2 = Id), whose numerator is already avoided
         avoid = collect_avoid_polynomials(algebra, form, entry)
-        if not det_g.is_const:
-            avoid = avoid + (det_g.num,)
         rng = DeterministicRng(config.seed * 0x10001 + len(entry.entry_id))
         signature_ok = True
         agree = 0
@@ -304,7 +302,6 @@ def verify_entry(
         corroboration=corroboration,
         status=status,
         notes=tuple(notes),
-        timing_ms=(time.perf_counter() - start) * 1000.0,
         bundle=bundle,
     )
 
@@ -323,7 +320,6 @@ class ExtensionFinding:
     ricci_identities: Dict[str, bool]
     residuals: Tuple[Tuple[str, str], ...]
     status: str
-    timing_ms: float = 0.0
 
     def to_document(self) -> dict:
         return {
@@ -341,47 +337,54 @@ class ExtensionFinding:
         }
 
 
+def _failed_extension(entry: CatalogEntry, tag: str, text: str) -> ExtensionFinding:
+    """A lift that was never built: every check fails, with one named cause."""
+    return ExtensionFinding(
+        entry_id=entry.entry_id,
+        contact_ok=False,
+        contact_coefficient="n/a",
+        almost_paracontact_ok=False,
+        compatible_metric_ok=False,
+        restriction_ok=False,
+        reeb_ok=False,
+        phi_vs_deta="mismatch",
+        curvature_identities={},
+        ricci_identities={},
+        residuals=((tag, text),),
+        status="failure",
+    )
+
+
 def verify_extension(
-    catalog: Catalog,
-    entry: CatalogEntry,
-    config: RunConfig = RunConfig(),
-    base_bundle: Optional[CurvatureBundle] = None,
+    catalog: Catalog, entry: CatalogEntry, base_bundle: Optional[CurvatureBundle]
 ) -> ExtensionFinding:
-    """Build the central extension and check the para-Sasakian identities
-    (``base_bundle``: the entry's 4D curvature, if the caller has it)."""
-    start = time.perf_counter()
-    algebra = catalog.algebra_of(entry)
-    form = catalog.form_of(entry)
+    """Build the central extension and check the para-Sasakian identities.
+
+    ``base_bundle`` is the entry's 4D curvature from ``verify_entry``; it is
+    None when the 4D check failed before computing one.
+    """
     try:
-        ext = central_extend(algebra, form)
+        ext = central_extend(catalog.algebra_of(entry), catalog.form_of(entry))
     except NonSymplecticError as exc:
-        return ExtensionFinding(
-            entry_id=entry.entry_id,
-            contact_ok=False,
-            contact_coefficient="n/a",
-            almost_paracontact_ok=False,
-            compatible_metric_ok=False,
-            restriction_ok=False,
-            reeb_ok=False,
-            phi_vs_deta="mismatch",
-            curvature_identities={},
-            ricci_identities={},
-            residuals=(("central_extension", f"form {entry.form!r}: {exc}"),),
-            status="failure",
-            timing_ms=(time.perf_counter() - start) * 1000.0,
+        return _failed_extension(
+            entry, "central_extension", f"form {entry.form!r}: {exc}"
+        )
+    if base_bundle is None:
+        return _failed_extension(
+            entry,
+            "base_structure",
+            f"structure {entry.entry_id!r} fails a para-Kahler axiom, so it has "
+            "no 4D curvature to lift",
         )
     ps = build_paracontact(ext, entry.j_matrix)
-    if base_bundle is None:
-        base_bundle = curvature_bundle(algebra, metric_from(form, entry.j_matrix))
-    g = base_bundle.metric
     ext_bundle = curvature_bundle(ext.extended, ps.h)
     contact = check_contact(ext)
     apc = almost_paracontact_residuals(ps)
     compat = check_compatible_metric(ps)
-    restriction = metric_restriction_residuals(ps, g)
+    restriction = metric_restriction_residuals(ps, base_bundle.metric)
     reeb = reeb_residuals(ps)
-    t2 = verify_lifted_curvature(ps, base_bundle, entry.j_matrix, ext_bundle=ext_bundle)
-    t3 = verify_lifted_ricci(ps, base_bundle, ext_bundle=ext_bundle)
+    t2 = verify_lifted_curvature(ps, base_bundle, entry.j_matrix, ext_bundle)
+    t3 = verify_lifted_ricci(ps, base_bundle, ext_bundle)
     if ps.phi_equals_d_eta:
         phi_vs = "equal"
     elif ps.phi_equals_minus_d_eta:
@@ -411,7 +414,6 @@ def verify_extension(
         ricci_identities=dict(t3.identities),
         residuals=t2.residuals + t3.residuals,
         status="ok" if ok else "failure",
-        timing_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -457,9 +459,7 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig) -> Dict[str, di
             det_nonzero = 0
             rng = DeterministicRng(config.seed * 0x20001 + len(name) + len(fid))
             avoid = list(algebra.denominators())
-            for _, _, v in form.terms():
-                if not v.den.is_const:
-                    avoid.append(v.den)
+            avoid += _denominators(v for _, _, v in form.terms())
             for _ in range(config.samples):
                 point = sample_point(rng, dict(algebra.params), avoid)
                 if rep.det.eval(point) != 0:
@@ -485,7 +485,7 @@ def verify_all(
     for e in entries:
         findings.append(verify_entry(catalog, e, config))
         if sasakian is not None:
-            sasakian.append(verify_extension(catalog, e, config, findings[-1].bundle))
+            sasakian.append(verify_extension(catalog, e, findings[-1].bundle))
         findings[-1].bundle = None  # hold one bundle at a time, not all of them
     summary = {
         "total": len(findings),
@@ -521,7 +521,7 @@ def verify_all(
 
 
 def render_report(report: VerificationReport, fmt: str = "json") -> str:
-    """Deterministic rendering; wall-clock timings are deliberately omitted."""
+    """Deterministic rendering of the report as JSON or markdown."""
     if fmt == "json":
         return json.dumps(report.to_document(), indent=2) + "\n"
     if fmt == "markdown":

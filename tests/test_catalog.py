@@ -12,6 +12,7 @@ from parakahler.catalog import (
     load_catalog,
 )
 from parakahler.builtin_data import BUILTIN_DOCUMENT
+from parakahler.cli import main
 from parakahler.liealgebra import is_symplectic, jacobi_check
 
 
@@ -144,6 +145,33 @@ def test_unknown_form_reference_rejected():
     )
     with pytest.raises(CatalogFormatError):
         load_catalog(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda d: d["algebras"].__setitem__(0, 3), "algebras[0]"),
+        (lambda d: d["algebras"][0].__setitem__("dim", "4"), "algebras[0].dim"),
+        (
+            lambda d: d["algebras"][0].__setitem__("structures", 3),
+            "algebras[0].structures",
+        ),
+        (
+            lambda d: d["algebras"][0]["brackets"][0].__setitem__(3, "1/0"),
+            "algebras[0].brackets[0]",
+        ),
+    ],
+    ids=["algebra-not-object", "dim-not-integer", "structures-not-list", "zero-division"],
+)
+def test_malformed_document_is_a_catalog_error(tmp_path, capsys, mutate, where):
+    doc = _mutate(mutate)
+    with pytest.raises(CatalogFormatError) as info:
+        load_catalog(doc)
+    assert info.value.path == where
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-file", str(path)]) == 2
+    assert f"catalog error: {where}:" in capsys.readouterr().err
 
 
 PUBLISHED_METRICS = {

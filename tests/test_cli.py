@@ -3,6 +3,8 @@
 import copy
 import json
 
+import pytest
+
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.cli import main
 
@@ -214,3 +216,39 @@ def test_ric_exact_counts_only_compared_entries(tmp_path):
     assert all(e["label"]["computed"] is None for e in doc["entries"])
     assert any(e["ric_comparison"]["expected_present"] for e in doc["entries"])
     assert summary["ric_exact"] == 0
+
+
+@pytest.mark.parametrize(
+    "j_rows",
+    [
+        # J^2 = Id and integrable, but omega(JX, JY) != -omega(X, Y)
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+        # J^2 != Id
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    ],
+    ids=["not-omega-compatible", "not-involutive"],
+)
+def test_report_lift_of_failed_structure_is_failure(tmp_path, capsys, j_rows):
+    # a structure that fails its 4D axioms has no curvature to lift; the
+    # report records the lift as a failure instead of raising
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    for alg in doc["algebras"]:
+        for structure in alg["structures"]:
+            if structure["id"] == "r2r2.lambdapos.J11":
+                structure["J"] = j_rows
+    path = tmp_path / "bad_j.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "report", "--catalog", str(path), "--filter", "r2r2.lambdapos.J11",
+            "--samples", "1", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["entries"][0]["status"] == "failure"
+    (ext,) = report["sasakian"]
+    assert ext["status"] == "failure"
+    assert report["summary"]["sasakian_failures"] == 1

@@ -149,9 +149,10 @@ def test_lifted_curvature_flat_base(rn4):
     ext = central_extend(rn4, omega)
     ps = build_paracontact(ext, RN4_J)
     base = curvature_bundle(rn4, metric_from(omega, RN4_J))
-    report = verify_lifted_curvature(ps, base, RN4_J)
+    ext_bundle = curvature_bundle(ext.extended, ps.h)
+    report = verify_lifted_curvature(ps, base, RN4_J, ext_bundle)
     assert report.ok, report.residuals
-    report3 = verify_lifted_ricci(ps, base)
+    report3 = verify_lifted_ricci(ps, base, ext_bundle)
     assert report3.ok, report3.residuals
 
 
@@ -173,8 +174,9 @@ def test_lifted_curvature_einstein_base(r2p):
     ext = central_extend(r2p, omega)
     ps = build_paracontact(ext, j2)
     base = curvature_bundle(r2p, metric_from(omega, j2))
-    assert verify_lifted_curvature(ps, base, j2).ok
-    assert verify_lifted_ricci(ps, base).ok
+    ext_bundle = curvature_bundle(ext.extended, ps.h)
+    assert verify_lifted_curvature(ps, base, j2, ext_bundle).ok
+    assert verify_lifted_ricci(ps, base, ext_bundle).ok
 
 
 def test_lifted_ricci_einstein_shift_d4lam(d4lam):
@@ -251,6 +253,7 @@ def test_lift_identities_across_builtin_sample():
         ext = central_extend(algebra, form)
         ps = build_paracontact(ext, entry.j_matrix)
         base = curvature_bundle(algebra, metric_from(form, entry.j_matrix))
-        assert verify_lifted_curvature(ps, base, entry.j_matrix).ok, entry.entry_id
-        assert verify_lifted_ricci(ps, base).ok, entry.entry_id
+        ext_bundle = curvature_bundle(ext.extended, ps.h)
+        assert verify_lifted_curvature(ps, base, entry.j_matrix, ext_bundle).ok, entry.entry_id
+        assert verify_lifted_ricci(ps, base, ext_bundle).ok, entry.entry_id
         assert ps.phi_equals_d_eta, entry.entry_id

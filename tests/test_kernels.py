@@ -247,13 +247,13 @@ def test_kernels_print_like_entrywise_arithmetic():
                 assert _texts(_flat(g.matrix.inverse())) == _texts(_flat(ginv)), tag
                 assert format_expr(g.matrix.det()) == format_expr(ref_det(g.matrix)), tag
 
-                gam = christoffel(algebra, g, _ginv=ginv)
+                gam = christoffel(algebra, g, ginv)
                 ref_gam = ref_christoffel(algebra, g, ginv)
                 assert _texts(_flat(gam.gamma)) == _texts(_flat(ref_gam)), tag
                 riem = curvature(algebra, gam)
                 ref_riem = ref_curvature(algebra, ref_gam)
                 assert _texts(_flat(riem.comps)) == _texts(_flat(ref_riem)), tag
-                ric = ricci(algebra, riem, g, _ginv=ginv)
+                ric = ricci(riem, ginv)
                 ref_ric, ref_op, ref_s = ref_ricci(algebra, ref_riem, ginv)
                 assert _texts(_flat(ric.ricci)) == _texts(_flat(ref_ric)), tag
                 assert _texts(_flat(ric.operator)) == _texts(_flat(ref_op)), tag

@@ -6,7 +6,7 @@ import pytest
 
 from parakahler.expressions import Polynomial
 from parakahler.liealgebra import ParamDomain
-from parakahler.sampling import DeterministicRng, SamplingError, sample_point, sample_points
+from parakahler.sampling import DeterministicRng, SamplingError, sample_point
 
 
 def test_rng_reproducible():
@@ -57,4 +57,9 @@ def test_unsatisfiable_raises():
 
 def test_sample_points_deterministic():
     domains = {"lam": ParamDomain("positive")}
-    assert sample_points(5, 4, domains) == sample_points(5, 4, domains)
+
+    def points(seed):
+        rng = DeterministicRng(seed)
+        return [sample_point(rng, domains) for _ in range(4)]
+
+    assert points(5) == points(5)

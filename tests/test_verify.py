@@ -125,7 +125,8 @@ def test_corrupted_entry_counts_in_summary():
 def test_extension_findings_builtin_sample():
     catalog = builtin_catalog()
     for entry_id in ("rn4.omega.J", "d4lam.omega.J3", "r2r2.lambdapos.J11"):
-        finding = verify_extension(catalog, _entry(catalog, entry_id), CFG)
+        entry = _entry(catalog, entry_id)
+        finding = verify_extension(catalog, entry, verify_entry(catalog, entry, CFG).bundle)
         assert finding.status == "ok", (entry_id, finding.residuals)
         assert finding.phi_vs_deta == "equal"
         assert all(finding.curvature_identities.values())
