@@ -119,23 +119,58 @@ def _items(path: str, owner: dict, key: str) -> list:
     return raw
 
 
+def _name(path: str, raw) -> str:
+    if not isinstance(raw, str):
+        raise CatalogFormatError(path, f"expected a string, got {raw!r}")
+    return raw
+
+
+def _object(path: str, raw, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise CatalogFormatError(path, f"{what} must be an object")
+    return raw
+
+
+def _indexed(path: str, item, size: int, shape: str) -> list:
+    """A sparse entry ``[index, ..., expr]`` of ``size`` fields."""
+    if not isinstance(item, (list, tuple)) or len(item) != size:
+        raise CatalogFormatError(path, f"entries are {shape}")
+    if any(type(x) is not int for x in item[:-1]):
+        raise CatalogFormatError(path, f"indices must be integers, got {list(item[:-1])!r}")
+    return item
+
+
+def _matrix(path: str, raw, dim: int) -> ExprMatrix:
+    if not isinstance(raw, (list, tuple)) or len(raw) != dim or any(
+        not isinstance(row, (list, tuple)) or len(row) != dim for row in raw
+    ):
+        raise CatalogFormatError(path, f"expected a {dim}x{dim} matrix of expressions")
+    return ExprMatrix(
+        [[_parse(f"{path}[{r}][{c}]", raw[r][c]) for c in range(dim)] for r in range(dim)]
+    )
+
+
+def _fraction(path: str, value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CatalogFormatError(path, f"bad rational {value!r}") from exc
+
+
 def _parse_domain(path: str, raw) -> ParamDomain:
     if raw is None:
         return ParamDomain()
-    if not isinstance(raw, dict):
-        raise CatalogFormatError(path, "domain must be an object")
-    kind = raw.get("kind", "free")
-    def _frac(key):
-        if key not in raw or raw[key] is None:
-            return None
-        try:
-            return Fraction(str(raw[key]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CatalogFormatError(f"{path}.{key}", f"bad rational {raw[key]!r}") from exc
-
-    excluded = tuple(Fraction(str(v)) for v in raw.get("excluded", ()))
+    _object(path, raw, "domain")
+    lo, hi = (
+        None if raw.get(key) is None else _fraction(f"{path}.{key}", raw[key])
+        for key in ("lo", "hi")
+    )
+    excluded = tuple(
+        _fraction(f"{path}.excluded[{idx}]", v)
+        for idx, v in enumerate(_items(path, raw, "excluded"))
+    )
     try:
-        return ParamDomain(kind=kind, lo=_frac("lo"), hi=_frac("hi"), excluded=excluded)
+        return ParamDomain(kind=raw.get("kind", "free"), lo=lo, hi=hi, excluded=excluded)
     except ValueError as exc:
         raise CatalogFormatError(path, str(exc)) from exc
 
@@ -143,6 +178,8 @@ def _parse_domain(path: str, raw) -> ParamDomain:
 def _parse_params(path: str, raw) -> Tuple[Tuple[str, ParamDomain], ...]:
     if raw is None:
         return ()
+    if not isinstance(raw, (list, tuple)):
+        raise CatalogFormatError(path, f"expected a list, got {raw!r}")
     out = []
     for idx, item in enumerate(raw):
         if not isinstance(item, dict) or "name" not in item:
@@ -168,11 +205,15 @@ def load_catalog(document: dict) -> Catalog:
         for key in ("name", "dim"):
             if key not in alg_raw:
                 raise CatalogFormatError(apath, f"missing field {key!r}")
-        name = alg_raw["name"]
+        name = _name(f"{apath}.name", alg_raw["name"])
         dim = alg_raw["dim"]
         if type(dim) is not int or dim < 1:
             raise CatalogFormatError(
                 f"{apath}.dim", f"expected a positive integer, got {dim!r}"
+            )
+        if _items(apath, alg_raw, "structures") and dim != 4:
+            raise CatalogFormatError(
+                f"{apath}.dim", f"an algebra with structures must have dim 4, got {dim}"
             )
         if name in algebras:
             raise CatalogFormatError(apath, f"duplicate algebra name {name!r}")
@@ -180,9 +221,7 @@ def load_catalog(document: dict) -> Catalog:
         brackets = []
         for b_idx, item in enumerate(_items(apath, alg_raw, "brackets")):
             bpath = f"{apath}.brackets[{b_idx}]"
-            if len(item) != 4:
-                raise CatalogFormatError(bpath, "bracket entries are [i, j, k, expr]")
-            i, j, k, text = item
+            i, j, k, text = _indexed(bpath, item, 4, "[i, j, k, expr]")
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise CatalogFormatError(
                     bpath, f"indices ({i}, {j}, {k}) out of range for dim {dim}"
@@ -196,18 +235,16 @@ def load_catalog(document: dict) -> Catalog:
         form_ids = set()
         for f_idx, form_raw in enumerate(_items(apath, alg_raw, "forms")):
             fpath = f"{apath}.forms[{f_idx}]"
-            if "id" not in form_raw:
+            if "id" not in _object(fpath, form_raw, "form"):
                 raise CatalogFormatError(fpath, "missing form id")
-            fid = form_raw["id"]
+            fid = _name(f"{fpath}.id", form_raw["id"])
             if fid in form_ids:
                 raise CatalogFormatError(fpath, f"duplicate form id {fid!r}")
             form_ids.add(fid)
             terms = []
-            for t_idx, term in enumerate(form_raw.get("terms", ())):
+            for t_idx, term in enumerate(_items(fpath, form_raw, "terms")):
                 tpath = f"{fpath}.terms[{t_idx}]"
-                if len(term) != 3:
-                    raise CatalogFormatError(tpath, "form terms are [i, j, expr]")
-                i, j, text = term
+                i, j, text = _indexed(tpath, term, 3, "[i, j, expr]")
                 if not (1 <= i < j <= dim):
                     raise CatalogFormatError(
                         tpath, f"indices ({i}, {j}) out of range for dim {dim}"
@@ -217,28 +254,18 @@ def load_catalog(document: dict) -> Catalog:
         for s_idx, s_raw in enumerate(_items(apath, alg_raw, "structures")):
             spath = f"{apath}.structures[{s_idx}]"
             for key in ("id", "form", "J"):
-                if key not in s_raw:
+                if key not in _object(spath, s_raw, "structure"):
                     raise CatalogFormatError(spath, f"missing field {key!r}")
-            sid = s_raw["id"]
+            sid = _name(f"{spath}.id", s_raw["id"])
             if sid in seen_ids:
                 raise CatalogFormatError(spath, f"duplicate structure id {sid!r}")
             seen_ids.add(sid)
-            if s_raw["form"] not in form_ids:
+            if _name(f"{spath}.form", s_raw["form"]) not in form_ids:
                 raise CatalogFormatError(
                     f"{spath}.form", f"unknown form id {s_raw['form']!r}"
                 )
-            rows = s_raw["J"]
-            if len(rows) != dim or any(len(row) != dim for row in rows):
-                raise CatalogFormatError(
-                    f"{spath}.J", f"J must be a {dim}x{dim} matrix of expressions"
-                )
-            j_matrix = ExprMatrix(
-                [
-                    [_parse(f"{spath}.J[{r}][{c}]", rows[r][c]) for c in range(dim)]
-                    for r in range(dim)
-                ]
-            )
-            exp_raw = s_raw.get("expected", {})
+            j_matrix = _matrix(f"{spath}.J", s_raw["J"], dim)
+            exp_raw = _object(f"{spath}.expected", s_raw.get("expected", {}), "expected")
             label = exp_raw.get("label")
             if label is not None and label not in KNOWN_LABELS:
                 raise CatalogFormatError(
@@ -247,21 +274,7 @@ def load_catalog(document: dict) -> Catalog:
                 )
             factor = exp_raw.get("einstein_factor")
             ric_raw = exp_raw.get("ric")
-            ric = None
-            if ric_raw is not None:
-                if len(ric_raw) != dim or any(len(row) != dim for row in ric_raw):
-                    raise CatalogFormatError(
-                        f"{spath}.expected.ric", f"ric must be {dim}x{dim}"
-                    )
-                ric = ExprMatrix(
-                    [
-                        [
-                            _parse(f"{spath}.expected.ric[{r}][{c}]", ric_raw[r][c])
-                            for c in range(dim)
-                        ]
-                        for r in range(dim)
-                    ]
-                )
+            ric = None if ric_raw is None else _matrix(f"{spath}.expected.ric", ric_raw, dim)
             expected = ExpectedResults(
                 label=label,
                 einstein_factor=None

@@ -90,7 +90,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         seed=seed,
         samples=args.samples,
-        fmt=args.fmt,
         strict=args.strict,
         entry_filter=args.entry_filter,
     )
@@ -155,7 +154,7 @@ def _cmd_verify(args, with_extensions: bool) -> int:
     config = _config(args)
     report = verify_all(catalog, config, include_extensions=with_extensions)
     if args.out:
-        _emit(args, render_report(report, config.fmt))
+        _emit(args, render_report(report, args.fmt))
     for f in report.findings:
         marker = {"ok": "ok", "discrepancy": "DISCREPANCY", "failure": "FAILURE"}[f.status]
         detail = ""
@@ -190,7 +189,7 @@ def _cmd_report(args) -> int:
     catalog = _load(args)
     config = _config(args)
     report = verify_all(catalog, config, include_extensions=True)
-    _emit(args, render_report(report, config.fmt))
+    _emit(args, render_report(report, args.fmt))
     return _exit_code(report, config.strict)
 
 

@@ -1,11 +1,21 @@
 """Central extensions to five-dimensional contact Lie algebras.
 
 A symplectic algebra (g, omega) extends to h = g x_omega R by adjoining a
-central xi with [X, Y]_h = [X, Y]_g + omega(X, Y) xi.  The contact form is
-eta = xi^*, and a compatible para-complex structure J on g induces the
+central xi with [X, Y]_h = [X, Y]_g + omega(X, Y) xi.  The extension and its
+contact form eta = xi^* depend on the pair (g, omega) only, so they are built
+once per form; each compatible para-complex structure J on g then induces the
 para-contact metric structure (eta, xi, phi, h) with
 
-    phi = blockdiag(J, 0),    h(x, y) = -d(eta)(x, phi y) + eta(x) eta(y).
+    phi = blockdiag(J, 0),    h = eta^T eta - d(eta) phi,
+
+with eta a 1 x 5 row and xi = eta^T a column.  The para-contact axioms are
+checked as whole-matrix identities; each residual builder returns the matrix
+(or matrices) that must vanish:
+
+    phi^T h phi + h - eta^T eta                  compatible metric
+    h - blockdiag(g, 1)                          restriction to the base
+    xi _| d(eta),  eta(xi) - 1                   Reeb vector
+    phi xi,  eta phi,  phi^2 - Id + xi eta       almost para-contact
 
 The curvature and Ricci tensors of h are verified against the closed-form
 expressions they must satisfy when the base is para-Kahler:
@@ -35,14 +45,10 @@ from .expressions import (
     format_expr,
 )
 from .liealgebra import LieAlgebra, TwoForm, ce_differential_1, is_symplectic
-from .structures import Metric, check_omega_compat
+from .structures import Metric
 
 
 class NonSymplecticError(ValueError):
-    pass
-
-
-class IncompatibleStructureError(ValueError):
     pass
 
 
@@ -51,32 +57,19 @@ class CentralExtension:
     base: LieAlgebra
     omega: TwoForm
     extended: LieAlgebra
-    n: int = 2  # half-dimension of the base
 
     @property
     def xi_index(self) -> int:
         return self.base.dim  # xi is the last basis vector
 
 
-def central_extend(
-    algebra: LieAlgebra, omega: TwoForm, require_symplectic: bool = True
-) -> CentralExtension:
-    """Adjoin a central xi with [X, Y] += omega(X, Y) xi.
-
-    With ``require_symplectic`` (the default) a degenerate or non-closed form
-    is rejected; closedness alone already makes the extension a Lie algebra,
-    which the degenerate-contact tests exploit by passing False.
-    """
+def central_extend(algebra: LieAlgebra, omega: TwoForm) -> CentralExtension:
+    """Adjoin a central xi with [X, Y] += omega(X, Y) xi; omega must be symplectic."""
     report = is_symplectic(algebra, omega)
-    if require_symplectic and not report.ok:
+    if not report.ok:
         raise NonSymplecticError(
             f"form on {algebra.name} is not symplectic "
             f"(closed={report.closed}, det={format_expr(report.det)})"
-        )
-    if not report.closed:
-        raise NonSymplecticError(
-            f"form on {algebra.name} is not closed; the extension would not "
-            "satisfy the Jacobi identity"
         )
     n = algebra.dim
     brackets = [
@@ -97,62 +90,42 @@ def central_extend(
     return CentralExtension(base=algebra, omega=omega, extended=extended)
 
 
+def _bordered(m: ExprMatrix, corner: RationalExpr) -> ExprMatrix:
+    """blockdiag(m, corner): ``m`` with a zero last row and column, then ``corner``."""
+    return ExprMatrix(
+        [list(row) + [EXPR_ZERO] for row in m.entries] + [[EXPR_ZERO] * m.cols + [corner]]
+    )
+
+
 @dataclass(frozen=True)
 class ParacontactStructure:
     extension: CentralExtension
-    eta: Tuple[RationalExpr, ...]
+    eta: ExprMatrix  # the contact form as a 1 x 5 row; xi = eta^T
     phi: ExprMatrix
     h: Metric
-    fundamental: TwoForm  # Phi(X, Y) = h(phi X, Y)
     d_eta: TwoForm
-    phi_equals_d_eta: bool
-    phi_equals_minus_d_eta: bool
+    phi_vs_deta: str  # Phi = phi^T h against d(eta): equal | negated | mismatch
 
 
 def build_paracontact(ext: CentralExtension, j_matrix: ExprMatrix) -> ParacontactStructure:
-    """phi = blockdiag(J, 0); h(x, y) = -d(eta)(x, phi y) + eta(x) eta(y)."""
-    base = ext.base
-    if j_matrix.rows != base.dim:
-        raise IncompatibleStructureError("J dimension does not match the base algebra")
-    if not check_omega_compat(ext.omega, j_matrix).ok:
-        raise IncompatibleStructureError(
-            "J is not compatible with the symplectic form of the extension"
-        )
-    n5 = base.dim + 1
-    xi = ext.xi_index
-    eta = tuple(EXPR_ONE if i == xi else EXPR_ZERO for i in range(n5))
-    phi_rows = [
-        [j_matrix[i, j] if i < base.dim and j < base.dim else EXPR_ZERO for j in range(n5)]
-        for i in range(n5)
-    ]
-    phi = ExprMatrix(phi_rows)
+    """phi = blockdiag(J, 0); h = eta^T eta - d(eta) phi.
+
+    ``j_matrix`` is a structure that passed the 4D axioms, so it is a
+    para-complex structure compatible with ``ext.omega``.
+    """
+    eta = ExprMatrix.identity(ext.extended.dim).entries[ext.xi_index]  # xi^*
     d_eta = ce_differential_1(ext.extended, eta)
-    h_rows = []
-    for i in range(n5):
-        row = []
-        for j in range(n5):
-            acc = eta[i] * eta[j]
-            for k in range(n5):
-                phi_kj = phi[k, j]
-                if phi_kj.is_zero:
-                    continue
-                de = d_eta(i, k)
-                if not de.is_zero:
-                    acc = acc - de * phi_kj
-            row.append(acc)
-        h_rows.append(row)
-    h = Metric(ExprMatrix(h_rows))
-    fundamental = TwoForm(phi.transpose() @ h.matrix)
-    return ParacontactStructure(
-        extension=ext,
-        eta=eta,
-        phi=phi,
-        h=h,
-        fundamental=fundamental,
-        d_eta=d_eta,
-        phi_equals_d_eta=fundamental.matrix == d_eta.matrix,
-        phi_equals_minus_d_eta=fundamental.matrix == (-d_eta.matrix),
-    )
+    eta_row = ExprMatrix([eta])
+    phi = _bordered(j_matrix, EXPR_ZERO)
+    h = Metric(eta_row.transpose() @ eta_row - d_eta.matrix @ phi)
+    fundamental = phi.transpose() @ h.matrix
+    if fundamental == d_eta.matrix:
+        phi_vs_deta = "equal"
+    elif fundamental == -d_eta.matrix:
+        phi_vs_deta = "negated"
+    else:
+        phi_vs_deta = "mismatch"
+    return ParacontactStructure(ext, eta_row, phi, h, d_eta, phi_vs_deta)
 
 
 @dataclass(frozen=True)
@@ -163,12 +136,11 @@ class ContactReport:
 
 def check_contact(ext: CentralExtension) -> ContactReport:
     """Evaluate eta ^ (d eta)^2 on the full basis; contact iff nonzero."""
-    n5 = ext.extended.dim
     xi = ext.xi_index
-    eta = tuple(EXPR_ONE if i == xi else EXPR_ZERO for i in range(n5))
+    eta = ExprMatrix.identity(ext.extended.dim).entries[xi]  # xi^*
     d_eta = ce_differential_1(ext.extended, eta)
     # eta = xi^*, so the expansion along the 1-form slot has only the xi term
-    a, b, c, d = (p for p in range(n5) if p != xi)
+    a, b, c, d = (p for p in range(ext.extended.dim) if p != xi)
     pf = (
         d_eta(a, b) * d_eta(c, d)
         - d_eta(a, c) * d_eta(b, d)
@@ -179,75 +151,27 @@ def check_contact(ext: CentralExtension) -> ContactReport:
     return ContactReport(ok=not total.is_zero, coefficient=total)
 
 
-def reeb_residuals(ps: ParacontactStructure):
-    """d(eta)(xi, x) must vanish for the Reeb vector; eta(xi) = 1."""
-    xi = ps.extension.xi_index
-    bad = []
-    for j in range(ps.extension.extended.dim):
-        value = ps.d_eta(xi, j)
-        if not value.is_zero:
-            bad.append((j + 1, value))
-    if not (ps.eta[xi] - EXPR_ONE).is_zero:
-        bad.append(("eta(xi)", ps.eta[xi] - EXPR_ONE))
-    return bad
+def reeb_residuals(ps: ParacontactStructure) -> Tuple[ExprMatrix, ExprMatrix]:
+    """xi _| d(eta) and eta(xi) - 1; both vanish for the Reeb vector."""
+    xi = ps.eta.transpose()
+    return xi.transpose() @ ps.d_eta.matrix, ps.eta @ xi - ExprMatrix.identity(1)
 
 
-def almost_paracontact_residuals(ps: ParacontactStructure):
-    """phi(xi) = 0, eta o phi = 0, eta(xi) = 1, phi^2 = Id - eta (x) xi."""
-    n5 = ps.extension.extended.dim
-    xi = ps.extension.xi_index
-    bad = []
-    for i in range(n5):
-        if not ps.phi[i, xi].is_zero:
-            bad.append((f"phi(xi)[{i + 1}]", ps.phi[i, xi]))
-    for j in range(n5):
-        acc = EXPR_ZERO
-        for i in range(n5):
-            acc = acc + ps.eta[i] * ps.phi[i, j]
-        if not acc.is_zero:
-            bad.append((f"(eta o phi)[{j + 1}]", acc))
-    correction = ExprMatrix(
-        [
-            [ps.eta[j] if i == xi else EXPR_ZERO for j in range(n5)]
-            for i in range(n5)
-        ]
-    )
-    residual = ps.phi @ ps.phi - ExprMatrix.identity(n5) + correction
-    for i in range(n5):
-        for j in range(n5):
-            if not residual[i, j].is_zero:
-                bad.append((f"phi^2-(Id-eta*xi)[{i + 1},{j + 1}]", residual[i, j]))
-    return bad
+def almost_paracontact_residuals(ps: ParacontactStructure) -> Tuple[ExprMatrix, ...]:
+    """phi xi, eta phi and phi^2 - Id + xi eta; all vanish."""
+    phi, xi = ps.phi, ps.eta.transpose()
+    return phi @ xi, ps.eta @ phi, phi @ phi - ExprMatrix.identity(phi.rows) + xi @ ps.eta
 
 
-def check_compatible_metric(ps: ParacontactStructure):
-    """h(phi X, phi Y) = -h(X, Y) + eta(X) eta(Y), entrywise on the basis."""
-    n5 = ps.extension.extended.dim
-    lhs = ps.phi.transpose() @ ps.h.matrix @ ps.phi
-    bad = []
-    for i in range(n5):
-        for j in range(n5):
-            residual = lhs[i, j] + ps.h(i, j) - ps.eta[i] * ps.eta[j]
-            if not residual.is_zero:
-                bad.append((i + 1, j + 1, residual))
-    return bad
+def check_compatible_metric(ps: ParacontactStructure) -> ExprMatrix:
+    """phi^T h phi + h - eta^T eta: h(phi X, phi Y) = -h(X, Y) + eta(X) eta(Y)."""
+    h = ps.h.matrix
+    return ps.phi.transpose() @ h @ ps.phi + h - ps.eta.transpose() @ ps.eta
 
 
-def metric_restriction_residuals(ps: ParacontactStructure, base_g: Metric):
-    """h restricted to the contact distribution must equal the base metric."""
-    bad = []
-    for i in range(base_g.dim):
-        for j in range(base_g.dim):
-            diff = ps.h(i, j) - base_g(i, j)
-            if not diff.is_zero:
-                bad.append((i + 1, j + 1, diff))
-    xi = ps.extension.xi_index
-    if not (ps.h(xi, xi) - EXPR_ONE).is_zero:
-        bad.append((xi + 1, xi + 1, ps.h(xi, xi) - EXPR_ONE))
-    for i in range(base_g.dim):
-        if not ps.h(i, xi).is_zero:
-            bad.append((i + 1, xi + 1, ps.h(i, xi)))
-    return bad
+def metric_restriction_residuals(ps: ParacontactStructure, base_g: Metric) -> ExprMatrix:
+    """h - blockdiag(g, 1): h is the base metric on the distribution, h(xi, xi) = 1."""
+    return ps.h.matrix - _bordered(base_g.matrix, EXPR_ONE)
 
 
 @dataclass(frozen=True)
@@ -363,6 +287,6 @@ def verify_lifted_ricci(
     record(
         "ric_xi_xi",
         "Ric(xi,xi)",
-        ric5[xi, xi] + expr(ext.n) * HALF,
+        ric5[xi, xi] + expr(n // 2) * HALF,
     )
     return IdentityReport(identities=identities, residuals=tuple(residuals))

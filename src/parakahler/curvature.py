@@ -228,21 +228,30 @@ def classify(
 
 
 def label_holds(
-    label: str, bundle: CurvatureBundle, j_matrix: ExprMatrix,
+    label: str,
+    classification: Classification,
+    bundle: CurvatureBundle,
+    j_matrix: ExprMatrix,
     factor: Optional[RationalExpr] = None,
 ) -> bool:
-    """Check the property named by a label directly (labels nest downward)."""
+    """Whether the property named by ``label`` holds, read off ``classify``.
+
+    The labels nest: flat < ricci_flat < einstein (factor 0) and ricci_flat <
+    hermitian_ricci.  Only a hermitian_ricci label against a computed einstein
+    one is left open by the classification, and forms its residual.
+    """
+    computed = classification.label
     if label == "flat":
-        return bundle.riemann.is_zero
+        return computed == "flat"
     if label == "ricci_flat":
-        return bundle.ricci.ricci.is_zero
+        return computed in ("flat", "ricci_flat")
     if label == "einstein":
-        s4 = bundle.ricci.scalar / expr(bundle.metric.dim)
-        if not (bundle.ricci.ricci - bundle.metric.matrix.scale(s4)).is_zero:
-            return False
-        return factor is None or (s4 - factor).is_zero
+        found = classification.einstein_factor
+        return found is not None and (factor is None or (found - factor).is_zero)
     if label == "hermitian_ricci":
-        return hermitian_residual(bundle.ricci.ricci, j_matrix).is_zero
+        if computed == "einstein":
+            return hermitian_residual(bundle.ricci.ricci, j_matrix).is_zero
+        return computed != "generic"
     raise ValueError(f"unknown label {label!r}")
 
 

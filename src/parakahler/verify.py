@@ -12,9 +12,10 @@ Published labels and matrices that disagree with the exact recomputation are
 *discrepancies*: they are reported with the recomputed value but do not count
 as failures, mirroring how a typo in a printed table should surface.
 
-``verify_extension`` checks the 5D para-Sasakian lift of an entry and takes
-the entry's 4D curvature bundle from ``verify_entry`` as given.  An entry whose
-4D check built no bundle (its J fails an axiom) has nothing to lift: its
+``verify_extension`` checks the 5D para-Sasakian lift of an entry on its
+form's lift, which ``verify_all`` builds once per (algebra, form) with
+``lift_form``, and takes the entry's 4D curvature bundle as given.  An entry
+whose 4D check built no bundle (its J fails an axiom) has nothing to lift: its
 extension is a recorded failure, like a form that is not symplectic.
 """
 
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import numeric
 from .catalog import Catalog, CatalogEntry
 from .contact import (
+    CentralExtension,
+    ContactReport,
     NonSymplecticError,
     almost_paracontact_residuals,
     build_paracontact,
@@ -66,7 +69,6 @@ from .sampling import DeterministicRng, sample_point
 class RunConfig:
     seed: int = 0
     samples: int = 20
-    fmt: str = "json"
     strict: bool = False
     entry_filter: Optional[str] = None
 
@@ -238,6 +240,7 @@ def verify_entry(
         if entry.expected.label is not None:
             label_info["match"] = label_holds(
                 entry.expected.label,
+                classification,
                 bundle,
                 entry.j_matrix,
                 factor=entry.expected.einstein_factor,
@@ -355,19 +358,30 @@ def _failed_extension(entry: CatalogEntry, tag: str, text: str) -> ExtensionFind
     )
 
 
+# a form's extension with its contact check, or why the form has none
+FormLift = Union[Tuple[CentralExtension, ContactReport], NonSymplecticError]
+
+
+def lift_form(algebra: LieAlgebra, form: TwoForm) -> FormLift:
+    """The central extension by ``form`` with its contact check, or why it has none."""
+    try:
+        ext = central_extend(algebra, form)
+    except NonSymplecticError as exc:
+        return exc
+    return ext, check_contact(ext)
+
+
 def verify_extension(
-    catalog: Catalog, entry: CatalogEntry, base_bundle: Optional[CurvatureBundle]
+    entry: CatalogEntry, lift: FormLift, base_bundle: Optional[CurvatureBundle]
 ) -> ExtensionFinding:
-    """Build the central extension and check the para-Sasakian identities.
+    """Check the para-Sasakian identities of one entry on its form's lift.
 
     ``base_bundle`` is the entry's 4D curvature from ``verify_entry``; it is
     None when the 4D check failed before computing one.
     """
-    try:
-        ext = central_extend(catalog.algebra_of(entry), catalog.form_of(entry))
-    except NonSymplecticError as exc:
+    if isinstance(lift, NonSymplecticError):
         return _failed_extension(
-            entry, "central_extension", f"form {entry.form!r}: {exc}"
+            entry, "central_extension", f"form {entry.form!r}: {lift}"
         )
     if base_bundle is None:
         return _failed_extension(
@@ -376,28 +390,22 @@ def verify_extension(
             f"structure {entry.entry_id!r} fails a para-Kahler axiom, so it has "
             "no 4D curvature to lift",
         )
+    ext, contact = lift
     ps = build_paracontact(ext, entry.j_matrix)
     ext_bundle = curvature_bundle(ext.extended, ps.h)
-    contact = check_contact(ext)
-    apc = almost_paracontact_residuals(ps)
-    compat = check_compatible_metric(ps)
-    restriction = metric_restriction_residuals(ps, base_bundle.metric)
-    reeb = reeb_residuals(ps)
+    apc = all(r.is_zero for r in almost_paracontact_residuals(ps))
+    compat = check_compatible_metric(ps).is_zero
+    restriction = metric_restriction_residuals(ps, base_bundle.metric).is_zero
+    reeb = all(r.is_zero for r in reeb_residuals(ps))
     t2 = verify_lifted_curvature(ps, base_bundle, entry.j_matrix, ext_bundle)
     t3 = verify_lifted_ricci(ps, base_bundle, ext_bundle)
-    if ps.phi_equals_d_eta:
-        phi_vs = "equal"
-    elif ps.phi_equals_minus_d_eta:
-        phi_vs = "negated"
-    else:
-        phi_vs = "mismatch"
     ok = (
         contact.ok
-        and not apc
-        and not compat
-        and not restriction
-        and not reeb
-        and phi_vs == "equal"
+        and apc
+        and compat
+        and restriction
+        and reeb
+        and ps.phi_vs_deta == "equal"
         and t2.ok
         and t3.ok
     )
@@ -405,11 +413,11 @@ def verify_extension(
         entry_id=entry.entry_id,
         contact_ok=contact.ok,
         contact_coefficient=format_expr(contact.coefficient),
-        almost_paracontact_ok=not apc,
-        compatible_metric_ok=not compat,
-        restriction_ok=not restriction,
-        reeb_ok=not reeb,
-        phi_vs_deta=phi_vs,
+        almost_paracontact_ok=apc,
+        compatible_metric_ok=compat,
+        restriction_ok=restriction,
+        reeb_ok=reeb,
+        phi_vs_deta=ps.phi_vs_deta,
         curvature_identities=dict(t2.identities),
         ricci_identities=dict(t3.identities),
         residuals=t2.residuals + t3.residuals,
@@ -482,10 +490,14 @@ def verify_all(
     entries = catalog.select(pattern=config.entry_filter, variants=True)
     gates = _algebra_gates(catalog, entries, config)
     findings, sasakian = [], ([] if include_extensions else None)
+    lifts: Dict[Tuple[str, str], FormLift] = {}  # one lift per form, this run only
     for e in entries:
         findings.append(verify_entry(catalog, e, config))
         if sasakian is not None:
-            sasakian.append(verify_extension(catalog, e, findings[-1].bundle))
+            key = (e.algebra, e.form)
+            if key not in lifts:
+                lifts[key] = lift_form(catalog.algebra_of(e), catalog.form_of(e))
+            sasakian.append(verify_extension(e, lifts[key], findings[-1].bundle))
         findings[-1].bundle = None  # hold one bundle at a time, not all of them
     summary = {
         "total": len(findings),

@@ -182,7 +182,8 @@ def test_criterion_4_einstein_factors(bundles):
     for entry_id, factor_text in EINSTEIN_CASES.items():
         entry, g, bundle = bundles[entry_id]
         factor = expr(factor_text)
-        if not label_holds("einstein", bundle, entry.j_matrix, factor=factor):
+        classification = classify(bundle, entry.j_matrix)
+        if not label_holds("einstein", classification, bundle, entry.j_matrix, factor=factor):
             violations.append(entry_id)
         if not (bundle.ricci.ricci - g.matrix.scale(factor)).is_zero:
             violations.append(f"{entry_id}:tensor-form")
@@ -256,7 +257,10 @@ def test_criterion_5_label_mismatch_count(bundles):
         label = entry.expected.label
         if label not in ("flat", "ricci_flat", "einstein"):
             continue
-        if not label_holds(label, bundle, entry.j_matrix, factor=entry.expected.einstein_factor):
+        classification = classify(bundle, entry.j_matrix)
+        if not label_holds(
+            label, classification, bundle, entry.j_matrix, factor=entry.expected.einstein_factor
+        ):
             mismatches.append(entry_id)
     _line(
         5,
@@ -282,13 +286,13 @@ def test_criterion_6_extension_suite(catalog, bundles):
         ext_bundle = curvature_bundle(ext.extended, ps.h)
         if not check_contact(ext).ok:
             failures.append(f"{entry_id}:contact")
-        if almost_paracontact_residuals(ps):
+        if not all(r.is_zero for r in almost_paracontact_residuals(ps)):
             failures.append(f"{entry_id}:almost-paracontact")
-        if check_compatible_metric(ps):
+        if not check_compatible_metric(ps).is_zero:
             failures.append(f"{entry_id}:compatible-metric")
-        if metric_restriction_residuals(ps, g):
+        if not metric_restriction_residuals(ps, g).is_zero:
             failures.append(f"{entry_id}:restriction")
-        if not ps.phi_equals_d_eta:
+        if ps.phi_vs_deta != "equal":
             failures.append(f"{entry_id}:fundamental-form")
         t2 = verify_lifted_curvature(ps, base_bundle, entry.j_matrix, ext_bundle=ext_bundle)
         t3 = verify_lifted_ricci(ps, base_bundle, ext_bundle=ext_bundle)

@@ -147,6 +147,16 @@ def test_unknown_form_reference_rejected():
         load_catalog(doc)
 
 
+def _small_algebra(dim):
+    """A dim-``dim`` algebra with one structure; valid except for its dim."""
+    j_rows = [["1" if r == c else "0" for c in range(dim)] for r in range(dim)]
+    return {
+        "name": f"r{dim}", "dim": dim, "brackets": [],
+        "forms": [{"id": "w", "terms": [[1, 2, "1"]]}],
+        "structures": [{"id": f"r{dim}.w.J", "form": "w", "J": j_rows}],
+    }
+
+
 @pytest.mark.parametrize(
     "mutate, where",
     [
@@ -160,8 +170,44 @@ def test_unknown_form_reference_rejected():
             lambda d: d["algebras"][0]["brackets"][0].__setitem__(3, "1/0"),
             "algebras[0].brackets[0]",
         ),
+        (
+            lambda d: d["algebras"][0]["structures"].__setitem__(0, 3),
+            "algebras[0].structures[0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0].__setitem__("J", 3),
+            "algebras[0].structures[0].J",
+        ),
+        (
+            lambda d: d["algebras"][0]["forms"][0].__setitem__("terms", 3),
+            "algebras[0].forms[0].terms",
+        ),
+        (lambda d: d["algebras"][0].__setitem__("params", 3), "algebras[0].params"),
+        (
+            lambda d: d["algebras"][0]["structures"][0].__setitem__("expected", 3),
+            "algebras[0].structures[0].expected",
+        ),
+        (
+            lambda d: d["algebras"][0]["brackets"][0].__setitem__(0, "1"),
+            "algebras[0].brackets[0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["params"][0]["domain"].__setitem__("excluded", ["x"]),
+            "algebras[0].params[0].domain.excluded[0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0].__setitem__("id", [1]),
+            "algebras[0].structures[0].id",
+        ),
+        (lambda d: d["algebras"].__setitem__(0, _small_algebra(3)), "algebras[0].dim"),
+        (lambda d: d["algebras"].__setitem__(0, _small_algebra(2)), "algebras[0].dim"),
     ],
-    ids=["algebra-not-object", "dim-not-integer", "structures-not-list", "zero-division"],
+    ids=[
+        "algebra-not-object", "dim-not-integer", "structures-not-list", "zero-division",
+        "structure-not-object", "j-not-list", "terms-not-list", "params-not-list",
+        "expected-not-object", "bracket-index-string", "excluded-not-rational",
+        "id-not-string", "structures-in-dim-3", "structures-in-dim-2",
+    ],
 )
 def test_malformed_document_is_a_catalog_error(tmp_path, capsys, mutate, where):
     doc = _mutate(mutate)

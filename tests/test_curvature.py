@@ -225,7 +225,12 @@ def test_classify_einstein_d4lam_j3():
     assert label.label == "einstein"
     assert label.einstein_factor == expr("-3*b/2")
     assert (bundle.ricci.ricci - g.matrix.scale("-3*b/2")).is_zero
-    assert label_holds("einstein", bundle, j3, factor=expr("-3*b/2"))
+    assert label_holds("einstein", label, bundle, j3, factor=expr("-3*b/2"))
+    # Ric != 0: a wrong factor, the stronger labels and the Hermitian
+    # identity (which forms its residual here) all fail
+    assert not label_holds("einstein", label, bundle, j3, factor=expr("b"))
+    for other in ("flat", "ricci_flat", "hermitian_ricci"):
+        assert not label_holds(other, label, bundle, j3)
 
 
 def test_classify_ricci_flat_h4():
@@ -237,6 +242,11 @@ def test_classify_ricci_flat_h4():
     bundle = curvature_bundle(h4, metric_from(omega, j))
     label = classify(bundle, j)
     assert label.label == "ricci_flat"
+    # the labels nest: Ricci-flat is Einstein with factor 0 and Hermitian
+    assert not label_holds("flat", label, bundle, j)
+    assert label_holds("einstein", label, bundle, j, factor=expr(0))
+    assert not label_holds("einstein", label, bundle, j, factor=expr(1))
+    assert label_holds("hermitian_ricci", label, bundle, j)
 
 
 def test_classify_einstein_d42_omega1():

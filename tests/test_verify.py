@@ -6,8 +6,10 @@ import json
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.expressions import parse_expr
+from parakahler import verify
 from parakahler.verify import (
     RunConfig,
+    lift_form,
     render_report,
     verify_all,
     verify_entry,
@@ -126,11 +128,33 @@ def test_extension_findings_builtin_sample():
     catalog = builtin_catalog()
     for entry_id in ("rn4.omega.J", "d4lam.omega.J3", "r2r2.lambdapos.J11"):
         entry = _entry(catalog, entry_id)
-        finding = verify_extension(catalog, entry, verify_entry(catalog, entry, CFG).bundle)
+        finding = verify_extension(
+            entry,
+            lift_form(catalog.algebra_of(entry), catalog.form_of(entry)),
+            verify_entry(catalog, entry, CFG).bundle,
+        )
         assert finding.status == "ok", (entry_id, finding.residuals)
         assert finding.phi_vs_deta == "equal"
         assert all(finding.curvature_identities.values())
         assert all(finding.ricci_identities.values())
+
+
+def test_one_lift_per_form(monkeypatch):
+    # the 57 builtin structures use 20 forms; each form is extended and its
+    # contact condition checked once, not once per structure
+    calls = {"central_extend": 0, "check_contact": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(verify, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    catalog = builtin_catalog()
+    report = verify_all(catalog, RunConfig(seed=0, samples=1), include_extensions=True)
+    assert len(report.sasakian) == 57
+    assert len({(e.algebra, e.form) for e in catalog.entries}) == 20
+    assert calls == {"central_extend": 20, "check_contact": 20}
 
 
 def test_report_json_round_trip():
