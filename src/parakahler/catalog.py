@@ -84,17 +84,11 @@ class Catalog:
         domains.update(dict(entry.params))
         return domains
 
-    def select(self, pattern: Optional[str] = None, variants: bool = False):
+    def select(self, pattern: Optional[str] = None) -> List[CatalogEntry]:
+        """Every entry whose id matches the glob ``pattern`` (all if None)."""
         from fnmatch import fnmatchcase
 
-        out = []
-        for entry in self.entries:
-            if entry.variant and not variants:
-                continue
-            if pattern is not None and not fnmatchcase(entry.entry_id, pattern):
-                continue
-            out.append(entry)
-        return out
+        return [e for e in self.entries if pattern is None or fnmatchcase(e.entry_id, pattern)]
 
 
 def _parse(path: str, text) -> RationalExpr:

@@ -44,7 +44,7 @@ from .expressions import (
     expr,
     format_expr,
 )
-from .liealgebra import LieAlgebra, TwoForm, ce_differential_1, is_symplectic
+from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, ce_differential_1
 from .structures import Metric
 
 
@@ -63,9 +63,11 @@ class CentralExtension:
         return self.base.dim  # xi is the last basis vector
 
 
-def central_extend(algebra: LieAlgebra, omega: TwoForm) -> CentralExtension:
-    """Adjoin a central xi with [X, Y] += omega(X, Y) xi; omega must be symplectic."""
-    report = is_symplectic(algebra, omega)
+def central_extend(
+    algebra: LieAlgebra, omega: TwoForm, report: SymplecticReport
+) -> CentralExtension:
+    """Adjoin a central xi with [X, Y] += omega(X, Y) xi; omega must be symplectic,
+    as ``report`` (``is_symplectic(algebra, omega)``) records."""
     if not report.ok:
         raise NonSymplecticError(
             f"form on {algebra.name} is not symplectic "

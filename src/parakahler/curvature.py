@@ -17,7 +17,6 @@ tests, never by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -51,7 +50,7 @@ def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel
     for (x, y, p, c), z in product(constants, range(n)):
         if not gm[p][z].is_zero:
             low[x][y][z] = low[x][y][z] + c * gm[p][z]
-    den = (dc * dg * dinv).scale(Fraction(2))
+    den = (dc * dg * dinv).scale(2)
     gamma = [[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)]
     for i, j in product(range(n), repeat=2):
         inner = [low[i][j][k] + low[k][i][j] + low[k][j][i] for k in range(n)]
@@ -237,8 +236,9 @@ def label_holds(
     """Whether the property named by ``label`` holds, read off ``classify``.
 
     The labels nest: flat < ricci_flat < einstein (factor 0) and ricci_flat <
-    hermitian_ricci.  Only a hermitian_ricci label against a computed einstein
-    one is left open by the classification, and forms its residual.
+    hermitian_ricci; generic holds only where nothing more specific does.  Only
+    a hermitian_ricci label against a computed einstein one is left open by the
+    classification, and forms its residual.
     """
     computed = classification.label
     if label == "flat":
@@ -252,6 +252,8 @@ def label_holds(
         if computed == "einstein":
             return hermitian_residual(bundle.ricci.ricci, j_matrix).is_zero
         return computed != "generic"
+    if label == "generic":
+        return computed == "generic"
     raise ValueError(f"unknown label {label!r}")
 
 

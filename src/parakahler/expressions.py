@@ -1,25 +1,28 @@
 """Exact arithmetic for multivariate rational expressions.
 
-Every scalar in this package is a quotient of two polynomials with rational
+Every scalar in this package is a quotient of two polynomials with integer
 coefficients in the fixed parameter list ``a, b, c, d, lam, alpha, beta``.
 A polynomial is a sparse dictionary mapping exponent tuples (one entry per
-parameter) to nonzero ``Fraction`` coefficients; the zero polynomial is the
-empty dictionary.  This representation gives a decidable, exact zero test:
-an expression is zero iff its numerator normalizes to the empty dictionary.
+parameter) to nonzero ``int`` coefficients; the zero polynomial is the empty
+dictionary.  This representation gives a decidable, exact zero test: an
+expression is zero iff its numerator normalizes to the empty dictionary.
 
-Quotients are kept reduced (multivariate GCD via a primitive polynomial
-remainder sequence) with an integer-primitive, positive-leading denominator,
-and collapse to denominator 1 whenever the division is exact.  Reduction is
-canonical, so the matrix kernels (and those of ``curvature`` and
+Quotients are kept in the canonical form of a rational function over
+Z[a, b, c, d, lam, alpha, beta]: numerator and denominator are coprime
+(multivariate GCD via a primitive polynomial remainder sequence, integer
+content included) and the denominator has a positive leading coefficient.
+Reduction is canonical, so the matrix kernels (and those of ``curvature`` and
 ``structures``) bring their inputs to one shared denominator, combine the
 numerators with plain polynomial ring operations and normalize once per
-output entry.
+output entry.  ``Fraction`` appears only in evaluation at a rational point,
+in coercion of a ``Fraction`` and in printing, which divides the
+denominator's integer content into the numerator (``a/2`` prints ``1/2*a``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add as _add
 from typing import Iterable, List, Mapping, Tuple, Union
 
@@ -77,22 +80,12 @@ def _guard(terms: dict) -> dict:
     return terms
 
 
-def _integer_terms(terms: dict):
-    """(d, [(exp, n), ...]) with every coefficient equal to n / d, n and d ints."""
-    den = 1
-    for c in terms.values():
-        q = c.denominator
-        if den % q:
-            den = den * q // _int_gcd(den, q)
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-
-
 def _grlex(exp: tuple) -> tuple:
     return (sum(exp), exp)
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over the rationals.
+    """Sparse multivariate polynomial with integer coefficients.
 
     Instances are immutable by convention; no method mutates ``terms``.
     """
@@ -105,13 +98,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return _P_ZERO
-
-    @staticmethod
-    def const(value: Union[int, Fraction]) -> "Polynomial":
-        q = Fraction(value)
-        return Polynomial({} if q == 0 else {_ZEXP: q})
+    def const(value: int) -> "Polynomial":
+        return Polynomial({_ZEXP: value} if value else {})
 
     @staticmethod
     def var(name: str) -> "Polynomial":
@@ -121,7 +109,7 @@ class Polynomial:
             )
         exp = [0] * _NV
         exp[_IDX[name]] = 1
-        return Polynomial({tuple(exp): Fraction(1)})
+        return Polynomial({tuple(exp): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -132,13 +120,6 @@ class Polynomial:
     @property
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
-
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_const:
-            raise ValueError("polynomial is not constant")
-        return self.terms[_ZEXP]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -177,44 +158,43 @@ class Polynomial:
             return _P_ZERO
         if self == _P_ONE or other == _P_ONE:
             return other if self == _P_ONE else self
-        # multiply integer numerators, then reduce each output coefficient once
-        d1, t1 = _integer_terms(self.terms)
-        d2, t2 = _integer_terms(other.terms)
         acc: dict = {}
-        for e1, c1 in t1:
+        t2 = other.terms.items()
+        for e1, c1 in self.terms.items():
             for e2, c2 in t2:
                 exp = tuple(map(_add, e1, e2))
                 acc[exp] = acc.get(exp, 0) + c1 * c2
-        den = d1 * d2
-        if den == 1:
-            return Polynomial(_guard({e: Fraction(c) for e, c in acc.items() if c}))
-        return Polynomial(_guard({e: Fraction(c, den) for e, c in acc.items() if c}))
+        return Polynomial(_guard({e: c for e, c in acc.items() if c}))
 
-    def scale(self, factor: Fraction) -> "Polynomial":
+    def scale(self, factor: int) -> "Polynomial":
+        if factor == 1:
+            return self
         if factor == 0:
             return _P_ZERO
         return Polynomial({e: c * factor for e, c in self.terms.items()})
 
+    def content(self) -> int:
+        """Integer gcd of the coefficients, signed like the leading one."""
+        c = 0
+        for coeff in self.terms.values():
+            c = _int_gcd(c, coeff)
+            if c == 1:
+                break
+        return -c if self.leading()[1] < 0 else c
+
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = _P_ONE
-        base = self
+        result, base = _P_ONE, self
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     # -- structure ---------------------------------------------------------
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, v: int) -> int:
         if not self.terms:
@@ -261,20 +241,18 @@ class Polynomial:
 
 
 _P_ZERO = Polynomial({})
-_P_ONE = Polynomial({_ZEXP: Fraction(1)})
+_P_ONE = Polynomial({_ZEXP: 1})
 
 
 # -- polynomial division and GCD ------------------------------------------
 
 
 def exact_div(f: Polynomial, g: Polynomial):
-    """Return f/g when g divides f exactly, else None."""
+    """Return f/g when g divides f exactly in Z[params], else None."""
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero:
-        return _P_ZERO
-    if g.is_const:
-        return f.scale(1 / g.const_value())
+    if f.is_zero or g == _P_ONE:
+        return f
     g_exp, g_coeff = g.leading()
     quotient: dict = {}
     rest = dict(f.terms)
@@ -283,11 +261,13 @@ def exact_div(f: Polynomial, g: Polynomial):
         d = tuple(x - y for x, y in zip(r_exp, g_exp))
         if any(x < 0 for x in d):
             return None
-        qc = rest[r_exp] / g_coeff
+        qc, r = divmod(rest[r_exp], g_coeff)
+        if r:
+            return None
         quotient[d] = qc
         for e2, c2 in g.terms.items():
             exp = tuple(x + y for x, y in zip(d, e2))
-            s = rest.get(exp, Fraction(0)) - qc * c2
+            s = rest.get(exp, 0) - qc * c2
             if s:
                 rest[exp] = s
             else:
@@ -305,33 +285,21 @@ def _coeff_of(f: Polynomial, v: int, k: int) -> Polynomial:
     return Polynomial(out)
 
 
-def _shift_var(f: Polynomial, v: int, k: int) -> Polynomial:
-    if k == 0:
-        return f
-    out = {}
-    for e, c in f.terms.items():
-        shifted = list(e)
-        shifted[v] += k
-        out[tuple(shifted)] = c
-    return Polynomial(out)
+def _times_monomial(f: Polynomial, exp: tuple) -> Polynomial:
+    """f times the monomial of exponent ``exp``, whose entries may be negative."""
+    return Polynomial({tuple(map(_add, e, exp)): c for e, c in f.terms.items()})
 
 
-def _int_content_signed(f: Polynomial) -> Fraction:
-    """Rational c with f/c integer-coefficient, content 1, positive leading."""
-    num_gcd = 0
-    den_lcm = 1
-    for coeff in f.terms.values():
-        num_gcd = _int_gcd(num_gcd, abs(coeff.numerator))
-        den_lcm = den_lcm * coeff.denominator // _int_gcd(den_lcm, coeff.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = f.leading()
-    return -content if lead < 0 else content
+def _split(f: Polynomial) -> Tuple[int, Polynomial]:
+    """(c, f/c) for nonzero f, c its signed content: f/c is primitive, positive-leading."""
+    c = f.content()
+    if c == 1:
+        return 1, f
+    return c, Polynomial({e: x // c for e, x in f.terms.items()})
 
 
 def _pp_normalize(f: Polynomial) -> Polynomial:
-    if f.is_zero:
-        return f
-    return f.scale(1 / _int_content_signed(f))
+    return f if f.is_zero else _split(f)[1]
 
 
 def _content_in(f: Polynomial, v: int) -> Polynomial:
@@ -354,12 +322,13 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
         if dr < dg:
             break
         lc_r = _coeff_of(r, v, dr)
-        r = lc_g * r - _shift_var(lc_r, v, dr - dg) * g
+        shift = _ZEXP[:v] + (dr - dg,) + _ZEXP[v + 1 :]
+        r = lc_g * r - _times_monomial(lc_r, shift) * g
     return r
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """GCD over the rationals, normalized integer-primitive positive-leading."""
+    """GCD in Z[params] up to its content: primitive, positive-leading."""
     if f.is_zero:
         return _pp_normalize(g)
     if g.is_zero:
@@ -403,41 +372,29 @@ def _make(num: Polynomial, den: Polynomial) -> "RationalExpr":
         return EXPR_ZERO
     if not den.is_const:
         # cancel the common monomial content first; it is cheap and frequent.
-        mins = [None] * _NV
-        for terms in (num.terms, den.terms):
-            for e in terms:
-                for i, k in enumerate(e):
-                    if mins[i] is None or k < mins[i]:
-                        mins[i] = k
-        if any(mins):
-            shift = tuple(-m for m in mins)
-            num = Polynomial(
-                {tuple(x + s for x, s in zip(e, shift)): c for e, c in num.terms.items()}
-            )
-            den = Polynomial(
-                {tuple(x + s for x, s in zip(e, shift)): c for e, c in den.terms.items()}
-            )
-    scale = _int_content_signed(den)
+        shift = tuple(-min(col) for col in zip(*num.terms, *den.terms))
+        if any(shift):
+            num, den = _times_monomial(num, shift), _times_monomial(den, shift)
+    # num / (scale * den) with den primitive and positive-leading from here on
+    scale, den = _split(den)
+    if scale < 0:
+        num, scale = -num, -scale
+    if not den.is_const:
+        quotient = exact_div(num, den)
+        if quotient is not None:
+            num, den = quotient, _P_ONE
+        elif len(den.terms) > 1 and (num.params() & den.params()):
+            common = poly_gcd(num, den)
+            if common != _P_ONE:
+                # both primitive and positive-leading, so the quotient is too
+                num, den = exact_div(num, common), exact_div(den, common)
+    # cancel the integer contents last, once the polynomial parts are coprime
     if scale != 1:
-        num = num.scale(1 / scale)
-        den = den.scale(1 / scale)
-    if den.is_const:
-        return RationalExpr(num, _P_ONE)
-    quotient = exact_div(num, den)
-    if quotient is not None:
-        return RationalExpr(quotient, _P_ONE)
-    if len(den.terms) > 1 and (num.params() & den.params()):
-        common = poly_gcd(num, den)
-        if not (common.is_const and common.const_value() == 1):
-            num = exact_div(num, common)
-            den = exact_div(den, common)
-            scale = _int_content_signed(den)
-            if scale != 1:
-                num = num.scale(1 / scale)
-                den = den.scale(1 / scale)
-            if den.is_const:
-                return RationalExpr(num, _P_ONE)
-    return RationalExpr(num, den)
+        k = _int_gcd(scale, num.content())
+        if k != 1:
+            num = Polynomial({e: x // k for e, x in num.terms.items()})
+            scale //= k
+    return RationalExpr(num, den.scale(scale))
 
 
 class RationalExpr:
@@ -458,12 +415,6 @@ class RationalExpr:
     @property
     def is_const(self) -> bool:
         return self.num.is_const and self.den.is_const
-
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
-
-    def params(self) -> set:
-        return self.num.params() | self.den.params()
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -544,7 +495,7 @@ class RationalExpr:
         den = self.den.eval(point)
         if den == 0:
             raise DenominatorVanishesError(
-                f"denominator {_poly_str(self.den)} vanishes at "
+                f"denominator {_poly_str(_split(self.den)[1])} vanishes at "
                 + ", ".join(f"{k}={point[k]}" for k in sorted(point)),
                 point,
             )
@@ -578,8 +529,10 @@ def _coerce(value):
         return value
     if isinstance(value, Polynomial):
         return RationalExpr(value, _P_ONE)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return RationalExpr(Polynomial.const(value), _P_ONE)
+    if isinstance(value, Fraction):
+        return RationalExpr(Polynomial.const(value.numerator), Polynomial.const(value.denominator))
     if isinstance(value, str):
         return parse_expr(value)
     return NotImplemented
@@ -592,6 +545,8 @@ def _coerce(value):
 # unary  := '-' unary | power
 # power  := atom ('^' INT)?
 # atom   := INT | IDENT | '(' expr ')'
+
+_MAX_DEPTH = 100  # nesting of parentheses and unary minus; deeper is a syntax error
 
 
 def _tokenize(text: str):
@@ -630,6 +585,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -646,6 +602,15 @@ class _Parser:
                 f"expected {kind!r} but found {tok[1]!r} in {self.text!r}"
             )
         return tok
+
+    def nested(self, parse):
+        """``parse()`` one level deeper."""
+        if self.depth == _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> RationalExpr:
         value = self.expr()
@@ -674,7 +639,7 @@ class _Parser:
     def unary(self) -> RationalExpr:
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self) -> RationalExpr:
@@ -696,7 +661,7 @@ class _Parser:
         if kind == "ident":
             return variable(value)
         if kind == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect(")")
             return inner
         raise ExprSyntaxError(f"unexpected token {value!r} in {self.text!r}")
@@ -717,12 +682,13 @@ def _mono_str(exp: tuple) -> str:
     return "*".join(parts)
 
 
-def _poly_str(p: Polynomial) -> str:
+def _poly_str(p: Polynomial, divisor: int = 1) -> str:
+    """p / divisor, its coefficients printed as reduced fractions."""
     if p.is_zero:
         return "0"
     pieces = []
     for exp in sorted(p.terms, key=_grlex, reverse=True):
-        coeff = p.terms[exp]
+        coeff = Fraction(p.terms[exp], divisor)
         mono = _mono_str(exp)
         if not mono:
             body = str(abs(coeff))
@@ -737,27 +703,18 @@ def _poly_str(p: Polynomial) -> str:
     return " ".join(pieces)
 
 
-def _den_needs_parens(den: Polynomial) -> bool:
-    if len(den.terms) > 1:
-        return True
-    exp, coeff = den.leading()
-    active = [k for k in exp if k]
-    if not active:
-        return False  # plain integer
-    return coeff != 1 or len(active) > 1
-
-
 def format_expr(e: RationalExpr) -> str:
-    """Canonical printing: graded-lex term order, no redundant parentheses."""
-    num = _poly_str(e.num)
-    if e.den == _P_ONE:
+    """Canonical printing: graded-lex term order, no redundant parentheses;
+    the denominator's integer content is divided into the numerator."""
+    content, den = _split(e.den)
+    num = _poly_str(e.num, content)
+    if den == _P_ONE:
         return num
     if len(e.num.terms) > 1:
         num = f"({num})"
-    den = _poly_str(e.den)
-    if _den_needs_parens(e.den):
-        den = f"({den})"
-    return f"{num}/{den}"
+    text = _poly_str(den)
+    # a primitive one-term denominator has coefficient 1: a lone power needs no parens
+    return f"{num}/({text})" if " " in text or "*" in text else f"{num}/{text}"
 
 
 # -- shared denominators --------------------------------------------------
@@ -765,16 +722,19 @@ def format_expr(e: RationalExpr) -> str:
 
 def common_denominator(values) -> Tuple[Polynomial, List[Polynomial]]:
     """(D, numerators) with values[i] == numerators[i] / D, D the lcm of the
-    denominators; divisibility is tried both ways before a gcd is computed."""
-    dens = {v.den: None for v in values if not v.num.is_zero}
-    lcm = _P_ONE
-    for d in dens:
+    denominators: math.lcm of their integer contents times the lcm of their
+    primitive parts, for which divisibility is tried both ways before a gcd."""
+    dens = {v.den: _split(v.den) for v in values if not v.num.is_zero}
+    scale, lcm = 1, _P_ONE
+    for c, d in dens.values():
+        scale = _int_lcm(scale, c)
         if d == lcm or exact_div(lcm, d) is not None:
             continue
         if exact_div(d, lcm) is not None:
             lcm = d
         else:
             lcm = d * exact_div(lcm, poly_gcd(lcm, d))
+    lcm = lcm.scale(scale)
     cofactors = {d: exact_div(lcm, d) for d in dens if d != lcm}
     return lcm, [v.num * cofactors[v.den] if v.den in cofactors else v.num for v in values]
 

@@ -50,7 +50,7 @@ from .curvature import (
     label_holds,
 )
 from .expressions import Polynomial, format_expr
-from .liealgebra import LieAlgebra, TwoForm, is_symplectic, jacobi_check
+from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
     MetricAsymmetryError,
     SingularMetricError,
@@ -362,10 +362,11 @@ def _failed_extension(entry: CatalogEntry, tag: str, text: str) -> ExtensionFind
 FormLift = Union[Tuple[CentralExtension, ContactReport], NonSymplecticError]
 
 
-def lift_form(algebra: LieAlgebra, form: TwoForm) -> FormLift:
-    """The central extension by ``form`` with its contact check, or why it has none."""
+def lift_form(algebra: LieAlgebra, form: TwoForm, report: SymplecticReport) -> FormLift:
+    """The central extension by ``form`` with its contact check, or why it has none;
+    ``report`` is the form's symplectic gate."""
     try:
-        ext = central_extend(algebra, form)
+        ext = central_extend(algebra, form, report)
     except NonSymplecticError as exc:
         return exc
     return ext, check_contact(ext)
@@ -450,8 +451,10 @@ class VerificationReport:
         return doc
 
 
-def _algebra_gates(catalog: Catalog, entries, config: RunConfig) -> Dict[str, dict]:
+def _algebra_gates(catalog: Catalog, entries, config: RunConfig):
+    """(gates document, symplectic report per (algebra, form)) for ``entries``."""
     gates: Dict[str, dict] = {}
+    reports: Dict[Tuple[str, str], SymplecticReport] = {}
     needed = {}
     for e in entries:
         needed.setdefault(e.algebra, set()).add(e.form)
@@ -463,7 +466,7 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig) -> Dict[str, di
             gate["jacobi_violation"] = list(jr.violation)
         for fid in sorted(needed[name]):
             form = catalog.forms[(name, fid)]
-            rep = is_symplectic(algebra, form)
+            rep = reports[name, fid] = is_symplectic(algebra, form)
             det_nonzero = 0
             rng = DeterministicRng(config.seed * 0x20001 + len(name) + len(fid))
             avoid = list(algebra.denominators())
@@ -479,7 +482,7 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig) -> Dict[str, di
                 "det_nonzero_at_samples": det_nonzero,
             }
         gates[name] = gate
-    return gates
+    return gates, reports
 
 
 def verify_all(
@@ -487,8 +490,8 @@ def verify_all(
     config: RunConfig = RunConfig(),
     include_extensions: bool = False,
 ) -> VerificationReport:
-    entries = catalog.select(pattern=config.entry_filter, variants=True)
-    gates = _algebra_gates(catalog, entries, config)
+    entries = catalog.select(config.entry_filter)
+    gates, symplectic = _algebra_gates(catalog, entries, config)
     findings, sasakian = [], ([] if include_extensions else None)
     lifts: Dict[Tuple[str, str], FormLift] = {}  # one lift per form, this run only
     for e in entries:
@@ -496,7 +499,9 @@ def verify_all(
         if sasakian is not None:
             key = (e.algebra, e.form)
             if key not in lifts:
-                lifts[key] = lift_form(catalog.algebra_of(e), catalog.form_of(e))
+                lifts[key] = lift_form(
+                    catalog.algebra_of(e), catalog.form_of(e), symplectic[key]
+                )
             sasakian.append(verify_extension(e, lifts[key], findings[-1].bundle))
         findings[-1].bundle = None  # hold one bundle at a time, not all of them
     summary = {

@@ -15,6 +15,7 @@ both hold against the published labels.  The verifier reports exactly those
 three as documented label discrepancies.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -36,7 +37,7 @@ from parakahler.curvature import (
     curvature_bundle,
     label_holds,
 )
-from parakahler.expressions import EXPR_ZERO, expr
+from parakahler.expressions import EXPR_ZERO, RationalExpr, expr, format_expr
 from parakahler.liealgebra import is_symplectic, jacobi_check
 from parakahler.sampling import DeterministicRng, sample_point
 from parakahler.structures import (
@@ -47,7 +48,7 @@ from parakahler.structures import (
     nijenhuis,
     omega_from,
 )
-from parakahler.verify import RunConfig, verify_all
+from parakahler.verify import RunConfig, render_report, verify_all
 
 SAMPLES = 20
 SEED = 0
@@ -281,7 +282,7 @@ def test_criterion_6_extension_suite(catalog, bundles):
         _entry, g, base_bundle = bundles[entry_id]
         algebra = catalog.algebra_of(entry)
         form = catalog.form_of(entry)
-        ext = central_extend(algebra, form)
+        ext = central_extend(algebra, form, is_symplectic(algebra, form))
         ps = build_paracontact(ext, entry.j_matrix)
         ext_bundle = curvature_bundle(ext.extended, ps.h)
         if not check_contact(ext).ok:
@@ -345,3 +346,39 @@ def test_criterion_8_fuzz_detection(catalog):
     _line(8, detected >= 95, f"{detected}/{MUTATIONS} corruptions detected, {len(absorbed)} equivalent (logged)")
     assert detected + len(absorbed) == MUTATIONS
     assert detected >= 95, f"only {detected} detected; absorbed: {absorbed}"
+
+
+# sha256 of the seed-0 JSON report and of every printed tensor component;
+# a change to either means a changed number or a changed canonical form.
+REPORT_SHA256 = "11459dcb0bfedab40dd5b5cf0326681fd9de43cc512b6fde7c56a462951465ff"
+TENSORS_SHA256 = "309cd69f264fca5e1a5ff8a12c3115a21b77a6bae3f375151a7aa2e3463924f3"
+
+
+def _printed(value):
+    if isinstance(value, RationalExpr):
+        return [format_expr(value)]
+    return [text for item in value for text in _printed(item)]
+
+
+def tensor_dump(bundles) -> str:
+    """g^-1, Ric, RIC, S, Gamma and R of every entry, one line per tensor."""
+    lines = []
+    for entry_id, (_, _, b) in bundles.items():
+        tensors = (
+            ("ginv", b.metric_inverse.entries),
+            ("Ric", b.ricci.ricci.entries),
+            ("RIC", b.ricci.operator.entries),
+            ("S", b.ricci.scalar),
+            ("Gamma", b.christoffel.gamma),
+            ("R", b.riemann.comps),
+        )
+        for name, value in tensors:
+            lines.append(f"{entry_id} {name}: " + ", ".join(_printed(value)))
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_report_and_tensor_dump(bundles, full_report):
+    report = hashlib.sha256(render_report(full_report, "json").encode()).hexdigest()
+    tensors = hashlib.sha256(tensor_dump(bundles).encode()).hexdigest()
+    assert report == REPORT_SHA256
+    assert tensors == TENSORS_SHA256

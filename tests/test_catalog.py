@@ -201,12 +201,23 @@ def _small_algebra(dim):
         ),
         (lambda d: d["algebras"].__setitem__(0, _small_algebra(3)), "algebras[0].dim"),
         (lambda d: d["algebras"].__setitem__(0, _small_algebra(2)), "algebras[0].dim"),
+        (
+            lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(
+                0, "(" * 200 + "1" + ")" * 200
+            ),
+            "algebras[0].structures[0].J[0][0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(0, "-" * 1000 + "1"),
+            "algebras[0].structures[0].J[0][0]",
+        ),
     ],
     ids=[
         "algebra-not-object", "dim-not-integer", "structures-not-list", "zero-division",
         "structure-not-object", "j-not-list", "terms-not-list", "params-not-list",
         "expected-not-object", "bracket-index-string", "excluded-not-rational",
         "id-not-string", "structures-in-dim-3", "structures-in-dim-2",
+        "nested-parentheses", "nested-unary-minus",
     ],
 )
 def test_malformed_document_is_a_catalog_error(tmp_path, capsys, mutate, where):

@@ -252,3 +252,21 @@ def test_report_lift_of_failed_structure_is_failure(tmp_path, capsys, j_rows):
     (ext,) = report["sasakian"]
     assert ext["status"] == "failure"
     assert report["summary"]["sasakian_failures"] == 1
+
+
+def test_published_generic_label(tmp_path, capsys):
+    # "generic" holds exactly when the classification computes it: on J21
+    # (computed generic) it matches, on J11 (computed ricci_flat) it is a
+    # discrepancy, and neither ends the run with a traceback
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    for alg in doc["algebras"]:
+        for structure in alg["structures"]:
+            if structure["id"] in ("r2r2.lambdapos.J11", "r2r2.lambda0.J21"):
+                structure["expected"] = {"label": "generic"}
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["verify", "--catalog", str(path), "--filter", "r2r2.*", "--samples", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "DISCREPANCY  r2r2.lambdapos.J11 label generic->ricci_flat" in out
+    assert "ok           r2r2.lambda0.J21\n" in out

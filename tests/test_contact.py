@@ -20,7 +20,7 @@ from parakahler.contact import (
 )
 from parakahler.curvature import curvature_bundle
 from parakahler.expressions import EXPR_ONE, EXPR_ZERO, ExprMatrix, expr
-from parakahler.liealgebra import LieAlgebra, jacobi_check, pfaffian4
+from parakahler.liealgebra import LieAlgebra, is_symplectic, jacobi_check, pfaffian4
 from parakahler.structures import Metric, metric_from
 
 from conftest import make_algebra, make_form
@@ -31,12 +31,16 @@ RN4_J = ExprMatrix.from_rows(
 )
 
 
+def _extend(algebra, omega):
+    return central_extend(algebra, omega, is_symplectic(algebra, omega))
+
+
 def _basis(n, i):
     return [expr(1 if q == i else 0) for q in range(n)]
 
 
 def test_extension_of_abelian_is_heisenberg(rn4):
-    ext = central_extend(rn4, make_form(4, STD_OMEGA))
+    ext = _extend(rn4, make_form(4, STD_OMEGA))
     assert ext.extended.dim == 5
     # [e1, e2] = xi and [e3, e4] = xi; everything else vanishes
     assert ext.extended.bracket(_basis(5, 0), _basis(5, 1)) == tuple(_basis(5, 4))
@@ -46,7 +50,7 @@ def test_extension_of_abelian_is_heisenberg(rn4):
 
 
 def test_extension_of_heisenberg_brackets(rh3):
-    ext = central_extend(rh3, make_form(4, [(1, 4, 1), (2, 3, 1)]))
+    ext = _extend(rh3, make_form(4, [(1, 4, 1), (2, 3, 1)]))
     assert ext.extended.bracket(_basis(5, 0), _basis(5, 1)) == tuple(_basis(5, 2))
     assert ext.extended.bracket(_basis(5, 0), _basis(5, 3)) == tuple(_basis(5, 4))
     assert ext.extended.bracket(_basis(5, 1), _basis(5, 2)) == tuple(_basis(5, 4))
@@ -55,7 +59,7 @@ def test_extension_of_heisenberg_brackets(rh3):
 
 def test_d_eta_is_minus_omega(rn4):
     omega = make_form(4, STD_OMEGA)
-    ext = central_extend(rn4, omega)
+    ext = _extend(rn4, omega)
     ps = build_paracontact(ext, RN4_J)
     for i in range(4):
         for j in range(4):
@@ -64,7 +68,7 @@ def test_d_eta_is_minus_omega(rn4):
 
 
 def test_xi_central(rn4):
-    ext = central_extend(rn4, make_form(4, STD_OMEGA))
+    ext = _extend(rn4, make_form(4, STD_OMEGA))
     xi = _basis(5, 4)
     for i in range(5):
         assert all(v.is_zero for v in ext.extended.bracket(xi, _basis(5, i)))
@@ -72,17 +76,17 @@ def test_xi_central(rn4):
 
 def test_non_symplectic_rejected(rn4):
     with pytest.raises(NonSymplecticError):
-        central_extend(rn4, make_form(4, [(1, 2, 1)]))
+        _extend(rn4, make_form(4, [(1, 2, 1)]))
 
 
 def test_non_closed_rejected(r2r2):
     # e1^e4 is not closed on r2r2, so the extension is no Lie algebra
     with pytest.raises(NonSymplecticError):
-        central_extend(r2r2, make_form(4, [(1, 4, 1)]))
+        _extend(r2r2, make_form(4, [(1, 4, 1)]))
 
 
 def test_paracontact_block_structure(rn4):
-    ext = central_extend(rn4, make_form(4, STD_OMEGA))
+    ext = _extend(rn4, make_form(4, STD_OMEGA))
     ps = build_paracontact(ext, RN4_J)
     # phi(xi) = 0 and the almost-paracontact identities hold
     assert all(ps.phi[i, 4].is_zero for i in range(5))
@@ -96,7 +100,7 @@ def test_paracontact_block_structure(rn4):
 
 
 def test_contact_condition_pass_and_fail(rn4):
-    good = central_extend(rn4, make_form(4, STD_OMEGA))
+    good = _extend(rn4, make_form(4, STD_OMEGA))
     report = check_contact(good)
     assert report.ok
     assert report.coefficient == expr(2)  # 2 * pfaffian(omega)
@@ -113,16 +117,16 @@ def test_contact_condition_pass_and_fail(rn4):
 def test_contact_coefficient_tracks_pfaffian(rh3):
     # in dim 4 the coefficient is 2 * pfaffian(omega) since Pf(-A) = Pf(A)
     omega = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    ext = central_extend(rh3, omega)
+    ext = _extend(rh3, omega)
     assert check_contact(ext).coefficient == expr(2) * pfaffian4(omega)
     r2r2 = make_algebra("r2r2")
     omega_lam = make_form(4, [(1, 2, 1), (1, 3, "lam"), (3, 4, 1)])
-    ext2 = central_extend(r2r2, omega_lam)
+    ext2 = _extend(r2r2, omega_lam)
     assert check_contact(ext2).coefficient == expr(2) * pfaffian4(omega_lam)
 
 
 def test_compatible_metric_identity_and_failure(rn4):
-    ext = central_extend(rn4, make_form(4, STD_OMEGA))
+    ext = _extend(rn4, make_form(4, STD_OMEGA))
     ps = build_paracontact(ext, RN4_J)
     assert check_compatible_metric(ps).is_zero
     # eta(X) = h(xi, X) for all basis X
@@ -134,7 +138,7 @@ def test_compatible_metric_identity_and_failure(rn4):
 
 def test_lifted_curvature_flat_base(rn4):
     omega = make_form(4, STD_OMEGA)
-    ext = central_extend(rn4, omega)
+    ext = _extend(rn4, omega)
     ps = build_paracontact(ext, RN4_J)
     base = curvature_bundle(rn4, metric_from(omega, RN4_J))
     ext_bundle = curvature_bundle(ext.extended, ps.h)
@@ -159,7 +163,7 @@ def test_lifted_curvature_einstein_base(r2p):
             ],
         ]
     )
-    ext = central_extend(r2p, omega)
+    ext = _extend(r2p, omega)
     ps = build_paracontact(ext, j2)
     base = curvature_bundle(r2p, metric_from(omega, j2))
     ext_bundle = curvature_bundle(ext.extended, ps.h)
@@ -175,7 +179,7 @@ def test_lifted_ricci_einstein_shift_d4lam(d4lam):
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, "a", "-(a^2-1)/b"], [0, 0, "b", "-a"]]
     )
     g = metric_from(omega, j3)
-    ext = central_extend(d4lam, omega)
+    ext = _extend(d4lam, omega)
     ps = build_paracontact(ext, j3)
     ext_bundle = curvature_bundle(ext.extended, ps.h)
     ric5 = ext_bundle.ricci.ricci
@@ -190,7 +194,7 @@ def test_lifted_ricci_einstein_shift_d4lam(d4lam):
 def test_r_x_xi_xi_component(rn4):
     # R(X, xi) xi = -X/4 on every basis vector of the distribution
     omega = make_form(4, STD_OMEGA)
-    ext = central_extend(rn4, omega)
+    ext = _extend(rn4, omega)
     ps = build_paracontact(ext, RN4_J)
     bundle = curvature_bundle(ext.extended, ps.h)
     for i in range(4):
@@ -211,7 +215,7 @@ def test_extension_jacobi_and_center_across_catalog():
         if key in seen:
             continue
         seen.add(key)
-        ext = central_extend(catalog.algebra_of(entry), catalog.form_of(entry))
+        ext = _extend(catalog.algebra_of(entry), catalog.form_of(entry))
         assert jacobi_check(ext.extended).ok, entry.entry_id
         basis = center(ext.extended)
         assert any(
@@ -238,7 +242,7 @@ def test_lift_identities_across_builtin_sample():
             continue
         algebra = catalog.algebra_of(entry)
         form = catalog.form_of(entry)
-        ext = central_extend(algebra, form)
+        ext = _extend(algebra, form)
         ps = build_paracontact(ext, entry.j_matrix)
         base = curvature_bundle(algebra, metric_from(form, entry.j_matrix))
         ext_bundle = curvature_bundle(ext.extended, ps.h)

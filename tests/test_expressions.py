@@ -1,21 +1,25 @@
 """Exact scalar and matrix arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parakahler.expressions import (
     DenominatorVanishesError,
     ExpressionBlowupError,
     ExprMatrix,
     ExprSyntaxError,
+    Polynomial,
     SingularMatrixError,
     SymbolicZeroDivisionError,
     UnknownParameterError,
     expr,
     format_expr,
     parse_expr,
+    poly_gcd,
     set_term_limit,
     variable,
 )
@@ -114,6 +118,38 @@ def test_format_canonical_examples():
     assert format_expr(expr("b*3/2")) == "3/2*b"
     assert format_expr(expr("a/(b*2)")) == "1/2*a/b"
     assert format_expr(expr("1/(c^2+d^2)")) == "1/(c^2 + d^2)"
+
+
+def _apply(args):
+    lhs, op, rhs = args
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    return lhs if rhs.is_zero else lhs / rhs
+
+
+_EXPRESSIONS = st.recursive(
+    st.one_of(st.integers(-4, 4).map(expr), st.sampled_from("abc").map(variable)),
+    lambda children: st.tuples(children, st.sampled_from("+-*/"), children).map(_apply),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_EXPRESSIONS)
+def test_canonical_form(e):
+    # coprime in Z[params], integer content included, positive-leading denominator
+    coeffs = [*e.num.terms.values(), *e.den.terms.values()]
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(*coeffs) == 1
+    assert e.den.leading()[1] > 0
+    assert poly_gcd(e.num, e.den) == Polynomial.const(1)
+    text = format_expr(e)
+    assert parse_expr(text) == e
+    assert format_expr(parse_expr(text)) == text
 
 
 def _random_expr(rng: random.Random):

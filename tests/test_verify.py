@@ -2,10 +2,12 @@
 
 import copy
 import json
+import sys
 
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.expressions import parse_expr
+from parakahler.liealgebra import is_symplectic
 from parakahler import verify
 from parakahler.verify import (
     RunConfig,
@@ -128,9 +130,10 @@ def test_extension_findings_builtin_sample():
     catalog = builtin_catalog()
     for entry_id in ("rn4.omega.J", "d4lam.omega.J3", "r2r2.lambdapos.J11"):
         entry = _entry(catalog, entry_id)
+        algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
         finding = verify_extension(
             entry,
-            lift_form(catalog.algebra_of(entry), catalog.form_of(entry)),
+            lift_form(algebra, form, is_symplectic(algebra, form)),
             verify_entry(catalog, entry, CFG).bundle,
         )
         assert finding.status == "ok", (entry_id, finding.residuals)
@@ -140,21 +143,26 @@ def test_extension_findings_builtin_sample():
 
 
 def test_one_lift_per_form(monkeypatch):
-    # the 57 builtin structures use 20 forms; each form is extended and its
-    # contact condition checked once, not once per structure
-    calls = {"central_extend": 0, "check_contact": 0}
+    # the 57 builtin structures use 20 forms; each form is gated, extended and
+    # its contact condition checked once, not once per structure
+    calls = {"central_extend": 0, "check_contact": 0, "is_symplectic": 0}
     for name in calls:
+        original = getattr(verify, name)
 
-        def counted(*args, _name=name, _original=getattr(verify, name)):
+        def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(verify, name, counted)
+        # every package module that imported the function, so a call from
+        # another layer (say, contact) is counted too
+        for module in [m for key, m in sys.modules.items() if key.startswith("parakahler.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     catalog = builtin_catalog()
     report = verify_all(catalog, RunConfig(seed=0, samples=1), include_extensions=True)
     assert len(report.sasakian) == 57
     assert len({(e.algebra, e.form) for e in catalog.entries}) == 20
-    assert calls == {"central_extend": 20, "check_contact": 20}
+    assert calls == {"central_extend": 20, "check_contact": 20, "is_symplectic": 20}
 
 
 def test_report_json_round_trip():
