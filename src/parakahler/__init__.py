@@ -57,21 +57,17 @@ from .liealgebra import (
     TwoForm,
     ce_differential_1,
     ce_differential_2,
-    center,
     is_symplectic,
     jacobi_check,
     pfaffian4,
 )
 from .structures import (
-    EigenSplit,
     Metric,
     MetricAsymmetryError,
-    RankMismatchError,
     SingularMetricError,
     check_involution,
     check_metric_compat,
     check_omega_compat,
-    eigen_split,
     metric_from,
     nijenhuis,
     omega_from,

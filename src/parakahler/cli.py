@@ -226,10 +226,10 @@ def main(argv: Optional[list] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogFormatError, json.JSONDecodeError) as exc:
+    except (CatalogFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"catalog error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ExpressionBlowupError, SamplingError) as exc:

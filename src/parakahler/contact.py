@@ -1,10 +1,10 @@
 """Central extensions to five-dimensional contact Lie algebras.
 
 A symplectic algebra (g, omega) extends to h = g x_omega R by adjoining a
-central xi with [X, Y]_h = [X, Y]_g + omega(X, Y) xi.  The extension and its
-contact form eta = xi^* depend on the pair (g, omega) only, so they are built
-once per form; each compatible para-complex structure J on g then induces the
-para-contact metric structure (eta, xi, phi, h) with
+central xi with [X, Y]_h = [X, Y]_g + omega(X, Y) xi.  The extension, its
+contact form eta = xi^* and d(eta) depend on the pair (g, omega) only, so they
+are built once per form; each compatible para-complex structure J on g then
+induces the para-contact metric structure (eta, xi, phi, h) with
 
     phi = blockdiag(J, 0),    h = eta^T eta - d(eta) phi,
 
@@ -44,7 +44,7 @@ from .expressions import (
     expr,
     format_expr,
 )
-from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, ce_differential_1
+from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, ce_differential_1, pfaffian4
 from .structures import Metric
 
 
@@ -57,6 +57,8 @@ class CentralExtension:
     base: LieAlgebra
     omega: TwoForm
     extended: LieAlgebra
+    eta: ExprMatrix  # the contact form xi^* as a 1 x 5 row; xi = eta^T
+    d_eta: TwoForm
 
     @property
     def xi_index(self) -> int:
@@ -89,7 +91,10 @@ def central_extend(
     extended = LieAlgebra.from_brackets(
         f"{algebra.name}^ext", n + 1, brackets, algebra.params
     )
-    return CentralExtension(base=algebra, omega=omega, extended=extended)
+    eta = (EXPR_ZERO,) * n + (EXPR_ONE,)  # xi^*
+    return CentralExtension(
+        algebra, omega, extended, ExprMatrix([eta]), ce_differential_1(extended, eta)
+    )
 
 
 def _bordered(m: ExprMatrix, corner: RationalExpr) -> ExprMatrix:
@@ -102,10 +107,8 @@ def _bordered(m: ExprMatrix, corner: RationalExpr) -> ExprMatrix:
 @dataclass(frozen=True)
 class ParacontactStructure:
     extension: CentralExtension
-    eta: ExprMatrix  # the contact form as a 1 x 5 row; xi = eta^T
     phi: ExprMatrix
     h: Metric
-    d_eta: TwoForm
     phi_vs_deta: str  # Phi = phi^T h against d(eta): equal | negated | mismatch
 
 
@@ -115,11 +118,9 @@ def build_paracontact(ext: CentralExtension, j_matrix: ExprMatrix) -> Paracontac
     ``j_matrix`` is a structure that passed the 4D axioms, so it is a
     para-complex structure compatible with ``ext.omega``.
     """
-    eta = ExprMatrix.identity(ext.extended.dim).entries[ext.xi_index]  # xi^*
-    d_eta = ce_differential_1(ext.extended, eta)
-    eta_row = ExprMatrix([eta])
+    eta, d_eta = ext.eta, ext.d_eta
     phi = _bordered(j_matrix, EXPR_ZERO)
-    h = Metric(eta_row.transpose() @ eta_row - d_eta.matrix @ phi)
+    h = Metric(eta.transpose() @ eta - d_eta.matrix @ phi)
     fundamental = phi.transpose() @ h.matrix
     if fundamental == d_eta.matrix:
         phi_vs_deta = "equal"
@@ -127,7 +128,7 @@ def build_paracontact(ext: CentralExtension, j_matrix: ExprMatrix) -> Paracontac
         phi_vs_deta = "negated"
     else:
         phi_vs_deta = "mismatch"
-    return ParacontactStructure(ext, eta_row, phi, h, d_eta, phi_vs_deta)
+    return ParacontactStructure(ext, phi, h, phi_vs_deta)
 
 
 @dataclass(frozen=True)
@@ -138,37 +139,31 @@ class ContactReport:
 
 def check_contact(ext: CentralExtension) -> ContactReport:
     """Evaluate eta ^ (d eta)^2 on the full basis; contact iff nonzero."""
-    xi = ext.xi_index
-    eta = ExprMatrix.identity(ext.extended.dim).entries[xi]  # xi^*
-    d_eta = ce_differential_1(ext.extended, eta)
-    # eta = xi^*, so the expansion along the 1-form slot has only the xi term
-    a, b, c, d = (p for p in range(ext.extended.dim) if p != xi)
-    pf = (
-        d_eta(a, b) * d_eta(c, d)
-        - d_eta(a, c) * d_eta(b, d)
-        + d_eta(a, d) * d_eta(b, c)
-    )
-    sign = -1 if xi % 2 else 1  # (-1)^xi for pulling slot xi to the front
-    total = expr(2 * sign) * pf
+    # eta = xi^* with xi last, so the expansion along the 1-form slot has only
+    # the xi term: twice the Pfaffian of d(eta) on the base
+    n = ext.xi_index
+    base = TwoForm(ExprMatrix([row[:n] for row in ext.d_eta.matrix.entries[:n]]))
+    total = expr(2) * pfaffian4(base)
     return ContactReport(ok=not total.is_zero, coefficient=total)
 
 
 def reeb_residuals(ps: ParacontactStructure) -> Tuple[ExprMatrix, ExprMatrix]:
     """xi _| d(eta) and eta(xi) - 1; both vanish for the Reeb vector."""
-    xi = ps.eta.transpose()
-    return xi.transpose() @ ps.d_eta.matrix, ps.eta @ xi - ExprMatrix.identity(1)
+    eta = ps.extension.eta
+    return eta @ ps.extension.d_eta.matrix, eta @ eta.transpose() - ExprMatrix.identity(1)
 
 
 def almost_paracontact_residuals(ps: ParacontactStructure) -> Tuple[ExprMatrix, ...]:
     """phi xi, eta phi and phi^2 - Id + xi eta; all vanish."""
-    phi, xi = ps.phi, ps.eta.transpose()
-    return phi @ xi, ps.eta @ phi, phi @ phi - ExprMatrix.identity(phi.rows) + xi @ ps.eta
+    phi, eta = ps.phi, ps.extension.eta
+    xi = eta.transpose()
+    return phi @ xi, eta @ phi, phi @ phi - ExprMatrix.identity(phi.rows) + xi @ eta
 
 
 def check_compatible_metric(ps: ParacontactStructure) -> ExprMatrix:
     """phi^T h phi + h - eta^T eta: h(phi X, phi Y) = -h(X, Y) + eta(X) eta(Y)."""
-    h = ps.h.matrix
-    return ps.phi.transpose() @ h @ ps.phi + h - ps.eta.transpose() @ ps.eta
+    h, eta = ps.h.matrix, ps.extension.eta
+    return ps.phi.transpose() @ h @ ps.phi + h - eta.transpose() @ eta
 
 
 def metric_restriction_residuals(ps: ParacontactStructure, base_g: Metric) -> ExprMatrix:

@@ -64,35 +64,6 @@ def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel
     return Christoffel(n, frozen)
 
 
-def torsion_residuals(algebra: LieAlgebra, gam: Christoffel):
-    """Gamma^m_ij - Gamma^m_ji - C^m_ij for all components; empty iff torsion-free."""
-    n = algebra.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                res = gam.gamma[i][j][m] - gam.gamma[j][i][m] - algebra.c(i, j, m)
-                if not res.is_zero:
-                    bad.append((i + 1, j + 1, m + 1, res))
-    return bad
-
-
-def connection_metric_residuals(algebra: LieAlgebra, gam: Christoffel, g: Metric):
-    """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) must vanish for a metric connection."""
-    n = algebra.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = EXPR_ZERO
-                for m in range(n):
-                    acc = acc + gam.gamma[i][j][m] * g(m, k)
-                    acc = acc + gam.gamma[i][k][m] * g(j, m)
-                if not acc.is_zero:
-                    bad.append((i + 1, j + 1, k + 1, acc))
-    return bad
-
-
 @dataclass(frozen=True)
 class CurvatureTensor:
     dim: int
@@ -108,16 +79,6 @@ class CurvatureTensor:
             for k in range(n)
             for s in range(n)
         )
-
-    def first_nonzero(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for s in range(n):
-                        if not self.comps[i][j][k][s].is_zero:
-                            return (i + 1, j + 1, k + 1, s + 1, self.comps[i][j][k][s])
-        return None
 
 
 def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
@@ -268,34 +229,3 @@ def compare_ric_operator(computed: ExprMatrix, expected: ExprMatrix):
             if not diff.is_zero:
                 residuals.append((i + 1, j + 1, diff))
     return residuals
-
-
-def bianchi_residuals(riemann: CurvatureTensor):
-    """First Bianchi identity: cyclic sum of R^s_ijk over (i, j, k)."""
-    n = riemann.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for s in range(n):
-                    acc = (
-                        riemann.comps[i][j][k][s]
-                        + riemann.comps[j][k][i][s]
-                        + riemann.comps[k][i][j][s]
-                    )
-                    if not acc.is_zero:
-                        bad.append((i + 1, j + 1, k + 1, s + 1, acc))
-    return bad
-
-
-def antisymmetry_residuals(riemann: CurvatureTensor):
-    n = riemann.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for s in range(n):
-                    acc = riemann.comps[i][j][k][s] + riemann.comps[j][i][k][s]
-                    if not acc.is_zero:
-                        bad.append((i + 1, j + 1, k + 1, s + 1, acc))
-    return bad

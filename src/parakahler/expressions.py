@@ -420,7 +420,8 @@ class RationalExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero
+        # both sides are in canonical form, as ``__hash__`` relies on too
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -437,6 +438,11 @@ class RationalExpr:
             return self
         if self.den == other.den:
             return _make(self.num + other.num, self.den)
+        (c1, p1), (c2, p2) = _split(self.den), _split(other.den)
+        if p1 == p2:  # the denominators differ by an integer factor
+            scale = _int_lcm(c1, c2)
+            num = self.num.scale(scale // c1) + other.num.scale(scale // c2)
+            return _make(num, p1.scale(scale))
         return _make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -814,13 +820,7 @@ class ExprMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExprMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from . import numeric
 from .expressions import (
     EXPR_ONE,
     EXPR_ZERO,
@@ -28,7 +27,6 @@ from .expressions import (
     expr,
     format_expr,
 )
-from .sampling import DeterministicRng, sample_point
 
 
 class DimensionMismatchError(ValueError):
@@ -162,7 +160,7 @@ class ThreeForm:
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "params", "_c", "_nonzero")
+    __slots__ = ("name", "dim", "params", "_c", "_nonzero", "_cleared")
 
     def __init__(self, name: str, dim: int, structure, params=()):
         self.name = name
@@ -176,6 +174,8 @@ class LieAlgebra:
                     if not structure[i][j][k].is_zero:
                         nz.append((i, j, k, structure[i][j][k]))
         self._nonzero = tuple(nz)
+        den, nums = common_denominator([v for (_, _, _, v) in nz])
+        self._cleared = den, tuple((i, j, k, x) for (i, j, k, _), x in zip(nz, nums))
 
     @classmethod
     def from_brackets(
@@ -227,9 +227,9 @@ class LieAlgebra:
         return tuple(out)
 
     def cleared_constants(self) -> Tuple[Polynomial, Tuple[tuple, ...]]:
-        """(D, ((i, j, k, N), ...)) with C^k_ij = N / D over the nonzero constants."""
-        den, nums = common_denominator([v for (_, _, _, v) in self._nonzero])
-        return den, tuple((i, j, k, x) for (i, j, k, _), x in zip(self._nonzero, nums))
+        """(D, ((i, j, k, N), ...)) with C^k_ij = N / D over the nonzero constants,
+        cleared once at construction."""
+        return self._cleared
 
     def structure_eval(self, point) -> list:
         """Structure constants as nested lists of Fractions at a sample."""
@@ -340,44 +340,3 @@ def pfaffian4(omega: TwoForm) -> RationalExpr:
         raise DimensionMismatchError("pfaffian4 needs a 4-dimensional form")
     m = omega.matrix
     return m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]
-
-
-def center(algebra: LieAlgebra, seed: int = 12345) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Basis of the center, computed at a generic sample then certified.
-
-    The nullspace of ad at any sample contains the center; each candidate
-    vector is then verified symbolically, and an unlucky (non-generic) sample
-    triggers a retry with the next deterministic point.
-    """
-    n = algebra.dim
-    domains = dict(algebra.params)
-    avoid = algebra.denominators()
-    rng = DeterministicRng(seed)
-    for _ in range(8):
-        point = sample_point(rng, domains, avoid)
-        c_num = algebra.structure_eval(point)
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                rows.append([c_num[i][j][k] for i in range(n)])
-        candidates = numeric.nullspace(rows)
-        certified = []
-        for v in candidates:
-            vec = [expr(Fraction(x)) for x in v]
-            ok = True
-            for j in range(n):
-                basis_j = tuple(EXPR_ONE if q == j else EXPR_ZERO for q in range(n))
-                for comp in algebra.bracket(vec, basis_j):
-                    if not comp.is_zero:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                certified.append(tuple(Fraction(x) for x in v))
-            else:
-                certified = None
-                break
-        if certified is not None:
-            return tuple(certified)
-    raise RuntimeError(f"center computation kept hitting non-generic samples for {algebra.name}")

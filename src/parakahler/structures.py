@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from . import numeric
-from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
+from .expressions import _P_ZERO, ExprMatrix, RationalExpr, _make, format_expr
 from .liealgebra import LieAlgebra, TwoForm
 
 
@@ -25,10 +24,6 @@ class MetricAsymmetryError(ValueError):
 
 class SingularMetricError(ValueError):
     pass
-
-
-class RankMismatchError(ValueError):
-    """Eigenspace dimensions of J differ from dim/2."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +85,6 @@ class NijenhuisTensor:
         self.dim = dim
         self.comps = comps  # comps[i][j][k] = N^k_ij
 
-    def component(self, i: int, j: int, k: int) -> RationalExpr:
-        return self.comps[i][j][k]
-
     @property
     def is_zero(self) -> bool:
         return all(
@@ -101,14 +93,6 @@ class NijenhuisTensor:
             for j in range(self.dim)
             for k in range(self.dim)
         )
-
-    def first_nonzero(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if not self.comps[i][j][k].is_zero:
-                        return (i + 1, j + 1, k + 1, self.comps[i][j][k])
-        return None
 
     def as_check(self) -> AxiomCheck:
         issues = []
@@ -267,50 +251,3 @@ def signature_at(g: Metric, point: Mapping[str, Fraction]) -> Tuple[int, int]:
                 for row in range(n):
                     m[row][i] -= factor * m[row][pivot]
     return plus, minus
-
-
-@dataclass(frozen=True)
-class EigenSplit:
-    plus_basis: Tuple[Tuple[Fraction, ...], ...]
-    minus_basis: Tuple[Tuple[Fraction, ...], ...]
-    plus_closed: bool
-    minus_closed: bool
-
-
-def _span_closed_under_bracket(algebra: LieAlgebra, basis) -> bool:
-    """Certify [span, span] within span using rational left-annihilators."""
-    rows = [list(map(Fraction, v)) for v in basis]
-    annihilators = numeric.nullspace(rows)
-    for r, u in enumerate(basis):
-        for v in basis[r + 1 :]:
-            product = algebra.bracket([Fraction(x) for x in u], [Fraction(x) for x in v])
-            for w in annihilators:
-                acc = EXPR_ZERO
-                for wk, pk in zip(w, product):
-                    if wk and not pk.is_zero:
-                        acc = acc + pk * wk
-                if not acc.is_zero:
-                    return False
-    return True
-
-
-def eigen_split(
-    algebra: LieAlgebra, j_matrix: ExprMatrix, point: Mapping[str, Fraction]
-) -> EigenSplit:
-    """Plus/minus eigenbases of J at a sample, with symbolic closure checks."""
-    n = algebra.dim
-    jv = j_matrix.eval_at(point)
-    eye = numeric.mat_identity(n)
-    plus = numeric.nullspace(numeric.mat_sub(jv, eye))
-    minus = numeric.nullspace([[v + e for v, e in zip(r1, r2)] for r1, r2 in zip(jv, eye)])
-    if len(plus) != n // 2 or len(minus) != n // 2:
-        raise RankMismatchError(
-            f"eigenspace dimensions ({len(plus)}, {len(minus)}) differ from "
-            f"({n // 2}, {n // 2})"
-        )
-    return EigenSplit(
-        plus_basis=tuple(plus),
-        minus_basis=tuple(minus),
-        plus_closed=_span_closed_under_bracket(algebra, plus),
-        minus_closed=_span_closed_under_bracket(algebra, minus),
-    )

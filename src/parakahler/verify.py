@@ -1,12 +1,12 @@
 """Catalog verification driver and report generation.
 
-``verify_entry`` runs the whole chain for one catalog entry: algebra gates
-(cached per algebra/form), the three para-complex axioms, metric properties
-with sampled signatures, the curvature pipeline with label classification,
-entrywise comparison against the published Ricci operator, and a pure-Fraction
-re-run of the pipeline at sampled parameter points.  Mathematical failures are
-recorded in the finding, never raised; only infrastructure problems (e.g. the
-expression-size guard) propagate.
+``verify_entry`` runs the whole chain for one catalog entry on the symplectic
+report that its form's gate computed: the three para-complex axioms, metric
+properties with sampled signatures, the curvature pipeline with label
+classification, entrywise comparison against the published Ricci operator, and
+a pure-Fraction re-run of the pipeline at sampled parameter points.
+Mathematical failures are recorded in the finding, never raised; only
+infrastructure problems (e.g. the expression-size guard) propagate.
 
 Published labels and matrices that disagree with the exact recomputation are
 *discrepancies*: they are reported with the recomputed value but do not count
@@ -49,7 +49,7 @@ from .curvature import (
     curvature_bundle,
     label_holds,
 )
-from .expressions import Polynomial, format_expr
+from .expressions import Polynomial, RationalExpr, format_expr
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
     MetricAsymmetryError,
@@ -88,16 +88,20 @@ def _denominators(values) -> List[Polynomial]:
     return [v.den for v in values if not v.den.is_const]
 
 
+def _form_denominators(algebra: LieAlgebra, form: TwoForm) -> List[Polynomial]:
+    """The denominators of the structure constants and of the form."""
+    return list(algebra.denominators()) + _denominators(v for _, _, v in form.terms())
+
+
 def collect_avoid_polynomials(
-    algebra: LieAlgebra, form: TwoForm, entry: CatalogEntry
+    algebra: LieAlgebra, form: TwoForm, entry: CatalogEntry, det: RationalExpr
 ) -> Tuple[Polynomial, ...]:
-    """Denominators plus form determinant: the sampler must dodge their zeros."""
-    avoid = list(algebra.denominators())
-    avoid += _denominators(v for _, _, v in form.terms())
+    """Denominators plus the form determinant ``det``: the sampler must dodge
+    their zeros."""
+    avoid = _form_denominators(algebra, form)
     avoid += _denominators(v for row in entry.j_matrix.entries for v in row)
     if entry.expected.ric is not None:
         avoid += _denominators(v for row in entry.expected.ric.entries for v in row)
-    det = form.matrix.det()
     if not det.is_const:
         avoid.append(det.num)
     return tuple(avoid)
@@ -160,8 +164,12 @@ def _numeric_corroboration(algebra, g, bundle, point) -> bool:
 
 
 def verify_entry(
-    catalog: Catalog, entry: CatalogEntry, config: RunConfig = RunConfig()
+    catalog: Catalog,
+    entry: CatalogEntry,
+    report: SymplecticReport,
+    config: RunConfig = RunConfig(),
 ) -> EntryFinding:
+    """Verify one entry; ``report`` is ``is_symplectic`` of its form."""
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
     notes: List[str] = []
@@ -216,8 +224,7 @@ def verify_entry(
         metric_info["roundtrip"] = omega_from(g, entry.j_matrix) == form
         # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
         # identically exactly when the form is degenerate.
-        det_g = g.matrix.det()
-        if det_g.is_zero:
+        if report.det.is_zero:
             failure = True
             notes.append(
                 f"form {entry.form!r} is degenerate (det omega = 0): the metric "
@@ -257,7 +264,7 @@ def verify_entry(
                 ]
         domains = catalog.domains_of(entry)
         # det g = +-det omega (J^2 = Id), whose numerator is already avoided
-        avoid = collect_avoid_polynomials(algebra, form, entry)
+        avoid = collect_avoid_polynomials(algebra, form, entry, report.det)
         rng = DeterministicRng(config.seed * 0x10001 + len(entry.entry_id))
         signature_ok = True
         agree = 0
@@ -469,8 +476,7 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig):
             rep = reports[name, fid] = is_symplectic(algebra, form)
             det_nonzero = 0
             rng = DeterministicRng(config.seed * 0x20001 + len(name) + len(fid))
-            avoid = list(algebra.denominators())
-            avoid += _denominators(v for _, _, v in form.terms())
+            avoid = _form_denominators(algebra, form)
             for _ in range(config.samples):
                 point = sample_point(rng, dict(algebra.params), avoid)
                 if rep.det.eval(point) != 0:
@@ -495,7 +501,7 @@ def verify_all(
     findings, sasakian = [], ([] if include_extensions else None)
     lifts: Dict[Tuple[str, str], FormLift] = {}  # one lift per form, this run only
     for e in entries:
-        findings.append(verify_entry(catalog, e, config))
+        findings.append(verify_entry(catalog, e, symplectic[e.algebra, e.form], config))
         if sasakian is not None:
             key = (e.algebra, e.form)
             if key not in lifts:

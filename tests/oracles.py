@@ -1,0 +1,105 @@
+"""Checks that only the tests run: connection and curvature identities, a
+Fraction Nijenhuis tensor, and a first-nonzero reader for nested tensors.
+
+The residual functions return every nonzero component of an identity that
+must vanish, 1-based with the residual last; an empty list means it holds.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from parakahler.curvature import Christoffel, CurvatureTensor
+from parakahler.expressions import EXPR_ZERO, RationalExpr
+from parakahler.liealgebra import LieAlgebra
+from parakahler.numeric import Mat
+from parakahler.structures import Metric
+
+
+def first_nonzero(comps):
+    """(1-based indices..., value) of the first nonzero entry of the nested
+    tuple ``comps`` in index order, or None."""
+    for i, sub in enumerate(comps):
+        if isinstance(sub, RationalExpr):
+            found = None if sub.is_zero else (sub,)
+        else:
+            found = first_nonzero(sub)
+        if found is not None:
+            return (i + 1, *found)
+    return None
+
+
+def torsion_residuals(algebra: LieAlgebra, gam: Christoffel):
+    """Gamma^m_ij - Gamma^m_ji - C^m_ij for all components; empty iff torsion-free."""
+    n = algebra.dim
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                res = gam.gamma[i][j][m] - gam.gamma[j][i][m] - algebra.c(i, j, m)
+                if not res.is_zero:
+                    bad.append((i + 1, j + 1, m + 1, res))
+    return bad
+
+
+def connection_metric_residuals(algebra: LieAlgebra, gam: Christoffel, g: Metric):
+    """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) must vanish for a metric connection."""
+    n = algebra.dim
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = EXPR_ZERO
+                for m in range(n):
+                    acc = acc + gam.gamma[i][j][m] * g(m, k)
+                    acc = acc + gam.gamma[i][k][m] * g(j, m)
+                if not acc.is_zero:
+                    bad.append((i + 1, j + 1, k + 1, acc))
+    return bad
+
+
+def bianchi_residuals(riemann: CurvatureTensor):
+    """First Bianchi identity: cyclic sum of R^s_ijk over (i, j, k)."""
+    n = riemann.dim
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for s in range(n):
+                    acc = (
+                        riemann.comps[i][j][k][s]
+                        + riemann.comps[j][k][i][s]
+                        + riemann.comps[k][i][j][s]
+                    )
+                    if not acc.is_zero:
+                        bad.append((i + 1, j + 1, k + 1, s + 1, acc))
+    return bad
+
+
+def antisymmetry_residuals(riemann: CurvatureTensor):
+    n = riemann.dim
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for s in range(n):
+                    acc = riemann.comps[i][j][k][s] + riemann.comps[j][i][k][s]
+                    if not acc.is_zero:
+                        bad.append((i + 1, j + 1, k + 1, s + 1, acc))
+    return bad
+
+
+def nijenhuis(c: Sequence, j_matrix: Mat) -> list:
+    """N[i][j][k] = C^k_ij + J^l_i J^m_j C^k_lm - J^l_i J^k_m C^m_lj - J^l_j J^k_m C^m_il."""
+    n = len(j_matrix)
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = c[i][j][k]
+                for l in range(n):
+                    for m in range(n):
+                        acc += j_matrix[l][i] * j_matrix[m][j] * c[l][m][k]
+                        acc -= j_matrix[l][i] * j_matrix[k][m] * c[l][j][m]
+                        acc -= j_matrix[l][j] * j_matrix[k][m] * c[i][l][m]
+                out[i][j][k] = acc
+    return out

@@ -50,6 +50,8 @@ from parakahler.structures import (
 )
 from parakahler.verify import RunConfig, render_report, verify_all
 
+from oracles import first_nonzero
+
 SAMPLES = 20
 SEED = 0
 
@@ -153,7 +155,7 @@ def test_criterion_4_zero_curvature_labels(bundles):
     violations = []
     for entry_id, (entry, _g, bundle) in bundles.items():
         if entry.expected.label == "flat" and not bundle.riemann.is_zero:
-            first = bundle.riemann.first_nonzero()
+            first = first_nonzero(bundle.riemann.comps)
             violations.append((entry_id, f"R^{first[3]}_{first[0]}{first[1]}{first[2]} = {first[4]}"))
     _line(
         4,

@@ -85,6 +85,25 @@ def test_check_file_missing(capsys):
     assert main(["check-file", "/nonexistent/catalog.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-file", "{dir}"],
+        ["verify", "--catalog", "{dir}"],
+        ["check-file", "{latin1}"],
+        ["verify", "--samples", "1", "--filter", "rn4.*", "--out", "{dir}"],
+    ],
+    ids=["check-file-directory", "catalog-directory", "not-utf8", "out-directory"],
+)
+def test_bad_path_is_a_usage_error(tmp_path, capsys, argv):
+    # a path that cannot be read or written exits 2 with a message, not 1
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"note": "caf\xe9"}')  # Latin-1, not UTF-8
+    args = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    assert main(args) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_report_written_and_deterministic(tmp_path):
     out1 = tmp_path / "report1.json"
     out2 = tmp_path / "report2.json"

@@ -20,7 +20,13 @@ from parakahler.contact import (
 )
 from parakahler.curvature import curvature_bundle
 from parakahler.expressions import EXPR_ONE, EXPR_ZERO, ExprMatrix, expr
-from parakahler.liealgebra import LieAlgebra, is_symplectic, jacobi_check, pfaffian4
+from parakahler.liealgebra import (
+    LieAlgebra,
+    ce_differential_1,
+    is_symplectic,
+    jacobi_check,
+    pfaffian4,
+)
 from parakahler.structures import Metric, metric_from
 
 from conftest import make_algebra, make_form
@@ -63,8 +69,8 @@ def test_d_eta_is_minus_omega(rn4):
     ps = build_paracontact(ext, RN4_J)
     for i in range(4):
         for j in range(4):
-            assert (ps.d_eta(i, j) + omega(i, j)).is_zero
-        assert ps.d_eta(i, 4).is_zero
+            assert (ps.extension.d_eta(i, j) + omega(i, j)).is_zero
+        assert ps.extension.d_eta(i, 4).is_zero
 
 
 def test_xi_central(rn4):
@@ -106,10 +112,14 @@ def test_contact_condition_pass_and_fail(rn4):
     assert report.coefficient == expr(2)  # 2 * pfaffian(omega)
     # e1^e2 is closed but degenerate: central_extend refuses it, so the
     # extension [e1, e2] = xi is built by hand
+    extended = LieAlgebra.from_brackets("rn4^ext", 5, [(1, 2, 5, expr(1))], rn4.params)
+    eta = _basis(5, 4)
     degenerate = CentralExtension(
         base=rn4,
         omega=make_form(4, [(1, 2, 1)]),
-        extended=LieAlgebra.from_brackets("rn4^ext", 5, [(1, 2, 5, expr(1))], rn4.params),
+        extended=extended,
+        eta=ExprMatrix([eta]),
+        d_eta=ce_differential_1(extended, eta),
     )
     assert not check_contact(degenerate).ok
 
@@ -131,7 +141,7 @@ def test_compatible_metric_identity_and_failure(rn4):
     assert check_compatible_metric(ps).is_zero
     # eta(X) = h(xi, X) for all basis X
     for i in range(5):
-        assert (ps.h(4, i) - ps.eta[0, i]).is_zero
+        assert (ps.h(4, i) - ps.extension.eta[0, i]).is_zero
     broken = dataclasses.replace(ps, h=Metric(ExprMatrix.identity(5)))
     assert not check_compatible_metric(broken).is_zero
 
@@ -205,9 +215,7 @@ def test_r_x_xi_xi_component(rn4):
 
 
 def test_extension_jacobi_and_center_across_catalog():
-    # every extension is a Lie algebra with xi in its center
-    from parakahler.liealgebra import center
-
+    # every extension is a Lie algebra with xi in its center: ad_xi = 0
     catalog = builtin_catalog()
     seen = set()
     for entry in catalog.entries:
@@ -217,10 +225,11 @@ def test_extension_jacobi_and_center_across_catalog():
         seen.add(key)
         ext = _extend(catalog.algebra_of(entry), catalog.form_of(entry))
         assert jacobi_check(ext.extended).ok, entry.entry_id
-        basis = center(ext.extended)
-        assert any(
-            v[4] != 0 and all(x == 0 for x in v[:4]) for v in basis
-        ), entry.entry_id
+        xi = _basis(5, 4)
+        for i in range(5):
+            assert all(
+                v.is_zero for v in ext.extended.bracket(xi, _basis(5, i))
+            ), entry.entry_id
 
 
 def test_variant_entries_verify():
@@ -229,7 +238,8 @@ def test_variant_entries_verify():
     catalog = builtin_catalog(include_variants=True)
     for entry_id in ("h4.omegam.J", "r2r2.lambda0.J24bc"):
         entry = next(e for e in catalog.entries if e.entry_id == entry_id)
-        finding = verify_entry(catalog, entry, RunConfig(seed=0, samples=3))
+        report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))
+        finding = verify_entry(catalog, entry, report, RunConfig(seed=0, samples=3))
         assert finding.status == "ok", (entry_id, finding.notes)
         assert finding.label["match"]
 

@@ -139,8 +139,8 @@ _EXPRESSIONS = st.recursive(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_EXPRESSIONS)
-def test_canonical_form(e):
+@given(_EXPRESSIONS, _EXPRESSIONS)
+def test_canonical_form(e, f):
     # coprime in Z[params], integer content included, positive-leading denominator
     coeffs = [*e.num.terms.values(), *e.den.terms.values()]
     assert all(type(c) is int for c in coeffs)
@@ -150,6 +150,9 @@ def test_canonical_form(e):
     text = format_expr(e)
     assert parse_expr(text) == e
     assert format_expr(parse_expr(text)) == text
+    # equality is read off the canonical form
+    assert (e == f) == (e - f).is_zero
+    assert (e + f) - f == e
 
 
 def _random_expr(rng: random.Random):

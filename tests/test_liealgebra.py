@@ -12,7 +12,6 @@ from parakahler.liealgebra import (
     TwoForm,
     ce_differential_1,
     ce_differential_2,
-    center,
     is_symplectic,
     jacobi_check,
     pfaffian4,
@@ -191,18 +190,3 @@ def test_symplectic_needs_even_dimension():
     omega = TwoForm.from_terms(3, [(1, 2, 1)])
     with pytest.raises(OddDimensionError):
         is_symplectic(odd, omega)
-
-
-def test_center_heisenberg(rh3):
-    basis = center(rh3)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] == 0 and v[1] == 0
-
-
-def test_center_abelian(rn4):
-    assert len(center(rn4)) == 4
-
-
-def test_center_trivial(r2p):
-    assert center(r2p) == ()

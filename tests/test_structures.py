@@ -4,17 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from parakahler import numeric
-from parakahler.expressions import ExprMatrix
+from parakahler.expressions import ExprMatrix, expr
 from parakahler.structures import (
     Metric,
     MetricAsymmetryError,
-    RankMismatchError,
     SingularMetricError,
     check_involution,
     check_metric_compat,
     check_omega_compat,
-    eigen_split,
     metric_from,
     nijenhuis,
     omega_from,
@@ -22,6 +19,7 @@ from parakahler.structures import (
 )
 
 from conftest import make_algebra, make_form
+import oracles
 
 DIAG_PP_MM = ExprMatrix.from_rows(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
@@ -121,10 +119,10 @@ def test_nijenhuis_detects_non_integrable():
     tensor = nijenhuis(r2r2, NON_INTEGRABLE_J)
     assert not tensor.is_zero
     point = {name: Fraction(0) for name in ("a", "b", "c", "d", "lam", "alpha", "beta")}
-    oracle = numeric.nijenhuis(
+    oracle = oracles.nijenhuis(
         r2r2.structure_eval(point), NON_INTEGRABLE_J.eval_at(point)
     )
-    i, j, k, value = tensor.first_nonzero()
+    i, j, k, value = oracles.first_nonzero(tensor.comps)
     assert oracle[i - 1][j - 1][k - 1] == value.eval(point)
     assert any(
         oracle[x][y][z] != 0 for x in range(4) for y in range(4) for z in range(4)
@@ -151,11 +149,11 @@ def test_nijenhuis_matches_numeric_oracle_on_parametric_j():
         "alpha": Fraction(0),
         "beta": Fraction(0),
     }
-    oracle = numeric.nijenhuis(rh3.structure_eval(point), j1.eval_at(point))
+    oracle = oracles.nijenhuis(rh3.structure_eval(point), j1.eval_at(point))
     for x in range(4):
         for y in range(4):
             for z in range(4):
-                assert tensor.component(x, y, z).eval(point) == oracle[x][y][z]
+                assert tensor.comps[x][y][z].eval(point) == oracle[x][y][z]
     assert tensor.is_zero
 
 
@@ -250,12 +248,36 @@ def test_signature_singular():
         signature_at(g, {})
 
 
+def _eigenprojectors(j_matrix):
+    """P+- = (I +- J)/2, the projections onto the +-1 eigenspaces of J."""
+    eye, half = ExprMatrix.identity(j_matrix.rows), expr("1/2")
+    return (eye + j_matrix).scale(half), (eye - j_matrix).scale(half)
+
+
+def _image_closed(algebra, p, q):
+    """q [p e_i, p e_j] == 0 for all i < j: the image of p, which q
+    annihilates, is closed under the bracket."""
+    cols = p.transpose().entries
+    return all(
+        (q @ ExprMatrix([[x] for x in algebra.bracket(cols[i], cols[j])])).is_zero
+        for i in range(p.cols)
+        for j in range(i + 1, p.cols)
+    )
+
+
 def test_eigen_split_diagonal():
     rn4 = make_algebra("rn4")
-    split = eigen_split(rn4, DIAG_PP_MM, {})
-    assert split.plus_basis == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert split.minus_basis == ((0, 0, 1, 0), (0, 0, 0, 1))
-    assert split.plus_closed and split.minus_closed
+    plus, minus = _eigenprojectors(DIAG_PP_MM)
+    assert plus == ExprMatrix.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    )
+    assert plus.trace() == expr(2) and minus.trace() == expr(2)
+    assert _image_closed(rn4, plus, minus) and _image_closed(rn4, minus, plus)
+    # span(e1, e2+e4) is not a subalgebra of r2r2: both closures fail
+    r2r2 = make_algebra("r2r2")
+    plus, minus = _eigenprojectors(NON_INTEGRABLE_J)
+    assert not _image_closed(r2r2, plus, minus)
+    assert not _image_closed(r2r2, minus, plus)
 
 
 def test_eigen_split_r2r2_at_origin():
@@ -263,37 +285,34 @@ def test_eigen_split_r2r2_at_origin():
     j11 = ExprMatrix.from_rows(
         [[-1, 0, 0, 0], ["a", 1, 0, 0], [0, 0, 1, 0], [0, 0, "b", -1]]
     )
+    plus, minus = _eigenprojectors(j11)
+    # at the origin the eigenspaces are span(e2, e3) and span(e1, e4)
     point = {"a": Fraction(0), "b": Fraction(0)}
-    split = eigen_split(r2r2, j11, point)
-    assert split.plus_basis == ((0, 1, 0, 0), (0, 0, 1, 0))
-    assert split.minus_basis == ((1, 0, 0, 0), (0, 0, 0, 1))
-    assert split.plus_closed and split.minus_closed
+    assert plus.eval_at(point) == [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+    assert minus.eval_at(point) == [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+    # closed for every a, b, not only at the origin
+    assert _image_closed(r2r2, plus, minus) and _image_closed(r2r2, minus, plus)
 
 
 def test_eigen_split_rank_mismatch():
-    rn4 = make_algebra("rn4")
-    with pytest.raises(RankMismatchError):
-        eigen_split(rn4, ExprMatrix.identity(4), {})
+    # J = Id has a 4-dimensional +1 eigenspace and no -1 eigenspace
+    plus, minus = _eigenprojectors(ExprMatrix.identity(4))
+    assert plus.trace() == expr(4)
+    assert minus.trace() == expr(0)
 
 
 def test_eigen_split_across_catalog():
     # both eigenspaces have dimension 2 and are bracket-closed for every
-    # builtin structure, at every sampled parameter point
+    # builtin structure, exactly in all parameters
     from parakahler.catalog import builtin_catalog
-    from parakahler.sampling import DeterministicRng, sample_point
-    from parakahler.verify import collect_avoid_polynomials
 
     catalog = builtin_catalog()
     for entry in catalog.entries:
         algebra = catalog.algebra_of(entry)
-        form = catalog.form_of(entry)
-        avoid = collect_avoid_polynomials(algebra, form, entry)
-        rng = DeterministicRng(23)
-        for _ in range(2):
-            point = sample_point(rng, catalog.domains_of(entry), avoid)
-            split = eigen_split(algebra, entry.j_matrix, point)
-            assert len(split.plus_basis) == 2 and len(split.minus_basis) == 2
-            assert split.plus_closed and split.minus_closed, entry.entry_id
+        plus, minus = _eigenprojectors(entry.j_matrix)
+        assert plus.trace() == expr(2) and minus.trace() == expr(2), entry.entry_id
+        assert _image_closed(algebra, plus, minus), entry.entry_id
+        assert _image_closed(algebra, minus, plus), entry.entry_id
 
 
 def test_sign_flip_invariance_across_catalog():

@@ -6,9 +6,9 @@ import sys
 
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
-from parakahler.expressions import parse_expr
+from parakahler.expressions import ExprMatrix, parse_expr
 from parakahler.liealgebra import is_symplectic
-from parakahler import verify
+from parakahler import contact, liealgebra
 from parakahler.verify import (
     RunConfig,
     lift_form,
@@ -25,9 +25,16 @@ def _entry(catalog, entry_id):
     return next(e for e in catalog.entries if e.entry_id == entry_id)
 
 
+def _verify(catalog, entry_id):
+    """``verify_entry`` on the form's symplectic gate, as ``verify_all`` runs it."""
+    entry = _entry(catalog, entry_id)
+    report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))
+    return verify_entry(catalog, entry, report, CFG)
+
+
 def test_verify_entry_flat():
     catalog = builtin_catalog()
-    finding = verify_entry(catalog, _entry(catalog, "rr3m1.omega.J3"), CFG)
+    finding = _verify(catalog, "rr3m1.omega.J3")
     assert finding.status == "ok"
     assert all(a["ok"] for a in finding.axioms.values())
     assert finding.label["computed"] == "flat"
@@ -37,7 +44,7 @@ def test_verify_entry_flat():
 
 def test_verify_entry_einstein_factor():
     catalog = builtin_catalog()
-    finding = verify_entry(catalog, _entry(catalog, "d42.omega1.J11"), CFG)
+    finding = _verify(catalog, "d42.omega1.J11")
     assert finding.status == "ok"
     assert finding.label["computed"] == "einstein"
     assert parse_expr(finding.label["einstein_factor"]) == parse_expr("3*(a^2-1)/(2*b)")
@@ -47,7 +54,7 @@ def test_verify_entry_einstein_factor():
 
 def test_verify_entry_label_discrepancy_documented():
     catalog = builtin_catalog()
-    finding = verify_entry(catalog, _entry(catalog, "r2r2.lambdapos.J11"), CFG)
+    finding = _verify(catalog, "r2r2.lambdapos.J11")
     assert finding.status == "discrepancy"
     assert finding.label["computed"] == "ricci_flat"
     assert not finding.label["match"]
@@ -57,7 +64,7 @@ def test_verify_entry_label_discrepancy_documented():
 def test_verify_entry_ricci_anti_invariance_always_holds():
     catalog = builtin_catalog()
     for entry_id in ("r2r2.lambda0.J21", "d42.omega3.J36", "r2p.omega.J2"):
-        finding = verify_entry(catalog, _entry(catalog, entry_id), CFG)
+        finding = _verify(catalog, entry_id)
         assert finding.label["anti_invariant"] is True
 
 
@@ -114,7 +121,7 @@ def _corrupted_catalog():
 
 def test_corrupted_entry_is_failure_with_attribution():
     catalog = _corrupted_catalog()
-    finding = verify_entry(catalog, _entry(catalog, "rr3m1.omega.J1"), CFG)
+    finding = _verify(catalog, "rr3m1.omega.J1")
     assert finding.status == "failure"
     assert not finding.axioms["involution"]["ok"]
     assert "J^2-Id" in finding.axioms["involution"]["first_failure"]["where"]
@@ -134,7 +141,7 @@ def test_extension_findings_builtin_sample():
         finding = verify_extension(
             entry,
             lift_form(algebra, form, is_symplectic(algebra, form)),
-            verify_entry(catalog, entry, CFG).bundle,
+            verify_entry(catalog, entry, is_symplectic(algebra, form), CFG).bundle,
         )
         assert finding.status == "ok", (entry_id, finding.residuals)
         assert finding.phi_vs_deta == "equal"
@@ -144,25 +151,42 @@ def test_extension_findings_builtin_sample():
 
 def test_one_lift_per_form(monkeypatch):
     # the 57 builtin structures use 20 forms; each form is gated, extended and
-    # its contact condition checked once, not once per structure
-    calls = {"central_extend": 0, "check_contact": 0, "is_symplectic": 0}
-    for name in calls:
-        original = getattr(verify, name)
+    # its contact condition checked once, not once per structure, and det omega
+    # and d(eta) are computed once per form
+    homes = {
+        "central_extend": contact,
+        "check_contact": contact,
+        "is_symplectic": liealgebra,
+        "ce_differential_1": liealgebra,
+    }
+    calls = dict.fromkeys([*homes, "ExprMatrix.det"], 0)
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counter(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
 
+        return counted
+
+    for name, home in homes.items():
+        original = getattr(home, name)
         # every package module that imported the function, so a call from
         # another layer (say, contact) is counted too
         for module in [m for key, m in sys.modules.items() if key.startswith("parakahler.")]:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, counter(name, original))
+    monkeypatch.setattr(ExprMatrix, "det", counter("ExprMatrix.det", ExprMatrix.det))
     catalog = builtin_catalog()
     report = verify_all(catalog, RunConfig(seed=0, samples=1), include_extensions=True)
     assert len(report.sasakian) == 57
     assert len({(e.algebra, e.form) for e in catalog.entries}) == 20
-    assert calls == {"central_extend": 20, "check_contact": 20, "is_symplectic": 20}
+    assert calls == {
+        "central_extend": 20,
+        "check_contact": 20,
+        "is_symplectic": 20,
+        "ce_differential_1": 20,
+        "ExprMatrix.det": 20,
+    }
 
 
 def test_report_json_round_trip():
