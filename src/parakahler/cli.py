@@ -7,8 +7,10 @@ Subcommands:
     report      full run (verify + extend), writes a json/markdown document
     check-file  validate an external catalog document
 
-Exit codes: 0 clean, 1 mathematical discrepancies/failures, 2 usage errors,
-3 infrastructure errors (expression-size guard, sampling exhaustion).
+Exit codes: 0 clean, 1 mathematical discrepancies/failures, 2 usage errors
+(including a path that cannot be read or written), 3 infrastructure errors
+(expression-size guard, sampling exhaustion, and any other exception, which
+is reported on one line as ``internal error: <Type>: <message>``).
 Published-value mismatches that pass all axioms are reported but only flip
 the exit code under --strict.
 """
@@ -95,6 +97,20 @@ def _config(args) -> RunConfig:
     )
 
 
+def _check_out(args) -> None:
+    """Refuse an ``--out`` path that cannot be written, before the run and
+    without opening it, so that an existing report survives a failed run."""
+    path = args.out
+    if path and (
+        os.path.isdir(path)
+        or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
+    ):
+        raise UsageError(
+            f"cannot write --out {path}: it is a directory, or its directory "
+            "is missing or not writable"
+        )
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -150,6 +166,7 @@ def _exit_code(report, strict: bool) -> int:
 
 
 def _cmd_verify(args, with_extensions: bool) -> int:
+    _check_out(args)
     catalog = _load(args)
     config = _config(args)
     report = verify_all(catalog, config, include_extensions=with_extensions)
@@ -186,6 +203,7 @@ def _cmd_verify(args, with_extensions: bool) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out(args)
     catalog = _load(args)
     config = _config(args)
     report = verify_all(catalog, config, include_extensions=True)
@@ -234,6 +252,10 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE
     except (ExpressionBlowupError, SamplingError) as exc:
         print(f"infrastructure error: {exc}", file=sys.stderr)
+        return EXIT_INFRASTRUCTURE
+    except Exception as exc:  # a bug, not a finding: never exit 1 for it
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INFRASTRUCTURE
 
 

@@ -14,17 +14,23 @@ content included) and the denominator has a positive leading coefficient.
 Reduction is canonical, so the matrix kernels (and those of ``curvature`` and
 ``structures``) bring their inputs to one shared denominator, combine the
 numerators with plain polynomial ring operations and normalize once per
-output entry.  ``Fraction`` appears only in evaluation at a rational point,
-in coercion of a ``Fraction`` and in printing, which divides the
-denominator's integer content into the numerator (``a/2`` prints ``1/2*a``).
+output entry.
+
+Evaluation at a rational point goes through a ``SamplePoint``, built once per
+point, which sums integers: it builds one ``Fraction`` per value, and none
+when it compares a value with a given rational by cross-multiplication.
+Otherwise ``Fraction`` appears only in coercion of a ``Fraction`` and in
+printing, which divides the denominator's integer content into the numerator
+(``a/2`` prints ``1/2*a``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add as _add
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 PARAMS = ("a", "b", "c", "d", "lam", "alpha", "beta")
 
@@ -215,23 +221,7 @@ class Polynomial:
         return exp, self.terms[exp]
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        cache = {}
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for i, k in enumerate(exp):
-                if k:
-                    key = (i, k)
-                    p = cache.get(key)
-                    if p is None:
-                        name = PARAMS[i]
-                        if name not in point:
-                            raise ValueError(f"no value assigned to parameter {name!r}")
-                        p = Fraction(point[name]) ** k
-                        cache[key] = p
-                    term *= p
-            total += term
-        return total
+        return at_point(point).value(self)
 
     def __str__(self) -> str:
         return _poly_str(self)
@@ -498,14 +488,7 @@ class RationalExpr:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.eval(point)
-        if den == 0:
-            raise DenominatorVanishesError(
-                f"denominator {_poly_str(_split(self.den)[1])} vanishes at "
-                + ", ".join(f"{k}={point[k]}" for k in sorted(point)),
-                point,
-            )
-        return self.num.eval(point) / den
+        return at_point(point).quotient(self)
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -542,6 +525,109 @@ def _coerce(value):
     if isinstance(value, str):
         return parse_expr(value)
     return NotImplemented
+
+
+# -- evaluation at a sample point ---------------------------------------------
+
+
+class SamplePoint(Mapping):
+    """A read-only parameter assignment with its integer evaluation tables.
+
+    For values x_i = p_i/q_i it holds L = lcm(q_i) and the integers
+    r_i = x_i*L, and fills tables of r_i^k and of L^k as evaluations ask for
+    them.  A polynomial f of total degree T evaluates to the integer
+    H(f) = sum c_e * prod r_i^e_i * L^(T - |e|), so that f(x) = H(f)/L^T and
+    no ``Fraction`` is built inside the sum.  A parameter may be left out;
+    evaluating a polynomial that uses it raises ``ValueError``.
+    """
+
+    __slots__ = ("_values", "_lcm", "_powers", "_lcm_powers")
+
+    def __init__(self, values: Mapping[str, Fraction]):
+        self._values = dict(values)
+        given = {_IDX[k]: Fraction(v) for k, v in self._values.items() if k in _IDX}
+        self._lcm = _int_lcm(*(x.denominator for x in given.values()))
+        # r_i^k for k = 0, 1, ... ; None for a parameter without a value
+        self._powers = [None] * _NV
+        for i, x in given.items():
+            self._powers[i] = [1, x.numerator * (self._lcm // x.denominator)]
+        self._lcm_powers = [1]
+
+    def __getitem__(self, name):
+        return self._values[name]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def _lcm_power(self, k: int) -> int:
+        powers = self._lcm_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self._lcm)
+        return powers[k]
+
+    def _power(self, i: int, k: int) -> int:
+        """r_i^k, for k >= 1."""
+        powers = self._powers[i]
+        if powers is None:
+            raise ValueError(f"no value assigned to parameter {PARAMS[i]!r}")
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    def homogenized(self, f: Polynomial) -> Tuple[int, int]:
+        """(H(f), T) with f = H(f)/L^T at this point, T the total degree of f."""
+        acc = top = 0
+        for exp, coeff in f.terms.items():
+            degree = 0
+            for i, k in enumerate(exp):
+                if k:
+                    coeff *= self._power(i, k)
+                    degree += k
+            if degree > top:
+                acc *= self._lcm_power(degree - top)
+                top = degree
+            acc += coeff * self._lcm_power(top - degree)
+        return acc, top
+
+    def value(self, f: Polynomial) -> Fraction:
+        h, degree = self.homogenized(f)
+        return Fraction(h, self._lcm_power(degree))
+
+    def _integers(self, e: "RationalExpr") -> Tuple[int, int]:
+        """(n, d) with e = n/d at this point: H(N)*L^(T_D - T_N) over H(D), the
+        power of L on the side of smaller degree.  d must not vanish."""
+        hd, td = self.homogenized(e.den)
+        if not hd:
+            raise DenominatorVanishesError(
+                f"denominator {_poly_str(_split(e.den)[1])} vanishes at "
+                + ", ".join(f"{k}={self[k]}" for k in sorted(self)),
+                self,
+            )
+        hn, tn = self.homogenized(e.num)
+        if td >= tn:
+            return hn * self._lcm_power(td - tn), hd
+        return hn, hd * self._lcm_power(tn - td)
+
+    def quotient(self, e: "RationalExpr") -> Fraction:
+        """e at this point: one ``Fraction``, built from two integers."""
+        return Fraction(*self._integers(e))
+
+    def agrees(self, e: "RationalExpr", v: Fraction) -> bool:
+        """Whether e at this point equals the rational v = a/b, decided by
+        cross-multiplication, n*b == a*d, without a ``Fraction``.  A zero e
+        (canonical: 0/1) needs no evaluation."""
+        if e.num.is_zero:
+            return v == 0
+        n, d = self._integers(e)
+        return n * v.denominator == v.numerator * d
+
+
+def at_point(point: Mapping[str, Fraction]) -> SamplePoint:
+    """``point`` itself if it carries its tables, else a new ``SamplePoint``."""
+    return point if isinstance(point, SamplePoint) else SamplePoint(point)
 
 
 # -- text grammar ------------------------------------------------------------
@@ -906,7 +992,8 @@ class ExprMatrix:
         return ExprMatrix([[_make(x * den, det) for x in row] for row in adj])
 
     def eval_at(self, point: Mapping[str, Fraction]):
-        return [[x.eval(point) for x in row] for row in self.entries]
+        at = at_point(point)
+        return [[at.quotient(x) for x in row] for row in self.entries]
 
     def _square(self):
         if self.rows != self.cols:

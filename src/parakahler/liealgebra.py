@@ -23,6 +23,7 @@ from .expressions import (
     ExprMatrix,
     Polynomial,
     RationalExpr,
+    at_point,
     common_denominator,
     expr,
     format_expr,
@@ -140,18 +141,6 @@ class ThreeForm:
         self.dim = dim
         self._comp = {k: v for k, v in components.items() if not v.is_zero}
 
-    def component(self, i: int, j: int, k: int) -> RationalExpr:
-        if len({i, j, k}) < 3:
-            return EXPR_ZERO
-        order = sorted((i, j, k))
-        value = self._comp.get(tuple(order), EXPR_ZERO)
-        # parity of the permutation taking sorted order to (i, j, k)
-        perm = (order.index(i), order.index(j), order.index(k))
-        inversions = sum(
-            1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y]
-        )
-        return -value if inversions % 2 else value
-
     @property
     def is_zero(self) -> bool:
         return not self._comp
@@ -234,10 +223,11 @@ class LieAlgebra:
     def structure_eval(self, point) -> list:
         """Structure constants as nested lists of Fractions at a sample."""
         n = self.dim
-        return [
-            [[self._c[i][j][k].eval(point) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        at = at_point(point)
+        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, v in self._nonzero:
+            out[i][j][k] = at.quotient(v)
+        return out
 
     def denominators(self) -> Tuple[Polynomial, ...]:
         dens = []

@@ -4,7 +4,9 @@ The generator is a self-contained splitmix64 so that identical seeds give
 byte-identical runs on every platform and Python version.  Sample points are
 small rationals (numerators and denominators in [-9, 9]) rejected against
 parameter domains and against a list of polynomials that must not vanish
-(typically the denominators collected from a structure's expressions).
+(typically the denominators collected from a structure's expressions).  A
+point is a ``SamplePoint``, so every later evaluation at it reads the integer
+tables that the avoid test filled.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .expressions import PARAMS, Polynomial
+from .expressions import PARAMS, Polynomial, SamplePoint
 
 _MASK = (1 << 64) - 1
 
@@ -52,7 +54,7 @@ def sample_point(
     domains: Mapping[str, "ParamDomainLike"],
     avoid: Iterable[Polynomial] = (),
     max_tries: int = 2000,
-) -> dict:
+) -> SamplePoint:
     """Draw one assignment of all parameters avoiding the given zero sets.
 
     ``domains`` maps parameter names to objects with an ``admits(Fraction)``
@@ -61,7 +63,7 @@ def sample_point(
     """
     avoid = tuple(avoid)
     for _ in range(max_tries):
-        point = {}
+        values = {}
         ok = True
         for name in PARAMS:
             domain = domains.get(name)
@@ -74,10 +76,11 @@ def sample_point(
                 else:
                     ok = False
                     break
-            point[name] = value
+            values[name] = value
         if not ok:
             continue
-        if all(p.eval(point) != 0 for p in avoid):
+        point = SamplePoint(values)
+        if all(point.homogenized(p)[0] for p in avoid):
             return point
     raise SamplingError(
         f"no admissible sample in {max_tries} tries for domains "

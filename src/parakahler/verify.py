@@ -4,7 +4,11 @@
 report that its form's gate computed: the three para-complex axioms, metric
 properties with sampled signatures, the curvature pipeline with label
 classification, entrywise comparison against the published Ricci operator, and
-a pure-Fraction re-run of the pipeline at sampled parameter points.
+a pure-Fraction re-run of the pipeline at sampled parameter points.  Each
+sample point is a ``SamplePoint`` whose integer tables serve every evaluation
+there: the sampler's avoid test, the signature, the oracle's inputs and the
+corroboration, which compares each symbolic component with the re-run's value
+by integer cross-multiplication and builds no ``Fraction`` of its own.
 Mathematical failures are recorded in the finding, never raised; only
 infrastructure problems (e.g. the expression-size guard) propagate.
 
@@ -49,7 +53,7 @@ from .curvature import (
     curvature_bundle,
     label_holds,
 )
-from .expressions import Polynomial, RationalExpr, format_expr
+from .expressions import Polynomial, RationalExpr, at_point, format_expr
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
     MetricAsymmetryError,
@@ -138,29 +142,32 @@ class EntryFinding:
 
 
 def _numeric_corroboration(algebra, g, bundle, point) -> bool:
-    """Re-run the pipeline on Fractions at a sample; exact agreement required."""
+    """Re-run the pipeline on Fractions at a sample; exact agreement required,
+    decided per component by ``SamplePoint.agrees``."""
     n = algebra.dim
-    c_num = algebra.structure_eval(point)
-    g_num = g.matrix.eval_at(point)
+    at = at_point(point)
+    c_num = algebra.structure_eval(at)
+    g_num = g.matrix.eval_at(at)
     g_inv = numeric.invert(g_num)
     gamma_num = numeric.christoffel(c_num, g_num, g_inv)
     riem_num = numeric.curvature(c_num, gamma_num)
     ric_num, op_num, s_num = numeric.ricci(riem_num, g_inv)
+    agrees = at.agrees
     gamma = bundle.christoffel.gamma
     riem = bundle.riemann.comps
     for i in range(n):
         for j in range(n):
-            if bundle.ricci.ricci[i, j].eval(point) != ric_num[i][j]:
+            if not agrees(bundle.ricci.ricci[i, j], ric_num[i][j]):
                 return False
-            if bundle.ricci.operator[i, j].eval(point) != op_num[i][j]:
+            if not agrees(bundle.ricci.operator[i, j], op_num[i][j]):
                 return False
             for k in range(n):
-                if gamma[i][j][k].eval(point) != gamma_num[i][j][k]:
+                if not agrees(gamma[i][j][k], gamma_num[i][j][k]):
                     return False
                 for s in range(n):
-                    if riem[i][j][k][s].eval(point) != riem_num[i][j][k][s]:
+                    if not agrees(riem[i][j][k][s], riem_num[i][j][k][s]):
                         return False
-    return bundle.ricci.scalar.eval(point) == s_num
+    return agrees(bundle.ricci.scalar, s_num)
 
 
 def verify_entry(

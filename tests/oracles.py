@@ -1,5 +1,6 @@
 """Checks that only the tests run: connection and curvature identities, a
-Fraction Nijenhuis tensor, and a first-nonzero reader for nested tensors.
+Fraction Nijenhuis tensor, readers for nested tensors and three-forms, and
+the Fraction loop that evaluates a polynomial term by term.
 
 The residual functions return every nonzero component of an identity that
 must vanish, 1-based with the residual last; an empty list means it holds.
@@ -9,8 +10,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from parakahler.curvature import Christoffel, CurvatureTensor
-from parakahler.expressions import EXPR_ZERO, RationalExpr
-from parakahler.liealgebra import LieAlgebra
+from parakahler.expressions import EXPR_ZERO, PARAMS, Polynomial, RationalExpr
+from parakahler.liealgebra import LieAlgebra, ThreeForm
 from parakahler.numeric import Mat
 from parakahler.structures import Metric
 
@@ -26,6 +27,42 @@ def first_nonzero(comps):
         if found is not None:
             return (i + 1, *found)
     return None
+
+
+def three_form_component(form: ThreeForm, i: int, j: int, k: int) -> RationalExpr:
+    """The (i, j, k) component of ``form``, 0-based, signed by the permutation."""
+    if len({i, j, k}) < 3:
+        return EXPR_ZERO
+    order = sorted((i, j, k))
+    value = form._comp.get(tuple(order), EXPR_ZERO)
+    # parity of the permutation taking sorted order to (i, j, k)
+    perm = (order.index(i), order.index(j), order.index(k))
+    inversions = sum(
+        1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y]
+    )
+    return -value if inversions % 2 else value
+
+
+def poly_eval(poly: Polynomial, point) -> Fraction:
+    """``poly`` at ``point`` in Fractions, one power cache per call and one
+    Fraction per term: the reference for the integer evaluator."""
+    total = Fraction(0)
+    cache = {}
+    for exp, coeff in poly.terms.items():
+        term = coeff
+        for i, k in enumerate(exp):
+            if k:
+                key = (i, k)
+                p = cache.get(key)
+                if p is None:
+                    name = PARAMS[i]
+                    if name not in point:
+                        raise ValueError(f"no value assigned to parameter {name!r}")
+                    p = Fraction(point[name]) ** k
+                    cache[key] = p
+                term *= p
+        total += term
+    return total
 
 
 def torsion_residuals(algebra: LieAlgebra, gam: Christoffel):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from parakahler import cli
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.cli import main
 
@@ -92,16 +93,40 @@ def test_check_file_missing(capsys):
         ["verify", "--catalog", "{dir}"],
         ["check-file", "{latin1}"],
         ["verify", "--samples", "1", "--filter", "rn4.*", "--out", "{dir}"],
+        ["report", "--samples", "1", "--out", "{dir}/missing/report.json"],
     ],
-    ids=["check-file-directory", "catalog-directory", "not-utf8", "out-directory"],
+    ids=[
+        "check-file-directory", "catalog-directory", "not-utf8", "out-directory",
+        "out-missing-parent",
+    ],
 )
-def test_bad_path_is_a_usage_error(tmp_path, capsys, argv):
-    # a path that cannot be read or written exits 2 with a message, not 1
+def test_bad_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # a path that cannot be read or written exits 2 with a message, not 1,
+    # and an --out path is checked before the run, not after it
+    runs = []
+    monkeypatch.setattr(cli, "verify_all", lambda *args, **kwargs: runs.append(args))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"note": "caf\xe9"}')  # Latin-1, not UTF-8
     args = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
     assert main(args) == 2
     assert "error" in capsys.readouterr().err
+    assert runs == []
+
+
+def test_unexpected_exception_exits_three_on_one_line(tmp_path, capsys, monkeypatch):
+    # an exception that is neither a finding nor a known infrastructure error
+    # exits 3 with one line, no traceback, and leaves an existing report as it was
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_all", broken)
+    out = tmp_path / "report.json"
+    out.write_text("previous", encoding="utf-8")
+    assert main(["report", "--samples", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""
+    assert out.read_text(encoding="utf-8") == "previous"
 
 
 def test_report_written_and_deterministic(tmp_path):

@@ -462,10 +462,28 @@ def test_corroboration_detects_single_perturbations():
         ricci = dataclasses.replace(bundle.ricci, scalar=bundle.ricci.scalar + expr(1))
         return dataclasses.replace(bundle, ricci=ricci)
 
+    def with_matrix_entry(field, i, j):
+        rows = [list(row) for row in getattr(bundle.ricci, field).entries]
+        rows[i][j] = rows[i][j] + expr(1)
+        ricci = dataclasses.replace(bundle.ricci, **{field: ExprMatrix(rows)})
+        return dataclasses.replace(bundle, ricci=ricci)
+
+    def with_gamma_factor(i, j, m):
+        # (a+2)/(a+1) != 1 moves the value through the denominator: a
+        # comparison that dropped D or the power of L would not see it
+        gamma = [[list(row) for row in plane] for plane in bundle.christoffel.gamma]
+        gamma[i][j][m] = gamma[i][j][m] * expr("(a+2)/(a+1)")
+        christ = dataclasses.replace(bundle.christoffel, gamma=gamma)
+        return dataclasses.replace(bundle, christoffel=christ)
+
+    assert _numeric_corroboration(d42, g, bundle, point) is True
     for perturbed in (
         with_gamma(*nonzero),
         with_gamma(*zero),
         with_riemann(2, 1, 3, 0),
         with_scalar(),
+        with_matrix_entry("ricci", 0, 3),
+        with_matrix_entry("operator", 3, 3),
+        with_gamma_factor(*nonzero),
     ):
         assert _numeric_corroboration(d42, g, perturbed, point) is False

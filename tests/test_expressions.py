@@ -5,14 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from parakahler.expressions import (
+    PARAMS,
     DenominatorVanishesError,
     ExpressionBlowupError,
     ExprMatrix,
     ExprSyntaxError,
     Polynomial,
+    SamplePoint,
     SingularMatrixError,
     SymbolicZeroDivisionError,
     UnknownParameterError,
@@ -23,6 +25,8 @@ from parakahler.expressions import (
     set_term_limit,
     variable,
 )
+
+from oracles import poly_eval
 
 
 def test_add_shares_denominator():
@@ -73,6 +77,75 @@ def test_eval_denominator_vanishes():
     with pytest.raises(DenominatorVanishesError) as info:
         e.eval({"a": Fraction(1), "b": Fraction(0)})
     assert info.value.point["b"] == 0
+    # the message names the primitive denominator and every value of the point
+    point = {"b": Fraction(-1), "a": 1, "c": Fraction(1, 2)}
+    for evaluate in (
+        lambda: expr("(a^2-1)/(2*a+2*b)").eval(point),
+        lambda: SamplePoint(point).agrees(expr("1/(a+b)"), Fraction(0)),
+    ):
+        with pytest.raises(DenominatorVanishesError) as info:
+            evaluate()
+        assert str(info.value) == "denominator a + b vanishes at a=1, b=-1, c=1/2"
+        assert info.value.point == point
+
+
+def test_eval_partial_point():
+    # a point may leave out parameters that the expression does not use
+    point = SamplePoint({"b": Fraction(1, 3), "lam": Fraction(-2, 5)})
+    assert dict(point) == {"b": Fraction(1, 3), "lam": Fraction(-2, 5)}
+    e = expr("(b^2 - lam)/(3*b)")
+    assert e.eval(point) == Fraction(23, 45)
+    assert point.agrees(e, Fraction(23, 45))
+    assert not point.agrees(e, Fraction(23, 44))
+    for missing in (expr("a + b"), expr("b/c"), expr("c/b")):
+        with pytest.raises(ValueError, match="no value assigned to parameter"):
+            missing.eval(point)
+        with pytest.raises(ValueError, match="no value assigned to parameter"):
+            point.agrees(missing, Fraction(1))
+    with pytest.raises(ValueError, match="no value assigned to parameter 'a'"):
+        Polynomial.var("a").eval({"b": Fraction(2)})
+
+
+_VALUES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_POINTS = st.fixed_dictionaries({name: _VALUES for name in PARAMS})
+
+
+def _polynomials(nvars, top, size):
+    """Integer polynomials in the first ``nvars`` parameters, each exponent
+    at most ``top``."""
+    exponents = st.tuples(*[st.integers(0, top)] * nvars).map(
+        lambda e: e + (0,) * (len(PARAMS) - nvars)
+    )
+    return st.dictionaries(
+        exponents, st.integers(-60, 60).filter(bool), max_size=size
+    ).map(Polynomial)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_polynomials(len(PARAMS), 3, 6), _POINTS)
+def test_integer_evaluator_equals_fraction_loop(f, point):
+    reference = poly_eval(f, point)
+    assert SamplePoint(point).value(f) == reference
+    assert f.eval(point) == reference
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_polynomials(3, 2, 4), _polynomials(3, 2, 4), _POINTS, _VALUES)
+def test_agrees_is_equality_of_values(f, h, point, other):
+    # the quotient is normalized, so keep its gcd small: a, b, c only
+    assume(not h.is_zero)
+    e = expr(f) / expr(h)
+    at = SamplePoint(point)
+    den = poly_eval(e.den, point)
+    if den == 0:
+        for evaluate in (lambda: e.eval(point), lambda: at.agrees(e, other)):
+            with pytest.raises(DenominatorVanishesError):
+                evaluate()
+        return
+    value = poly_eval(e.num, point) / den
+    assert e.eval(point) == value
+    for v in (value, other, value + 1, 2 * value, -value):
+        assert at.agrees(e, v) == (e.eval(point) == v)
 
 
 def test_pow_and_negative_pow():

@@ -18,6 +18,7 @@ from parakahler.liealgebra import (
 )
 
 from conftest import make_algebra, make_form
+from oracles import three_form_component
 
 
 def _vec(*values):
@@ -161,7 +162,7 @@ def test_leibniz_on_decomposable_two_forms():
                         - alpha[j] * d_beta(i, k)
                         + alpha[k] * d_beta(i, j)
                     )
-                    assert (lhs.component(i, j, k) - rhs).is_zero, (name, i, j, k)
+                    assert (three_form_component(lhs, i, j, k) - rhs).is_zero, (name, i, j, k)
 
 
 def test_symplectic_r2r2(r2r2):
