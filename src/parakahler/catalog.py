@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .builtin_data import BUILTIN_DOCUMENT
 from .expressions import (
+    PARAMS,
     ExprMatrix,
     ExprSyntaxError,
     RationalExpr,
@@ -92,7 +93,7 @@ class Catalog:
 
 
 def _parse(path: str, text) -> RationalExpr:
-    if isinstance(text, (int,)):
+    if type(text) is int:  # not a bool
         return expr(text)
     if not isinstance(text, str):
         raise CatalogFormatError(path, f"expected expression string, got {text!r}")
@@ -116,6 +117,12 @@ def _items(path: str, owner: dict, key: str) -> list:
 def _name(path: str, raw) -> str:
     if not isinstance(raw, str):
         raise CatalogFormatError(path, f"expected a string, got {raw!r}")
+    return raw
+
+
+def _flag(path: str, raw) -> bool:
+    if type(raw) is not bool:
+        raise CatalogFormatError(path, f"expected a boolean, got {raw!r}")
     return raw
 
 
@@ -179,7 +186,10 @@ def _parse_params(path: str, raw) -> Tuple[Tuple[str, ParamDomain], ...]:
         if not isinstance(item, dict) or "name" not in item:
             raise CatalogFormatError(f"{path}[{idx}]", "parameter needs a name")
         name = item["name"]
-        _parse(f"{path}[{idx}].name", name)  # validates the identifier
+        if name not in PARAMS:
+            raise CatalogFormatError(
+                f"{path}[{idx}].name", f"expected one of {', '.join(PARAMS)}, got {name!r}"
+            )
         out.append((name, _parse_domain(f"{path}[{idx}].domain", item.get("domain"))))
     return tuple(out)
 
@@ -284,8 +294,8 @@ def load_catalog(document: dict) -> Catalog:
                     j_matrix=j_matrix,
                     params=_parse_params(f"{spath}.params", s_raw.get("params")),
                     expected=expected,
-                    variant=bool(s_raw.get("variant", False)),
-                    note=s_raw.get("note", ""),
+                    variant=_flag(f"{spath}.variant", s_raw.get("variant", False)),
+                    note=_name(f"{spath}.note", s_raw.get("note", "")),
                 )
             )
     return Catalog(algebras=algebras, forms=forms, entries=entries)
@@ -362,14 +372,14 @@ def dump_catalog(catalog: Catalog) -> dict:
     return {"algebras": algebras_out}
 
 
-@lru_cache(maxsize=2)
-def builtin_catalog(include_variants: bool = False) -> Catalog:
-    """The builtin classification: 15 algebras, 57 structures (plus variants)."""
+@lru_cache(maxsize=1)
+def builtin_catalog() -> Catalog:
+    """The builtin classification: 15 algebras, 57 structures.  The two
+    ``variant`` entries of the builtin document are left out; ``load_catalog``
+    on the document keeps them."""
     catalog = load_catalog(BUILTIN_DOCUMENT)
-    if not include_variants:
-        catalog = Catalog(
-            algebras=catalog.algebras,
-            forms=catalog.forms,
-            entries=[e for e in catalog.entries if not e.variant],
-        )
-    return catalog
+    return Catalog(
+        algebras=catalog.algebras,
+        forms=catalog.forms,
+        entries=[e for e in catalog.entries if not e.variant],
+    )

@@ -26,14 +26,17 @@ expressions they must satisfy when the base is para-Kahler:
 
 Both identity checks take their curvature bundles as given: the 4D bundle the
 base verification already computed and the 5D bundle of h on the extended
-algebra.  Neither computes a bundle of its own.
+algebra.  Neither computes a bundle of its own.  The curvature identities are
+checked in one pass over R^s_ijk, where the slots among j, k, s that hold xi
+select the identity and its closed form; both checks report their residuals
+through ``collect_residuals``, as the 4D axiom checks do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Tuple
+from itertools import product
+from typing import Dict, Tuple
 
 from .curvature import CurvatureBundle
 from .expressions import (
@@ -45,7 +48,7 @@ from .expressions import (
     format_expr,
 )
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, ce_differential_1, pfaffian4
-from .structures import Metric
+from .structures import Metric, collect_residuals
 
 
 class NonSymplecticError(ValueError):
@@ -185,12 +188,9 @@ QUARTER = expr("1/4")
 HALF = expr("1/2")
 
 
-def _record(identities, residuals, identity, tag, value) -> None:
-    """Clear ``identity`` on a nonzero residual; keep the first 16 residual texts."""
-    if not value.is_zero:
-        identities[identity] = False
-        if len(residuals) < 16:
-            residuals.append((tag, format_expr(value)))
+def _report(cases, *identities: str) -> IdentityReport:
+    failed, residuals = collect_residuals(cases)
+    return IdentityReport({name: name not in failed for name in identities}, residuals)
 
 
 def verify_lifted_curvature(
@@ -199,62 +199,37 @@ def verify_lifted_curvature(
     j_matrix: ExprMatrix,
     ext_bundle: CurvatureBundle,
 ) -> IdentityReport:
-    """Compare the 5D curvature with its para-Sasakian closed form."""
-    ext = ps.extension
-    n = ext.base.dim
-    xi = ext.xi_index
+    """Compare the 5D curvature with its para-Sasakian closed form, in one pass
+    over R^s_ijk with i on the base and j, k, s on the base or xi."""
+    n = ps.extension.base.dim
     riem5 = ext_bundle.riemann.comps
     riem4 = base_bundle.riemann.comps
     g = base_bundle.metric.matrix
-    jm = j_matrix
-    gj = g @ jm  # (g . J)_ik = g(e_i, J e_k)
-    residuals: List[Tuple[str, str]] = []
-    identities = {
-        "base_formula": True,
-        "r_xy_xi": True,
-        "r_x_xi_z": True,
-        "r_x_xi_xi": True,
-    }
-    record = partial(_record, identities, residuals)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for s in range(n):
-                    expected = (
+    gj = g @ j_matrix  # (g . J)_ik = g(e_i, J e_k)
+    qgj, hgj = gj.scale(QUARTER), gj.scale(HALF)
+    names = [str(x + 1) for x in range(n)] + ["xi"]
+
+    def cases():
+        for i, j, k, s in product(range(n), range(n + 1), range(n + 1), range(n + 1)):
+            where = f"R({names[i]},{names[j]}){names[k]}|{names[s]}"
+            value = riem5[i][j][k][s]
+            if j < n and k < n:  # R(X,Y)Z, whose xi-component (s = n) is 0
+                if s < n:
+                    value -= (
                         riem4[i][j][k][s]
-                        - QUARTER * gj[i, k] * jm[s, j]
-                        + QUARTER * gj[j, k] * jm[s, i]
-                        - HALF * gj[i, j] * jm[s, k]
+                        - qgj[i, k] * j_matrix[s, j]
+                        + qgj[j, k] * j_matrix[s, i]
+                        - hgj[i, j] * j_matrix[s, k]
                     )
-                    record(
-                        "base_formula",
-                        f"R({i + 1},{j + 1}){k + 1}|{s + 1}",
-                        riem5[i][j][k][s] - expected,
-                    )
-                # no xi-component on base triples
-                record(
-                    "base_formula",
-                    f"R({i + 1},{j + 1}){k + 1}|xi",
-                    riem5[i][j][k][xi],
-                )
-            for s in range(n + 1):
-                record("r_xy_xi", f"R({i + 1},{j + 1})xi|{s + 1}", riem5[i][j][xi][s])
-        for k in range(n):
-            for s in range(n):
-                record("r_x_xi_z", f"R({i + 1},xi){k + 1}|{s + 1}", riem5[i][xi][k][s])
-            record(
-                "r_x_xi_z",
-                f"R({i + 1},xi){k + 1}|xi",
-                riem5[i][xi][k][xi] - QUARTER * g[i, k],
-            )
-        for s in range(n):
-            record(
-                "r_x_xi_xi",
-                f"R({i + 1},xi)xi|{s + 1}",
-                riem5[i][xi][xi][s] - (-QUARTER if s == i else EXPR_ZERO),
-            )
-        record("r_x_xi_xi", f"R({i + 1},xi)xi|xi", riem5[i][xi][xi][xi])
-    return IdentityReport(identities=identities, residuals=tuple(residuals))
+                yield "base_formula", where, value
+            elif j < n:
+                yield "r_xy_xi", where, value
+            elif k < n:
+                yield "r_x_xi_z", where, value - QUARTER * g[i, k] if s == n else value
+            else:
+                yield "r_x_xi_xi", where, value + QUARTER if s == i else value
+
+    return _report(cases(), "base_formula", "r_xy_xi", "r_x_xi_z", "r_x_xi_xi")
 
 
 def verify_lifted_ricci(
@@ -263,27 +238,17 @@ def verify_lifted_ricci(
     ext_bundle: CurvatureBundle,
 ) -> IdentityReport:
     """Ric_h = Ric_g + g/2 on the base, Ric_h(., xi) = 0, Ric_h(xi, xi) = -n/2."""
-    ext = ps.extension
-    n = ext.base.dim
-    xi = ext.xi_index
+    xi = ps.extension.xi_index
     ric5 = ext_bundle.ricci.ricci
     ric4 = base_bundle.ricci.ricci
-    g = base_bundle.metric.matrix
-    residuals: List[Tuple[str, str]] = []
-    identities = {"ric_base": True, "ric_y_xi": True, "ric_xi_xi": True}
-    record = partial(_record, identities, residuals)
-    for j in range(n):
-        for k in range(n):
-            record(
-                "ric_base",
-                f"Ric({j + 1},{k + 1})",
-                ric5[j, k] - ric4[j, k] - HALF * g[j, k],
-            )
-        record("ric_y_xi", f"Ric({j + 1},xi)", ric5[j, xi])
-        record("ric_y_xi", f"Ric(xi,{j + 1})", ric5[xi, j])
-    record(
-        "ric_xi_xi",
-        "Ric(xi,xi)",
-        ric5[xi, xi] + expr(n // 2) * HALF,
-    )
-    return IdentityReport(identities=identities, residuals=tuple(residuals))
+    hg = base_bundle.metric.matrix.scale(HALF)
+
+    def cases():
+        for j in range(xi):
+            for k in range(xi):
+                yield "ric_base", f"Ric({j + 1},{k + 1})", ric5[j, k] - ric4[j, k] - hg[j, k]
+            yield "ric_y_xi", f"Ric({j + 1},xi)", ric5[j, xi]
+            yield "ric_y_xi", f"Ric(xi,{j + 1})", ric5[xi, j]
+        yield "ric_xi_xi", "Ric(xi,xi)", ric5[xi, xi] + expr(xi // 2) * HALF
+
+    return _report(cases(), "ric_base", "ric_y_xi", "ric_xi_xi")

@@ -38,7 +38,8 @@ _NV = len(PARAMS)
 _IDX = {name: i for i, name in enumerate(PARAMS)}
 _ZEXP = (0,) * _NV
 
-_term_limit = 100_000
+DEFAULT_TERM_LIMIT = 100_000
+_term_limit = DEFAULT_TERM_LIMIT
 
 
 class ExpressionBlowupError(RuntimeError):

@@ -5,13 +5,15 @@ J^2 = Id with balanced eigenvalues (trace J = 0) and its Nijenhuis tensor
 vanishes.  Compatibility with a two-form omega means omega(JX, Y) +
 omega(X, JY) = 0; the associated metric is g(X, Y) = omega(X, JY), i.e.
 g = omega . J as matrices.  All checks are symbolic and report structured
-findings instead of raising, so that broken inputs can be diagnosed.
+findings instead of raising, so that broken inputs can be diagnosed; every
+reported identity, here and in ``contact``, goes through ``collect_residuals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Tuple
 
 from .expressions import _P_ZERO, ExprMatrix, RationalExpr, _make, format_expr
@@ -39,30 +41,43 @@ class AxiomCheck:
     issues: Tuple[AxiomIssue, ...] = ()
 
 
-_MAX_ISSUES = 8
+_MAX_RESIDUALS = 16
 
 
-def _collect_matrix_issues(label: str, residual: ExprMatrix):
-    issues = []
-    for i in range(residual.rows):
-        for j in range(residual.cols):
-            entry = residual[i, j]
-            if not entry.is_zero:
-                issues.append(AxiomIssue(f"{label}[{i + 1},{j + 1}]", format_expr(entry)))
-                if len(issues) >= _MAX_ISSUES:
-                    return issues
-    return issues
+def collect_residuals(cases):
+    """Read ``(identity, where, residual)`` cases in order; return the set of
+    identities with a nonzero residual and ``(where, text)`` for the first 16
+    nonzero residuals.  Nothing past that cap is formatted."""
+    failed = set()
+    residuals = []
+    for identity, where, residual in cases:
+        if not residual.is_zero:
+            failed.add(identity)
+            if len(residuals) < _MAX_RESIDUALS:
+                residuals.append((where, format_expr(residual)))
+    return failed, tuple(residuals)
+
+
+def _entries(label: str, m: ExprMatrix):
+    """``(label[i,j], m[i,j])`` for every entry of ``m``, row by row, 1-based."""
+    return [
+        (f"{label}[{i + 1},{j + 1}]", m[i, j]) for i in range(m.rows) for j in range(m.cols)
+    ]
+
+
+def _axiom_check(axiom: str, cases) -> AxiomCheck:
+    """One identity ``axiom`` over ``(where, residual)`` cases."""
+    failed, residuals = collect_residuals((axiom, where, r) for where, r in cases)
+    return AxiomCheck(axiom, not failed, tuple(AxiomIssue(*r) for r in residuals))
 
 
 def check_involution(j_matrix: ExprMatrix) -> AxiomCheck:
     """J^2 = Id entrywise and trace J = 0, both symbolically."""
     j_matrix._square()
     residual = j_matrix @ j_matrix - ExprMatrix.identity(j_matrix.rows)
-    issues = _collect_matrix_issues("J^2-Id", residual)
-    tr = j_matrix.trace()
-    if not tr.is_zero:
-        issues.append(AxiomIssue("trace(J)", format_expr(tr)))
-    return AxiomCheck("involution", not issues, tuple(issues))
+    return _axiom_check(
+        "involution", _entries("J^2-Id", residual) + [("trace(J)", j_matrix.trace())]
+    )
 
 
 def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> AxiomCheck:
@@ -70,10 +85,10 @@ def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> AxiomCheck:
     w = omega.matrix
     jt = j_matrix.transpose()
     primary = jt @ w + w @ j_matrix
-    issues = _collect_matrix_issues("Jt*w+w*J", primary)
     crosscheck = jt @ w @ j_matrix + w
-    issues.extend(_collect_matrix_issues("w(J.,J.)+w", crosscheck))
-    return AxiomCheck("omega-compat", not issues, tuple(issues))
+    return _axiom_check(
+        "omega-compat", _entries("Jt*w+w*J", primary) + _entries("w(J.,J.)+w", crosscheck)
+    )
 
 
 class NijenhuisTensor:
@@ -87,26 +102,14 @@ class NijenhuisTensor:
 
     @property
     def is_zero(self) -> bool:
-        return all(
-            self.comps[i][j][k].is_zero
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-        )
+        return all(x.is_zero for plane in self.comps for row in plane for x in row)
 
     def as_check(self) -> AxiomCheck:
-        issues = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    entry = self.comps[i][j][k]
-                    if not entry.is_zero:
-                        issues.append(
-                            AxiomIssue(f"N[{i + 1},{j + 1};{k + 1}]", format_expr(entry))
-                        )
-                        if len(issues) >= _MAX_ISSUES:
-                            return AxiomCheck("nijenhuis", False, tuple(issues))
-        return AxiomCheck("nijenhuis", not issues, tuple(issues))
+        cases = (
+            (f"N[{i + 1},{j + 1};{k + 1}]", self.comps[i][j][k])
+            for i, j, k in product(range(self.dim), repeat=3)
+        )
+        return _axiom_check("nijenhuis", cases)
 
 
 def nijenhuis(algebra: LieAlgebra, j_matrix: ExprMatrix) -> NijenhuisTensor:
@@ -207,8 +210,7 @@ def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
 def check_metric_compat(g: Metric, j_matrix: ExprMatrix) -> AxiomCheck:
     """g(JX, Y) + g(X, JY) = 0 entrywise, symbolically."""
     residual = j_matrix.transpose() @ g.matrix + g.matrix @ j_matrix
-    issues = _collect_matrix_issues("Jt*g+g*J", residual)
-    return AxiomCheck("metric-compat", not issues, tuple(issues))
+    return _axiom_check("metric-compat", _entries("Jt*g+g*J", residual))
 
 
 def signature_at(g: Metric, point: Mapping[str, Fraction]) -> Tuple[int, int]:

@@ -41,14 +41,14 @@ def test_builtin_section_counts():
 
 def test_variants_are_optional():
     default = builtin_catalog()
-    full = builtin_catalog(include_variants=True)
+    full = load_catalog(BUILTIN_DOCUMENT)
     assert len(full.entries) == len(default.entries) + 2
     variant_ids = {e.entry_id for e in full.entries if e.variant}
     assert variant_ids == {"h4.omegam.J", "r2r2.lambda0.J24bc"}
 
 
 def test_builtin_gates():
-    catalog = builtin_catalog(include_variants=True)
+    catalog = load_catalog(BUILTIN_DOCUMENT)
     for name, algebra in catalog.algebras.items():
         assert jacobi_check(algebra).ok, name
     for (name, fid), form in catalog.forms.items():
@@ -57,7 +57,7 @@ def test_builtin_gates():
 
 
 def test_round_trip():
-    catalog = builtin_catalog(include_variants=True)
+    catalog = load_catalog(BUILTIN_DOCUMENT)
     doc = dump_catalog(catalog)
     # the dump is valid JSON
     reloaded = load_catalog(json.loads(json.dumps(doc)))
@@ -211,13 +211,49 @@ def _small_algebra(dim):
             lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(0, "-" * 1000 + "1"),
             "algebras[0].structures[0].J[0][0]",
         ),
+        (
+            lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(0, True),
+            "algebras[0].structures[0].J[0][0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["brackets"][0].__setitem__(3, True),
+            "algebras[0].brackets[0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["forms"][0]["terms"][0].__setitem__(2, True),
+            "algebras[0].forms[0].terms[0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0]["expected"].__setitem__(
+                "einstein_factor", True
+            ),
+            "algebras[0].structures[0].expected.einstein_factor",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0].__setitem__("note", 3),
+            "algebras[0].structures[0].note",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0].__setitem__("variant", "no"),
+            "algebras[0].structures[0].variant",
+        ),
+        (
+            lambda d: d["algebras"][0]["params"][0].__setitem__("name", "a+b"),
+            "algebras[0].params[0].name",
+        ),
+        (
+            lambda d: d["algebras"][0]["params"][0].__setitem__("name", 1),
+            "algebras[0].params[0].name",
+        ),
     ],
     ids=[
         "algebra-not-object", "dim-not-integer", "structures-not-list", "zero-division",
         "structure-not-object", "j-not-list", "terms-not-list", "params-not-list",
         "expected-not-object", "bracket-index-string", "excluded-not-rational",
         "id-not-string", "structures-in-dim-3", "structures-in-dim-2",
-        "nested-parentheses", "nested-unary-minus",
+        "nested-parentheses", "nested-unary-minus", "true-in-j", "true-in-bracket",
+        "true-in-terms", "true-in-expected", "note-not-string", "variant-not-boolean",
+        "param-name-expression", "param-name-integer",
     ],
 )
 def test_malformed_document_is_a_catalog_error(tmp_path, capsys, mutate, where):

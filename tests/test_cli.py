@@ -192,6 +192,23 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
     assert doc["config"]["seed"] == 11
 
 
+def test_env_seed_not_an_integer_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PARAKAHLER_SEED", "abc")
+    assert main(["verify", "--filter", "rn4.*", "--samples", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: PARAKAHLER_SEED")
+    assert "Traceback" not in err
+
+
+def test_term_limit_does_not_carry_into_the_next_call(tmp_path, capsys):
+    # the guard is process-global; a call without the flag gets the default
+    assert main(["verify", "--filter", "rn4.*", "--samples", "1", "--term-limit", "3"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["report", "--samples", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["failures"] == 0
+
+
 def _degenerate_catalog(tmp_path):
     # r2r2.lambda0 reduced to e1^e2 alone: closed, and J21 stays compatible
     # with it, but det omega = 0

@@ -1,10 +1,12 @@
 """Central extensions, para-contact structures, and the para-Sasakian lift."""
 
 import dataclasses
+from dataclasses import replace
 
 import pytest
 
-from parakahler.catalog import builtin_catalog
+from parakahler.builtin_data import BUILTIN_DOCUMENT
+from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.contact import (
     CentralExtension,
     NonSymplecticError,
@@ -235,7 +237,7 @@ def test_extension_jacobi_and_center_across_catalog():
 def test_variant_entries_verify():
     from parakahler.verify import RunConfig, verify_entry
 
-    catalog = builtin_catalog(include_variants=True)
+    catalog = load_catalog(BUILTIN_DOCUMENT)
     for entry_id in ("h4.omegam.J", "r2r2.lambda0.J24bc"):
         entry = next(e for e in catalog.entries if e.entry_id == entry_id)
         report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))
@@ -259,3 +261,136 @@ def test_lift_identities_across_builtin_sample():
         assert verify_lifted_curvature(ps, base, entry.j_matrix, ext_bundle).ok, entry.entry_id
         assert verify_lifted_ricci(ps, base, ext_bundle).ok, entry.entry_id
         assert ps.phi_vs_deta == "equal", entry.entry_id
+
+
+FACTOR = expr("(a+2)/(a+1)")  # != 1: moves a value through its denominator
+XI = 4
+
+
+def _plus_one(value):
+    return value + expr(1)
+
+
+def _times_factor(value):
+    return value * FACTOR
+
+
+@pytest.fixture(scope="module")
+def d42_lift():
+    catalog = builtin_catalog()
+    entry = next(e for e in catalog.entries if e.entry_id == "d42.omega3.J38")
+    algebra = catalog.algebra_of(entry)
+    form = catalog.form_of(entry)
+    ps = build_paracontact(_extend(algebra, form), entry.j_matrix)
+    base = curvature_bundle(algebra, metric_from(form, entry.j_matrix))
+    ext_bundle = curvature_bundle(ps.extension.extended, ps.h)
+    return ps, base, entry.j_matrix, ext_bundle
+
+
+def _with_riemann(bundle, changes):
+    """``bundle`` with ``change(R^s_ijk)`` for each (i, j, k, s) in ``changes``."""
+    comps = [[[list(r) for r in plane] for plane in block] for block in bundle.riemann.comps]
+    for (i, j, k, s), change in changes.items():
+        comps[i][j][k][s] = change(comps[i][j][k][s])
+    return replace(bundle, riemann=replace(bundle.riemann, comps=comps))
+
+
+def _with_ricci(bundle, changes):
+    rows = [list(row) for row in bundle.ricci.ricci.entries]
+    for (i, j), change in changes.items():
+        rows[i][j] = change(rows[i][j])
+    return replace(bundle, ricci=replace(bundle.ricci, ricci=ExprMatrix(rows)))
+
+
+def _curvature_identities(*failed):
+    names = ("base_formula", "r_xy_xi", "r_x_xi_z", "r_x_xi_xi")
+    return {name: name not in failed for name in names}
+
+
+def _ricci_identities(*failed):
+    return {name: name not in failed for name in ("ric_base", "ric_y_xi", "ric_xi_xi")}
+
+
+@pytest.mark.parametrize(
+    "changes, failed, residuals",
+    [
+        # R(1,2)2|3 = 3a/2, nonzero, times the factor
+        ({(0, 1, 1, 2): _times_factor}, ("base_formula",), (("R(1,2)2|3", "3/2*a/(a + 1)"),)),
+        ({(0, 1, 2, XI): _plus_one}, ("base_formula",), (("R(1,2)3|xi", "1"),)),
+        ({(0, 1, XI, 3): _plus_one}, ("r_xy_xi",), (("R(1,2)xi|4", "1"),)),
+        # R(1,xi)2|xi = g(1,2)/4 = a/8
+        ({(0, XI, 1, XI): _times_factor}, ("r_x_xi_z",), (("R(1,xi)2|xi", "1/8*a/(a + 1)"),)),
+        ({(2, XI, 0, 1): _plus_one}, ("r_x_xi_z",), (("R(3,xi)1|2", "1"),)),
+        # R(1,xi)xi|1 = -1/4
+        ({(0, XI, XI, 0): _times_factor}, ("r_x_xi_xi",), (("R(1,xi)xi|1", "-1/4/(a + 1)"),)),
+        (
+            {(3, XI, XI, XI): _plus_one, (0, 1, 1, 2): _times_factor, (1, XI, XI, 1): _plus_one},
+            ("base_formula", "r_x_xi_xi"),
+            (
+                ("R(1,2)2|3", "3/2*a/(a + 1)"),
+                ("R(2,xi)xi|2", "1"),
+                ("R(4,xi)xi|xi", "1"),
+            ),
+        ),
+    ],
+    ids=["nonzero-factor", "zero-xi-slot", "r-xy-xi", "r-x-xi-z-factor", "r-x-xi-z-zero",
+         "r-x-xi-xi-factor", "three-identities"],
+)
+def test_lifted_curvature_pins_single_perturbations(d42_lift, changes, failed, residuals):
+    ps, base, j_matrix, ext_bundle = d42_lift
+    assert verify_lifted_curvature(ps, base, j_matrix, ext_bundle).ok
+    report = verify_lifted_curvature(ps, base, j_matrix, _with_riemann(ext_bundle, changes))
+    assert report.identities == _curvature_identities(*failed)
+    assert report.residuals == residuals
+
+
+def test_lifted_curvature_keeps_sixteen_residuals(d42_lift):
+    ps, base, j_matrix, ext_bundle = d42_lift
+    # 17 zero components R(i,j)xi|s in check order, then the last component
+    # R(4,xi)xi|xi: its identity is cleared past the cut, its text is not kept
+    slots = [(0, j, XI, s) for j in (1, 2, 3) for s in range(4)]
+    slots += [(1, 0, XI, s) for s in range(4)] + [(1, 2, XI, 0), (3, XI, XI, XI)]
+    changes = {slot: _plus_one for slot in slots}
+    report = verify_lifted_curvature(ps, base, j_matrix, _with_riemann(ext_bundle, changes))
+    assert report.identities == _curvature_identities("r_xy_xi", "r_x_xi_xi")
+    assert report.residuals == (
+        ("R(1,2)xi|1", "1"), ("R(1,2)xi|2", "1"), ("R(1,2)xi|3", "1"), ("R(1,2)xi|4", "1"),
+        ("R(1,3)xi|1", "1"), ("R(1,3)xi|2", "1"), ("R(1,3)xi|3", "1"), ("R(1,3)xi|4", "1"),
+        ("R(1,4)xi|1", "1"), ("R(1,4)xi|2", "1"), ("R(1,4)xi|3", "1"), ("R(1,4)xi|4", "1"),
+        ("R(2,1)xi|1", "1"), ("R(2,1)xi|2", "1"), ("R(2,1)xi|3", "1"), ("R(2,1)xi|4", "1"),
+    )
+
+
+@pytest.mark.parametrize(
+    "changes, failed, residuals",
+    [
+        (
+            {(0, 1): _times_factor},
+            ("ric_base",),
+            (("Ric(1,2)", "(3/8*a^3 - 3/4*a^2 + 1/4*a*b)/(a*b + b)"),),
+        ),
+        ({(1, XI): _plus_one}, ("ric_y_xi",), (("Ric(2,xi)", "1"),)),
+        # Ric(xi,xi) = -1
+        ({(XI, XI): _times_factor}, ("ric_xi_xi",), (("Ric(xi,xi)", "-1/(a + 1)"),)),
+        (
+            {(XI, XI): _times_factor, (XI, 2): _plus_one, (2, 3): _plus_one},
+            ("ric_base", "ric_y_xi", "ric_xi_xi"),
+            (("Ric(3,4)", "1"), ("Ric(xi,3)", "1"), ("Ric(xi,xi)", "-1/(a + 1)")),
+        ),
+    ],
+    ids=["ric-base-factor", "ric-y-xi", "ric-xi-xi-factor", "three-identities"],
+)
+def test_lifted_ricci_pins_single_perturbations(d42_lift, changes, failed, residuals):
+    ps, base, _, ext_bundle = d42_lift
+    assert verify_lifted_ricci(ps, base, ext_bundle).ok
+    report = verify_lifted_ricci(ps, base, _with_ricci(ext_bundle, changes))
+    assert report.identities == _ricci_identities(*failed)
+    assert report.residuals == residuals
+
+
+def test_lift_tags_name_xi_in_every_slot(d42_lift):
+    # index n (here 4) is xi in every slot, the last one included
+    ps, base, j_matrix, ext_bundle = d42_lift
+    changes = {(0, 1, XI, XI): _plus_one, (0, XI, 2, XI): _plus_one}
+    report = verify_lifted_curvature(ps, base, j_matrix, _with_riemann(ext_bundle, changes))
+    assert report.residuals == (("R(1,2)xi|xi", "1"), ("R(1,xi)3|xi", "1"))
