@@ -211,14 +211,9 @@ def load_catalog(document: dict) -> Catalog:
                 raise CatalogFormatError(apath, f"missing field {key!r}")
         name = _name(f"{apath}.name", alg_raw["name"])
         dim = alg_raw["dim"]
-        if type(dim) is not int or dim < 1:
-            raise CatalogFormatError(
-                f"{apath}.dim", f"expected a positive integer, got {dim!r}"
-            )
-        if _items(apath, alg_raw, "structures") and dim != 4:
-            raise CatalogFormatError(
-                f"{apath}.dim", f"an algebra with structures must have dim 4, got {dim}"
-            )
+        # every check is written for dim 4, and a larger dim costs dim^3 constants
+        if type(dim) is not int or dim != 4:
+            raise CatalogFormatError(f"{apath}.dim", f"expected 4, got {dim!r}")
         if name in algebras:
             raise CatalogFormatError(apath, f"duplicate algebra name {name!r}")
         params = _parse_params(f"{apath}.params", alg_raw.get("params"))

@@ -71,11 +71,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> Catalog:
-    if getattr(args, "catalog", None):
-        with open(args.catalog, "r", encoding="utf-8") as handle:
-            return load_catalog(json.load(handle))
-    return builtin_catalog()
+def _load(path: Optional[str]) -> Catalog:
+    """The catalog document at ``path``, or the builtin catalog.  Text that is not
+    JSON in UTF-8, or holds a number longer than the interpreter's digit limit,
+    is a catalog error."""
+    if not path:
+        return builtin_catalog()
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            document = json.load(handle)
+        except ValueError as exc:
+            raise CatalogFormatError("$", str(exc)) from exc
+    return load_catalog(document)
 
 
 def _config(args) -> RunConfig:
@@ -175,7 +182,7 @@ def _exit_code(report, strict: bool) -> int:
 
 def _cmd_verify(args, with_extensions: bool) -> int:
     _check_out(args)
-    catalog = _load(args)
+    catalog = _load(args.catalog)
     config = _config(args)
     report = verify_all(catalog, config, include_extensions=with_extensions)
     if args.out:
@@ -212,7 +219,7 @@ def _cmd_verify(args, with_extensions: bool) -> int:
 
 def _cmd_report(args) -> int:
     _check_out(args)
-    catalog = _load(args)
+    catalog = _load(args.catalog)
     config = _config(args)
     report = verify_all(catalog, config, include_extensions=True)
     _emit(args, render_report(report, args.fmt))
@@ -220,9 +227,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check_file(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    catalog = load_catalog(document)
+    catalog = _load(args.path)
     print(
         f"OK: {len(catalog.algebras)} algebras, "
         f"{len(catalog.entries)} structures, "
@@ -253,7 +258,7 @@ def main(argv: Optional[list] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except CatalogFormatError as exc:
         print(f"catalog error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # a missing file, a directory, no permission

@@ -79,18 +79,8 @@ def central_extend(
             f"(closed={report.closed}, det={format_expr(report.det)})"
         )
     n = algebra.dim
-    brackets = [
-        (i, j, k, algebra.c(i - 1, j - 1, k - 1))
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for k in range(1, n + 1)
-        if not algebra.c(i - 1, j - 1, k - 1).is_zero
-    ]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            w = omega(i - 1, j - 1)
-            if not w.is_zero:
-                brackets.append((i, j, n + 1, w))
+    brackets = list(algebra.sparse_brackets())
+    brackets += [(i, j, n + 1, w) for i, j, w in omega.terms()]
     extended = LieAlgebra.from_brackets(
         f"{algebra.name}^ext", n + 1, brackets, algebra.params
     )

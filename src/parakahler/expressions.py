@@ -705,6 +705,16 @@ class _Parser:
         self.depth -= 1
         return value
 
+    def integer(self, digits: str) -> int:
+        """The value of an integer token.  ``int`` refuses one longer than the
+        interpreter's digit limit, or digits that are not decimal (superscripts)."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise ExprSyntaxError(
+                f"cannot read the integer literal {digits[:12]!r} ({len(digits)} digits)"
+            ) from None
+
     def parse(self) -> RationalExpr:
         value = self.expr()
         if self.peek() != "end":
@@ -744,13 +754,13 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"exponent must be a nonnegative integer literal in {self.text!r}"
                 )
-            return base ** int(tok[1])
+            return base ** self.integer(tok[1])
         return base
 
     def atom(self) -> RationalExpr:
         kind, value = self.take()
         if kind == "int":
-            return RationalExpr(Polynomial.const(int(value)), _P_ONE)
+            return RationalExpr(Polynomial.const(self.integer(value)), _P_ONE)
         if kind == "ident":
             return variable(value)
         if kind == "(":

@@ -4,9 +4,14 @@
 report that its form's gate computed: the three para-complex axioms, metric
 properties with sampled signatures, the curvature pipeline with label
 classification, entrywise comparison against the published Ricci operator, and
-a pure-Fraction re-run of the pipeline at sampled parameter points.  Each
-sample point is a ``SamplePoint`` whose integer tables serve every evaluation
-there: the sampler's avoid test, the signature, the oracle's inputs and the
+a pure-Fraction re-run of the pipeline at sampled parameter points.  These are
+stages on one finding, built first as the failure of an entry whose axioms
+fail: each stage that passes fills in its part, and the first that fails (an
+axiom, an asymmetric metric, a degenerate form, a metric, signature or
+corroboration check) returns the finding as it stands.  Only an entry that
+passes every stage is ``ok`` or a ``discrepancy``.  Each sample point is a
+``SamplePoint`` whose integer tables serve every evaluation there: the
+sampler's avoid test, the signature, the oracle's inputs and the
 corroboration, which compares each symbolic component with the re-run's value
 by integer cross-multiplication and builds no ``Fraction`` of its own.
 Mathematical failures are recorded in the finding, never raised; only
@@ -20,7 +25,8 @@ as failures, mirroring how a typo in a printed table should surface.
 form's lift, which ``verify_all`` builds once per (algebra, form) with
 ``lift_form``, and takes the entry's 4D curvature bundle as given.  An entry
 whose 4D check built no bundle (its J fails an axiom) has nothing to lift: its
-extension is a recorded failure, like a form that is not symplectic.
+extension is a recorded failure, like a form that is not symplectic, and keeps
+``ExtensionFinding``'s defaults with its one cause in ``residuals``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .curvature import (
     curvature_bundle,
     label_holds,
 )
-from .expressions import Polynomial, RationalExpr, at_point, format_expr
+from .expressions import ExprMatrix, Polynomial, at_point, format_expr
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
     MetricAsymmetryError,
@@ -87,28 +93,14 @@ def _axiom_dict(check) -> dict:
     return out
 
 
-def _denominators(values) -> List[Polynomial]:
-    """The non-constant denominators of ``values``, in order."""
-    return [v.den for v in values if not v.den.is_const]
-
-
-def _form_denominators(algebra: LieAlgebra, form: TwoForm) -> List[Polynomial]:
-    """The denominators of the structure constants and of the form."""
-    return list(algebra.denominators()) + _denominators(v for _, _, v in form.terms())
-
-
-def collect_avoid_polynomials(
-    algebra: LieAlgebra, form: TwoForm, entry: CatalogEntry, det: RationalExpr
-) -> Tuple[Polynomial, ...]:
-    """Denominators plus the form determinant ``det``: the sampler must dodge
-    their zeros."""
-    avoid = _form_denominators(algebra, form)
-    avoid += _denominators(v for row in entry.j_matrix.entries for v in row)
-    if entry.expected.ric is not None:
-        avoid += _denominators(v for row in entry.expected.ric.entries for v in row)
-    if not det.is_const:
-        avoid.append(det.num)
-    return tuple(avoid)
+def _avoid(
+    algebra: LieAlgebra, form: TwoForm, *matrices: Optional[ExprMatrix]
+) -> List[Polynomial]:
+    """The non-constant denominators of the structure constants, of the form and
+    of ``matrices`` (None is skipped): the sampler must dodge their zeros."""
+    values = [v for _, _, v in form.terms()]
+    values += [v for m in matrices if m is not None for row in m.entries for v in row]
+    return list(algebra.denominators()) + [v.den for v in values if not v.den.is_const]
 
 
 @dataclass
@@ -122,7 +114,7 @@ class EntryFinding:
     ric_comparison: Dict[str, object]
     corroboration: Dict[str, int]
     status: str  # ok | discrepancy | failure
-    notes: Tuple[str, ...] = ()
+    notes: List[str] = field(default_factory=list)
     # the 4D curvature, handed on to the extension check; never reported
     bundle: Optional[CurvatureBundle] = field(default=None, repr=False, compare=False)
 
@@ -179,164 +171,150 @@ def verify_entry(
     """Verify one entry; ``report`` is ``is_symplectic`` of its form."""
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
-    notes: List[str] = []
-    if entry.note:
-        notes.append(entry.note)
-
     involution = check_involution(entry.j_matrix)
     compat = check_omega_compat(form, entry.j_matrix)
     integrability = nijenhuis(algebra, entry.j_matrix).as_check()
-    axioms = {
-        "involution": _axiom_dict(involution),
-        "omega_compat": _axiom_dict(compat),
-        "nijenhuis": _axiom_dict(integrability),
-    }
-    axioms_ok = involution.ok and compat.ok and integrability.ok
-
-    metric_info: Dict[str, object] = {
-        "symmetric": False,
-        "compat": False,
-        "roundtrip": False,
-        "signature_samples": 0,
-        "signature_ok": False,
-    }
-    label_info: Dict[str, object] = {
-        "computed": None,
-        "expected": entry.expected.label,
-        "match": entry.expected.label is None,
-        "einstein_factor": None,
-        "expected_factor": None
-        if entry.expected.einstein_factor is None
-        else format_expr(entry.expected.einstein_factor),
-        "anti_invariant": None,
-        "operator_commutes": None,
-    }
-    ric_info: Dict[str, object] = {
-        "expected_present": entry.expected.ric is not None,
-        "residuals": [],
-    }
-    corroboration = {"samples": 0, "agree": 0}
-
-    failure = not axioms_ok
-    g = None
-    bundle = None
-    if axioms_ok:
-        try:
-            g = metric_from(form, entry.j_matrix)
-            metric_info["symmetric"] = True
-        except MetricAsymmetryError:
-            failure = True
-    if g is not None:
-        metric_info["compat"] = check_metric_compat(g, entry.j_matrix).ok
-        metric_info["roundtrip"] = omega_from(g, entry.j_matrix) == form
-        # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
-        # identically exactly when the form is degenerate.
-        if report.det.is_zero:
-            failure = True
-            notes.append(
-                f"form {entry.form!r} is degenerate (det omega = 0): the metric "
-                "is singular, so no curvature is computed"
-            )
-            g = None
-    if g is not None:
-        bundle = curvature_bundle(algebra, g)
-        classification = classify(bundle, entry.j_matrix)
-        label_info["computed"] = classification.label
-        if classification.einstein_factor is not None:
-            label_info["einstein_factor"] = format_expr(classification.einstein_factor)
-        label_info["anti_invariant"] = anti_invariance_residual(
-            bundle.ricci.ricci, entry.j_matrix
-        ).is_zero
-        op = bundle.ricci.operator
-        label_info["operator_commutes"] = (
-            op @ entry.j_matrix - entry.j_matrix @ op
-        ).is_zero
-        if entry.expected.label is not None:
-            label_info["match"] = label_holds(
-                entry.expected.label,
-                classification,
-                bundle,
-                entry.j_matrix,
-                factor=entry.expected.einstein_factor,
-            )
-        if entry.expected.ric is not None:
-            residuals = compare_ric_operator(op, entry.expected.ric)
-            ric_info["residuals"] = [
-                [i, j, format_expr(v)] for (i, j, v) in residuals
-            ]
-            if residuals:
-                ric_info["recomputed"] = [
-                    [format_expr(op[i, j]) for j in range(op.cols)]
-                    for i in range(op.rows)
-                ]
-        domains = catalog.domains_of(entry)
-        # det g = +-det omega (J^2 = Id), whose numerator is already avoided
-        avoid = collect_avoid_polynomials(algebra, form, entry, report.det)
-        rng = DeterministicRng(config.seed * 0x10001 + len(entry.entry_id))
-        signature_ok = True
-        agree = 0
-        for _ in range(config.samples):
-            point = sample_point(rng, domains, avoid)
-            try:
-                if signature_at(g, point) != (algebra.dim // 2, algebra.dim // 2):
-                    signature_ok = False
-            except SingularMetricError:
-                signature_ok = False
-            if _numeric_corroboration(algebra, g, bundle, point):
-                agree += 1
-        metric_info["signature_samples"] = config.samples
-        metric_info["signature_ok"] = signature_ok
-        corroboration = {"samples": config.samples, "agree": agree}
-        if not (
-            metric_info["compat"]
-            and metric_info["roundtrip"]
-            and signature_ok
-            and agree == config.samples
-        ):
-            failure = True
-
-    if failure:
-        status = "failure"
-    elif not label_info["match"] or ric_info["residuals"]:
-        status = "discrepancy"
-        if not label_info["match"]:
-            notes.append(
-                f"published label {entry.expected.label!r} does not hold; "
-                f"recomputed label is {label_info['computed']!r}"
-            )
-        if ric_info["residuals"]:
-            notes.append("published Ricci operator differs; recomputed matrix attached")
-    else:
-        status = "ok"
-    return EntryFinding(
+    finding = EntryFinding(
         entry_id=entry.entry_id,
         algebra=entry.algebra,
         form=entry.form,
-        axioms=axioms,
-        metric=metric_info,
-        label=label_info,
-        ric_comparison=ric_info,
-        corroboration=corroboration,
-        status=status,
-        notes=tuple(notes),
-        bundle=bundle,
+        axioms={
+            "involution": _axiom_dict(involution),
+            "omega_compat": _axiom_dict(compat),
+            "nijenhuis": _axiom_dict(integrability),
+        },
+        metric={
+            "symmetric": False,
+            "compat": False,
+            "roundtrip": False,
+            "signature_samples": 0,
+            "signature_ok": False,
+        },
+        label={
+            "computed": None,
+            "expected": entry.expected.label,
+            "match": entry.expected.label is None,
+            "einstein_factor": None,
+            "expected_factor": None
+            if entry.expected.einstein_factor is None
+            else format_expr(entry.expected.einstein_factor),
+            "anti_invariant": None,
+            "operator_commutes": None,
+        },
+        ric_comparison={
+            "expected_present": entry.expected.ric is not None,
+            "residuals": [],
+        },
+        corroboration={"samples": 0, "agree": 0},
+        status="failure",
+        notes=[entry.note] if entry.note else [],
     )
+    if not (involution.ok and compat.ok and integrability.ok):
+        return finding
+    metric_info, label_info, ric_info = finding.metric, finding.label, finding.ric_comparison
+    try:
+        g = metric_from(form, entry.j_matrix)
+    except MetricAsymmetryError:
+        return finding
+    metric_info["symmetric"] = True
+    metric_info["compat"] = check_metric_compat(g, entry.j_matrix).ok
+    metric_info["roundtrip"] = omega_from(g, entry.j_matrix) == form
+    # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
+    # identically exactly when the form is degenerate.
+    if report.det.is_zero:
+        finding.notes.append(
+            f"form {entry.form!r} is degenerate (det omega = 0): the metric "
+            "is singular, so no curvature is computed"
+        )
+        return finding
+
+    bundle = finding.bundle = curvature_bundle(algebra, g)
+    classification = classify(bundle, entry.j_matrix)
+    label_info["computed"] = classification.label
+    if classification.einstein_factor is not None:
+        label_info["einstein_factor"] = format_expr(classification.einstein_factor)
+    label_info["anti_invariant"] = anti_invariance_residual(
+        bundle.ricci.ricci, entry.j_matrix
+    ).is_zero
+    op = bundle.ricci.operator
+    label_info["operator_commutes"] = (
+        op @ entry.j_matrix - entry.j_matrix @ op
+    ).is_zero
+    if entry.expected.label is not None:
+        label_info["match"] = label_holds(
+            entry.expected.label,
+            classification,
+            bundle,
+            entry.j_matrix,
+            factor=entry.expected.einstein_factor,
+        )
+    if entry.expected.ric is not None:
+        residuals = compare_ric_operator(op, entry.expected.ric)
+        ric_info["residuals"] = [
+            [i, j, format_expr(v)] for (i, j, v) in residuals
+        ]
+        if residuals:
+            ric_info["recomputed"] = [
+                [format_expr(op[i, j]) for j in range(op.cols)]
+                for i in range(op.rows)
+            ]
+
+    domains = catalog.domains_of(entry)
+    # det g = +-det omega (J^2 = Id), so avoiding det omega's numerator keeps g
+    # invertible at every sample
+    avoid = _avoid(algebra, form, entry.j_matrix, entry.expected.ric)
+    if not report.det.is_const:
+        avoid.append(report.det.num)
+    rng = DeterministicRng(config.seed * 0x10001 + len(entry.entry_id))
+    signature_ok = True
+    agree = 0
+    for _ in range(config.samples):
+        point = sample_point(rng, domains, avoid)
+        try:
+            if signature_at(g, point) != (algebra.dim // 2, algebra.dim // 2):
+                signature_ok = False
+        except SingularMetricError:
+            signature_ok = False
+        if _numeric_corroboration(algebra, g, bundle, point):
+            agree += 1
+    metric_info["signature_samples"] = config.samples
+    metric_info["signature_ok"] = signature_ok
+    finding.corroboration = {"samples": config.samples, "agree": agree}
+    if not (
+        metric_info["compat"]
+        and metric_info["roundtrip"]
+        and signature_ok
+        and agree == config.samples
+    ):
+        return finding
+
+    if not label_info["match"]:
+        finding.notes.append(
+            f"published label {entry.expected.label!r} does not hold; "
+            f"recomputed label is {label_info['computed']!r}"
+        )
+    if ric_info["residuals"]:
+        finding.notes.append("published Ricci operator differs; recomputed matrix attached")
+    discrepant = not label_info["match"] or ric_info["residuals"]
+    finding.status = "discrepancy" if discrepant else "ok"
+    return finding
 
 
 @dataclass
 class ExtensionFinding:
     entry_id: str
-    contact_ok: bool
-    contact_coefficient: str
-    almost_paracontact_ok: bool
-    compatible_metric_ok: bool
-    restriction_ok: bool
-    reeb_ok: bool
-    phi_vs_deta: str  # equal | negated | mismatch
-    curvature_identities: Dict[str, bool]
-    ricci_identities: Dict[str, bool]
     residuals: Tuple[Tuple[str, str], ...]
-    status: str
+    # a lift that was never built keeps these: every check fails
+    contact_ok: bool = False
+    contact_coefficient: str = "n/a"
+    almost_paracontact_ok: bool = False
+    compatible_metric_ok: bool = False
+    restriction_ok: bool = False
+    reeb_ok: bool = False
+    phi_vs_deta: str = "mismatch"  # equal | negated | mismatch
+    curvature_identities: Dict[str, bool] = field(default_factory=dict)
+    ricci_identities: Dict[str, bool] = field(default_factory=dict)
+    status: str = "failure"
 
     def to_document(self) -> dict:
         return {
@@ -352,24 +330,6 @@ class ExtensionFinding:
             "residuals": [list(r) for r in self.residuals],
             "status": self.status,
         }
-
-
-def _failed_extension(entry: CatalogEntry, tag: str, text: str) -> ExtensionFinding:
-    """A lift that was never built: every check fails, with one named cause."""
-    return ExtensionFinding(
-        entry_id=entry.entry_id,
-        contact_ok=False,
-        contact_coefficient="n/a",
-        almost_paracontact_ok=False,
-        compatible_metric_ok=False,
-        restriction_ok=False,
-        reeb_ok=False,
-        phi_vs_deta="mismatch",
-        curvature_identities={},
-        ricci_identities={},
-        residuals=((tag, text),),
-        status="failure",
-    )
 
 
 # a form's extension with its contact check, or why the form has none
@@ -395,16 +355,15 @@ def verify_extension(
     None when the 4D check failed before computing one.
     """
     if isinstance(lift, NonSymplecticError):
-        return _failed_extension(
-            entry, "central_extension", f"form {entry.form!r}: {lift}"
+        return ExtensionFinding(
+            entry.entry_id, (("central_extension", f"form {entry.form!r}: {lift}"),)
         )
     if base_bundle is None:
-        return _failed_extension(
-            entry,
-            "base_structure",
+        why = (
             f"structure {entry.entry_id!r} fails a para-Kahler axiom, so it has "
-            "no 4D curvature to lift",
+            "no 4D curvature to lift"
         )
+        return ExtensionFinding(entry.entry_id, (("base_structure", why),))
     ext, contact = lift
     ps = build_paracontact(ext, entry.j_matrix)
     ext_bundle = curvature_bundle(ext.extended, ps.h)
@@ -483,7 +442,7 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig):
             rep = reports[name, fid] = is_symplectic(algebra, form)
             det_nonzero = 0
             rng = DeterministicRng(config.seed * 0x20001 + len(name) + len(fid))
-            avoid = _form_denominators(algebra, form)
+            avoid = _avoid(algebra, form)
             for _ in range(config.samples):
                 point = sample_point(rng, dict(algebra.params), avoid)
                 if rep.det.eval(point) != 0:

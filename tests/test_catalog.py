@@ -245,6 +245,28 @@ def _small_algebra(dim):
             lambda d: d["algebras"][0]["params"][0].__setitem__("name", 1),
             "algebras[0].params[0].name",
         ),
+        # past the interpreter's 4,300-digit limit for reading an int
+        (
+            lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(0, "7" * 5000),
+            "algebras[0].structures[0].J[0][0]",
+        ),
+        (
+            lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(
+                0, "a^" + "7" * 5000
+            ),
+            "algebras[0].structures[0].J[0][0]",
+        ),
+        # str.isdigit admits a superscript into an integer token; int refuses it
+        (
+            lambda d: d["algebras"][0]["structures"][0]["J"][0].__setitem__(0, "2\u00b2"),
+            "algebras[0].structures[0].J[0][0]",
+        ),
+        # every algebra has dim 4, whether or not it carries structures
+        (lambda d: d["algebras"].__setitem__(0, {"name": "x", "dim": 5}), "algebras[0].dim"),
+        (
+            lambda d: d["algebras"].__setitem__(0, {"name": "x", "dim": 10**6}),
+            "algebras[0].dim",
+        ),
     ],
     ids=[
         "algebra-not-object", "dim-not-integer", "structures-not-list", "zero-division",
@@ -253,7 +275,9 @@ def _small_algebra(dim):
         "id-not-string", "structures-in-dim-3", "structures-in-dim-2",
         "nested-parentheses", "nested-unary-minus", "true-in-j", "true-in-bracket",
         "true-in-terms", "true-in-expected", "note-not-string", "variant-not-boolean",
-        "param-name-expression", "param-name-integer",
+        "param-name-expression", "param-name-integer", "literal-of-5000-digits",
+        "exponent-of-5000-digits", "superscript-digit", "dim-5-without-structures",
+        "dim-million-without-structures",
     ],
 )
 def test_malformed_document_is_a_catalog_error(tmp_path, capsys, mutate, where):

@@ -331,3 +331,20 @@ def test_published_generic_label(tmp_path, capsys):
     assert code == 0
     assert "DISCREPANCY  r2r2.lambdapos.J11 label generic->ricci_flat" in out
     assert "ok           r2r2.lambda0.J21\n" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"algebras": [{"name": "x", "dim": ' + "7" * 5000 + "}]}",
+        '{"algebras": [{"name": "x", "dim": 4, "brackets": [[1, 2, ' + "7" * 5000 + ', "1"]]}]}',
+    ],
+    ids=["dim", "bracket-index"],
+)
+def test_json_number_past_the_digit_limit_is_a_catalog_error(tmp_path, capsys, text):
+    # json.load refuses an integer of more than 4,300 digits with a ValueError
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["check-file", str(path)], ["verify", "--catalog", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("catalog error: ")

@@ -8,7 +8,8 @@ from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.expressions import ExprMatrix, parse_expr
 from parakahler.liealgebra import is_symplectic
-from parakahler import contact, liealgebra
+from parakahler import contact, liealgebra, verify
+from parakahler.cli import main
 from parakahler.verify import (
     RunConfig,
     lift_form,
@@ -17,6 +18,7 @@ from parakahler.verify import (
     verify_entry,
     verify_extension,
 )
+from test_cli import _degenerate_catalog
 
 CFG = RunConfig(seed=0, samples=3)
 
@@ -223,3 +225,247 @@ def test_different_seed_changes_nothing_mathematical():
         )
         assert report.summary["failures"] == 0
         assert report.summary["total"] == 2
+
+
+# Every way out of verify_entry and of an extension that was never built, pinned
+# as the exact document, key order included.
+AXIOMS_OK = {"involution": {"ok": True}, "omega_compat": {"ok": True}, "nijenhuis": {"ok": True}}
+METRIC_OK = {
+    "symmetric": True, "compat": True, "roundtrip": True,
+    "signature_samples": 3, "signature_ok": True,
+}
+NOT_LIFTED = {
+    "contact": {"ok": False, "coefficient": "n/a"},
+    "almost_paracontact_ok": False,
+    "compatible_metric_ok": False,
+    "restriction_ok": False,
+    "reeb_ok": False,
+    "phi_vs_deta": "mismatch",
+    "curvature_identities": {},
+    "ricci_identities": {},
+}
+
+
+def _assert_document(finding, expected):
+    # compared as JSON text, so that the key order counts too
+    assert json.dumps(finding.to_document(), indent=1) == json.dumps(expected, indent=1)
+
+
+def test_involution_failure_document():
+    _assert_document(
+        _verify(_corrupted_catalog(), "rr3m1.omega.J1"),
+        {
+            "id": "rr3m1.omega.J1",
+            "algebra": "rr3m1",
+            "form": "omega",
+            "axioms": {
+                "involution": {
+                    "ok": False, "first_failure": {"where": "J^2-Id[1,1]", "residual": "3"}
+                },
+                "omega_compat": {
+                    "ok": False, "first_failure": {"where": "Jt*w+w*J[1,4]", "residual": "1"}
+                },
+                "nijenhuis": {
+                    "ok": False, "first_failure": {"where": "N[1,2;3]", "residual": "-2*a"}
+                },
+            },
+            "metric": {
+                "symmetric": False, "compat": False, "roundtrip": False,
+                "signature_samples": 0, "signature_ok": False,
+            },
+            "label": {
+                "computed": None, "expected": "ricci_flat", "match": False,
+                "einstein_factor": None, "expected_factor": None,
+                "anti_invariant": None, "operator_commutes": None,
+            },
+            "ric_comparison": {"expected_present": False, "residuals": []},
+            "corroboration": {"samples": 0, "agree": 0},
+            "status": "failure",
+            "notes": [],
+        },
+    )
+
+
+def test_degenerate_form_document(tmp_path):
+    # the entry's own note comes first, then the degenerate form's
+    document = json.loads(_degenerate_catalog(tmp_path).read_text())
+    _assert_document(
+        _verify(load_catalog(document), "r2r2.lambda0.J24bc"),
+        {
+            "id": "r2r2.lambda0.J24bc",
+            "algebra": "r2r2",
+            "form": "lambda0",
+            "axioms": AXIOMS_OK,
+            "metric": {
+                "symmetric": True, "compat": True, "roundtrip": True,
+                "signature_samples": 0, "signature_ok": False,
+            },
+            "label": {
+                "computed": None, "expected": "einstein", "match": False,
+                "einstein_factor": None, "expected_factor": "-b",
+                "anti_invariant": None, "operator_commutes": None,
+            },
+            "ric_comparison": {"expected_present": True, "residuals": []},
+            "corroboration": {"samples": 0, "agree": 0},
+            "status": "failure",
+            "notes": [
+                "J24 specialized to c = b, where the structure is Einstein",
+                "form 'lambda0' is degenerate (det omega = 0): the metric is singular, "
+                "so no curvature is computed",
+            ],
+        },
+    )
+
+
+RICCI_FLAT_J11 = {
+    "computed": "ricci_flat", "expected": "flat", "match": False,
+    "einstein_factor": "0", "expected_factor": None,
+    "anti_invariant": True, "operator_commutes": True,
+}
+
+
+def test_corroboration_failure_document(monkeypatch):
+    # a failure carries no discrepancy note, even where the label differs
+    monkeypatch.setattr(verify, "_numeric_corroboration", lambda *args: False)
+    _assert_document(
+        _verify(builtin_catalog(), "r2r2.lambdapos.J11"),
+        {
+            "id": "r2r2.lambdapos.J11",
+            "algebra": "r2r2",
+            "form": "lambdapos",
+            "axioms": AXIOMS_OK,
+            "metric": METRIC_OK,
+            "label": RICCI_FLAT_J11,
+            "ric_comparison": {"expected_present": False, "residuals": []},
+            "corroboration": {"samples": 3, "agree": 0},
+            "status": "failure",
+            "notes": [],
+        },
+    )
+
+
+def test_label_discrepancy_document():
+    _assert_document(
+        _verify(builtin_catalog(), "r2r2.lambdapos.J11"),
+        {
+            "id": "r2r2.lambdapos.J11",
+            "algebra": "r2r2",
+            "form": "lambdapos",
+            "axioms": AXIOMS_OK,
+            "metric": METRIC_OK,
+            "label": RICCI_FLAT_J11,
+            "ric_comparison": {"expected_present": False, "residuals": []},
+            "corroboration": {"samples": 3, "agree": 3},
+            "status": "discrepancy",
+            "notes": ["published label 'flat' does not hold; recomputed label is 'ricci_flat'"],
+        },
+    )
+
+
+def test_ricci_discrepancy_document_and_cli_detail(tmp_path, capsys):
+    # one published Ricci entry off by one: the label still holds, so the
+    # comparison alone makes the discrepancy
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    for alg in doc["algebras"]:
+        for structure in alg["structures"]:
+            if structure["id"] == "r2r2.lambda0.J22":
+                ric = structure["expected"]["ric"]
+                ric[0][0] = f"({ric[0][0]})+1"
+    _assert_document(
+        _verify(load_catalog(doc), "r2r2.lambda0.J22"),
+        {
+            "id": "r2r2.lambda0.J22",
+            "algebra": "r2r2",
+            "form": "lambda0",
+            "axioms": AXIOMS_OK,
+            "metric": METRIC_OK,
+            "label": {
+                "computed": "einstein", "expected": "einstein", "match": True,
+                "einstein_factor": "-3/2*b", "expected_factor": "-3/2*b",
+                "anti_invariant": True, "operator_commutes": True,
+            },
+            "ric_comparison": {
+                "expected_present": True,
+                "residuals": [[1, 1, "-1"]],
+                "recomputed": [
+                    ["-3/2*b", "0", "0", "0"],
+                    ["0", "-3/2*b", "0", "0"],
+                    ["0", "0", "-3/2*b", "0"],
+                    ["0", "0", "0", "-3/2*b"],
+                ],
+            },
+            "corroboration": {"samples": 3, "agree": 3},
+            "status": "discrepancy",
+            "notes": ["published Ricci operator differs; recomputed matrix attached"],
+        },
+    )
+    path = tmp_path / "ric.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["verify", "--catalog", str(path), "--filter", "r2r2.lambda0.J22", "--samples", "1"]
+    assert main(argv) == 0
+    assert "DISCREPANCY  r2r2.lambda0.J22 ric-differs\n" in capsys.readouterr().out
+
+
+def test_clean_entry_document():
+    _assert_document(
+        _verify(builtin_catalog(), "rr3m1.omega.J3"),
+        {
+            "id": "rr3m1.omega.J3",
+            "algebra": "rr3m1",
+            "form": "omega",
+            "axioms": AXIOMS_OK,
+            "metric": METRIC_OK,
+            "label": {
+                "computed": "flat", "expected": "flat", "match": True,
+                "einstein_factor": "0", "expected_factor": None,
+                "anti_invariant": True, "operator_commutes": True,
+            },
+            "ric_comparison": {"expected_present": False, "residuals": []},
+            "corroboration": {"samples": 3, "agree": 3},
+            "status": "ok",
+            "notes": [],
+        },
+    )
+
+
+def test_extension_of_a_form_that_is_not_symplectic_document(tmp_path):
+    catalog = load_catalog(json.loads(_degenerate_catalog(tmp_path).read_text()))
+    entry = _entry(catalog, "r2r2.lambda0.J21")
+    algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
+    lift = lift_form(algebra, form, is_symplectic(algebra, form))
+    assert isinstance(lift, contact.NonSymplecticError)
+    _assert_document(
+        verify_extension(entry, lift, None),
+        {
+            "id": "r2r2.lambda0.J21",
+            **NOT_LIFTED,
+            "residuals": [
+                [
+                    "central_extension",
+                    "form 'lambda0': form on r2r2 is not symplectic (closed=True, det=0)",
+                ]
+            ],
+            "status": "failure",
+        },
+    )
+
+
+def test_extension_without_a_base_bundle_document():
+    catalog = builtin_catalog()
+    entry = _entry(catalog, "rn4.omega.J")
+    algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
+    _assert_document(
+        verify_extension(entry, lift_form(algebra, form, is_symplectic(algebra, form)), None),
+        {
+            "id": "rn4.omega.J",
+            **NOT_LIFTED,
+            "residuals": [
+                [
+                    "base_structure",
+                    "structure 'rn4.omega.J' fails a para-Kahler axiom, so it has no 4D "
+                    "curvature to lift",
+                ]
+            ],
+            "status": "failure",
+        },
+    )
