@@ -20,6 +20,7 @@ offending field; ``dump_catalog`` and ``load_catalog`` round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,7 @@ from .expressions import (
     UnknownParameterError,
     expr,
     format_expr,
+    quoted,
 )
 from .liealgebra import LieAlgebra, ParamDomain, TwoForm
 
@@ -92,17 +94,36 @@ class Catalog:
         return [e for e in self.entries if pattern is None or fnmatchcase(e.entry_id, pattern)]
 
 
+def _shown(value) -> str:
+    """``value`` as a message quotes it.  Python refuses to format an integer
+    of more than 4,300 digits, so a long integer is named by its digit count
+    and a value that holds one by its type; text is cut by ``quoted``."""
+    if type(value) is int and value.bit_length() > 64:
+        n = abs(value)
+        digits = int(math.log10(n)) + 1  # a float, so possibly one off
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+        return f"an integer of {digits} digits"
+    if isinstance(value, str):
+        return quoted(value)
+    try:
+        return repr(value)
+    except ValueError:  # a container that holds a long integer
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def _parse(path: str, text) -> RationalExpr:
     if type(text) is int:  # not a bool
         return expr(text)
     if not isinstance(text, str):
-        raise CatalogFormatError(path, f"expected expression string, got {text!r}")
+        raise CatalogFormatError(path, f"expected expression string, got {_shown(text)}")
     try:
         return expr(text)
     except UnknownParameterError as exc:
         raise CatalogFormatError(path, str(exc)) from exc
     except (ExprSyntaxError, SymbolicZeroDivisionError) as exc:
-        raise CatalogFormatError(path, f"cannot parse expression {text!r}: {exc}") from exc
+        raise CatalogFormatError(
+            path, f"cannot parse expression {_shown(text)}: {exc}"
+        ) from exc
 
 
 def _items(path: str, owner: dict, key: str) -> list:
@@ -110,19 +131,19 @@ def _items(path: str, owner: dict, key: str) -> list:
     raw = owner.get(key, ())
     if not isinstance(raw, (list, tuple)):
         where = f"{path}.{key}" if path else key
-        raise CatalogFormatError(where, f"expected a list, got {raw!r}")
+        raise CatalogFormatError(where, f"expected a list, got {_shown(raw)}")
     return raw
 
 
 def _name(path: str, raw) -> str:
     if not isinstance(raw, str):
-        raise CatalogFormatError(path, f"expected a string, got {raw!r}")
+        raise CatalogFormatError(path, f"expected a string, got {_shown(raw)}")
     return raw
 
 
 def _flag(path: str, raw) -> bool:
     if type(raw) is not bool:
-        raise CatalogFormatError(path, f"expected a boolean, got {raw!r}")
+        raise CatalogFormatError(path, f"expected a boolean, got {_shown(raw)}")
     return raw
 
 
@@ -137,7 +158,9 @@ def _indexed(path: str, item, size: int, shape: str) -> list:
     if not isinstance(item, (list, tuple)) or len(item) != size:
         raise CatalogFormatError(path, f"entries are {shape}")
     if any(type(x) is not int for x in item[:-1]):
-        raise CatalogFormatError(path, f"indices must be integers, got {list(item[:-1])!r}")
+        raise CatalogFormatError(
+            path, f"indices must be integers, got {_shown(list(item[:-1]))}"
+        )
     return item
 
 
@@ -155,7 +178,7 @@ def _fraction(path: str, value) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CatalogFormatError(path, f"bad rational {value!r}") from exc
+        raise CatalogFormatError(path, f"bad rational {_shown(value)}") from exc
 
 
 def _parse_domain(path: str, raw) -> ParamDomain:
@@ -180,7 +203,7 @@ def _parse_params(path: str, raw) -> Tuple[Tuple[str, ParamDomain], ...]:
     if raw is None:
         return ()
     if not isinstance(raw, (list, tuple)):
-        raise CatalogFormatError(path, f"expected a list, got {raw!r}")
+        raise CatalogFormatError(path, f"expected a list, got {_shown(raw)}")
     out = []
     for idx, item in enumerate(raw):
         if not isinstance(item, dict) or "name" not in item:
@@ -188,7 +211,8 @@ def _parse_params(path: str, raw) -> Tuple[Tuple[str, ParamDomain], ...]:
         name = item["name"]
         if name not in PARAMS:
             raise CatalogFormatError(
-                f"{path}[{idx}].name", f"expected one of {', '.join(PARAMS)}, got {name!r}"
+                f"{path}[{idx}].name",
+                f"expected one of {', '.join(PARAMS)}, got {_shown(name)}",
             )
         out.append((name, _parse_domain(f"{path}[{idx}].domain", item.get("domain"))))
     return tuple(out)
@@ -213,9 +237,9 @@ def load_catalog(document: dict) -> Catalog:
         dim = alg_raw["dim"]
         # every check is written for dim 4, and a larger dim costs dim^3 constants
         if type(dim) is not int or dim != 4:
-            raise CatalogFormatError(f"{apath}.dim", f"expected 4, got {dim!r}")
+            raise CatalogFormatError(f"{apath}.dim", f"expected 4, got {_shown(dim)}")
         if name in algebras:
-            raise CatalogFormatError(apath, f"duplicate algebra name {name!r}")
+            raise CatalogFormatError(apath, f"duplicate algebra name {_shown(name)}")
         params = _parse_params(f"{apath}.params", alg_raw.get("params"))
         brackets = []
         for b_idx, item in enumerate(_items(apath, alg_raw, "brackets")):
@@ -223,7 +247,8 @@ def load_catalog(document: dict) -> Catalog:
             i, j, k, text = _indexed(bpath, item, 4, "[i, j, k, expr]")
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise CatalogFormatError(
-                    bpath, f"indices ({i}, {j}, {k}) out of range for dim {dim}"
+                    bpath,
+                    f"indices ({_shown(i)}, {_shown(j)}, {_shown(k)}) out of range for dim {dim}",
                 )
             brackets.append((i, j, k, _parse(bpath, text)))
         try:
@@ -238,7 +263,7 @@ def load_catalog(document: dict) -> Catalog:
                 raise CatalogFormatError(fpath, "missing form id")
             fid = _name(f"{fpath}.id", form_raw["id"])
             if fid in form_ids:
-                raise CatalogFormatError(fpath, f"duplicate form id {fid!r}")
+                raise CatalogFormatError(fpath, f"duplicate form id {_shown(fid)}")
             form_ids.add(fid)
             terms = []
             for t_idx, term in enumerate(_items(fpath, form_raw, "terms")):
@@ -246,7 +271,7 @@ def load_catalog(document: dict) -> Catalog:
                 i, j, text = _indexed(tpath, term, 3, "[i, j, expr]")
                 if not (1 <= i < j <= dim):
                     raise CatalogFormatError(
-                        tpath, f"indices ({i}, {j}) out of range for dim {dim}"
+                        tpath, f"indices ({_shown(i)}, {_shown(j)}) out of range for dim {dim}"
                     )
                 terms.append((i, j, _parse(tpath, text)))
             forms[(name, fid)] = TwoForm.from_terms(dim, terms)
@@ -257,11 +282,11 @@ def load_catalog(document: dict) -> Catalog:
                     raise CatalogFormatError(spath, f"missing field {key!r}")
             sid = _name(f"{spath}.id", s_raw["id"])
             if sid in seen_ids:
-                raise CatalogFormatError(spath, f"duplicate structure id {sid!r}")
+                raise CatalogFormatError(spath, f"duplicate structure id {_shown(sid)}")
             seen_ids.add(sid)
             if _name(f"{spath}.form", s_raw["form"]) not in form_ids:
                 raise CatalogFormatError(
-                    f"{spath}.form", f"unknown form id {s_raw['form']!r}"
+                    f"{spath}.form", f"unknown form id {_shown(s_raw['form'])}"
                 )
             j_matrix = _matrix(f"{spath}.J", s_raw["J"], dim)
             exp_raw = _object(f"{spath}.expected", s_raw.get("expected", {}), "expected")
@@ -269,7 +294,7 @@ def load_catalog(document: dict) -> Catalog:
             if label is not None and label not in KNOWN_LABELS:
                 raise CatalogFormatError(
                     f"{spath}.expected.label",
-                    f"unknown label {label!r}; known: {', '.join(KNOWN_LABELS)}",
+                    f"unknown label {_shown(label)}; known: {', '.join(KNOWN_LABELS)}",
                 )
             factor = exp_raw.get("einstein_factor")
             ric_raw = exp_raw.get("ric")

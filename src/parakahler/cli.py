@@ -73,15 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: Optional[str]) -> Catalog:
     """The catalog document at ``path``, or the builtin catalog.  Text that is not
-    JSON in UTF-8, or holds a number longer than the interpreter's digit limit,
-    is a catalog error."""
+    JSON in UTF-8, holds a number longer than the interpreter's digit limit, or
+    nests deeper than the JSON decoder can recurse, is a catalog error."""
     if not path:
         return builtin_catalog()
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except ValueError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CatalogFormatError("$", str(exc)) from exc
+        except ValueError as exc:  # int() refused a number past the digit limit
+            raise CatalogFormatError("$", "a number has too many digits to read") from exc
+        except RecursionError as exc:  # arrays or objects nested past the stack
+            raise CatalogFormatError("$", "the JSON nests too deeply to read") from exc
     return load_catalog(document)
 
 

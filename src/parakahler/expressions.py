@@ -62,6 +62,14 @@ class ExprSyntaxError(ValueError):
     """Malformed expression text."""
 
 
+def quoted(text: str) -> str:
+    """``repr(text)`` for a message, cut to its first 60 characters and its
+    length when longer, so a message stays one readable line."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}… ({len(text)} characters)"
+
+
 class UnknownParameterError(ExprSyntaxError):
     """Expression text uses an identifier outside the parameter list."""
 
@@ -112,7 +120,7 @@ class Polynomial:
     def var(name: str) -> "Polynomial":
         if name not in _IDX:
             raise UnknownParameterError(
-                f"unknown parameter {name!r}; known parameters: {', '.join(PARAMS)}"
+                f"unknown parameter {quoted(name)}; known parameters: {', '.join(PARAMS)}"
             )
         exp = [0] * _NV
         exp[_IDX[name]] = 1
@@ -668,7 +676,7 @@ def _tokenize(text: str):
             tokens.append((ch, ch))
             i += 1
             continue
-        raise ExprSyntaxError(f"unexpected character {ch!r} at position {i} in {text!r}")
+        raise ExprSyntaxError(f"unexpected character {ch!r} at position {i} in {quoted(text)}")
     tokens.append(("end", ""))
     return tokens
 
@@ -692,7 +700,7 @@ class _Parser:
         tok = self.take()
         if tok[0] != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r} but found {tok[1]!r} in {self.text!r}"
+                f"expected {kind!r} but found {quoted(tok[1])} in {quoted(self.text)}"
             )
         return tok
 
@@ -719,7 +727,7 @@ class _Parser:
         value = self.expr()
         if self.peek() != "end":
             raise ExprSyntaxError(
-                f"trailing input {self.tokens[self.pos][1]!r} in {self.text!r}"
+                f"trailing input {quoted(self.tokens[self.pos][1])} in {quoted(self.text)}"
             )
         return value
 
@@ -752,7 +760,7 @@ class _Parser:
             tok = self.take()
             if tok[0] != "int":
                 raise ExprSyntaxError(
-                    f"exponent must be a nonnegative integer literal in {self.text!r}"
+                    f"exponent must be a nonnegative integer literal in {quoted(self.text)}"
                 )
             return base ** self.integer(tok[1])
         return base
@@ -767,7 +775,7 @@ class _Parser:
             inner = self.nested(self.expr)
             self.expect(")")
             return inner
-        raise ExprSyntaxError(f"unexpected token {value!r} in {self.text!r}")
+        raise ExprSyntaxError(f"unexpected token {quoted(value)} in {quoted(self.text)}")
 
 
 def parse_expr(text: str) -> RationalExpr:

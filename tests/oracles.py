@@ -1,6 +1,7 @@
 """Checks that only the tests run: connection and curvature identities, a
-Fraction Nijenhuis tensor, readers for nested tensors and three-forms, and
-the Fraction loop that evaluates a polynomial term by term.
+Fraction Nijenhuis tensor, a Fraction matrix product, readers for nested
+tensors and three-forms, and the Fraction loop that evaluates a polynomial
+term by term.
 
 The residual functions return every nonzero component of an identity that
 must vanish, 1-based with the residual last; an empty list means it holds.
@@ -14,6 +15,14 @@ from parakahler.expressions import EXPR_ZERO, PARAMS, Polynomial, RationalExpr
 from parakahler.liealgebra import LieAlgebra, ThreeForm
 from parakahler.numeric import Mat
 from parakahler.structures import Metric
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    n, m, p = len(a), len(b), len(b[0])
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
+        for i in range(n)
+    ]
 
 
 def first_nonzero(comps):

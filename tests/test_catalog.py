@@ -291,6 +291,42 @@ def test_malformed_document_is_a_catalog_error(tmp_path, capsys, mutate, where):
     assert f"catalog error: {where}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, where, shown",
+    [
+        (
+            lambda d: d["algebras"][0].__setitem__("dim", 10**5000),
+            "algebras[0].dim",
+            "an integer of 5001 digits",
+        ),
+        (
+            lambda d: d["algebras"][0]["brackets"][0].__setitem__(2, 10**5000),
+            "algebras[0].brackets[0]",
+            "an integer of 5001 digits",
+        ),
+        (
+            lambda d: d["algebras"][0]["forms"][0]["terms"][0].__setitem__(0, 10**5000),
+            "algebras[0].forms[0].terms[0]",
+            "an integer of 5001 digits",
+        ),
+        (
+            lambda d: d["algebras"][0].__setitem__("name", [10**5000]),
+            "algebras[0].name",
+            "a list holding an integer too long to print",
+        ),
+    ],
+    ids=["dim", "bracket-index", "form-term-index", "name-list-of-long-integer"],
+)
+def test_integer_past_the_digit_limit_is_a_catalog_error(mutate, where, shown):
+    # From Python an int has no digit limit until it is formatted, and Python
+    # refuses to format one of more than 4,300 digits: the message names its
+    # digit count instead.  json.dumps refuses it too, so no check-file here.
+    with pytest.raises(CatalogFormatError) as info:
+        load_catalog(_mutate(mutate))
+    assert info.value.path == where
+    assert shown in str(info.value)
+
+
 PUBLISHED_METRICS = {
     # entry id -> catalogued associated metric g = omega . J
     "r2r2.lambda0.J25": [["a", -1, "b", -2], [-1, 0, 0, 0], ["b", 0, "-b", 1], [-2, 0, 1, 0]],

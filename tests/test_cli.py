@@ -348,3 +348,36 @@ def test_json_number_past_the_digit_limit_is_a_catalog_error(tmp_path, capsys, t
     for argv in (["check-file", str(path)], ["verify", "--catalog", str(path)]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("catalog error: ")
+
+
+def test_json_number_past_the_digit_limit_is_named_plainly(tmp_path, capsys):
+    # a command-line user cannot raise the interpreter's digit limit
+    path = tmp_path / "long.json"
+    path.write_text('{"algebras": [{"name": "x", "dim": ' + "7" * 5000 + "}]}", encoding="utf-8")
+    assert main(["check-file", str(path)]) == 2
+    assert capsys.readouterr().err == "catalog error: $: a number has too many digits to read\n"
+
+
+def test_json_nested_past_the_decoder_is_a_catalog_error(tmp_path, capsys):
+    # json.load raises RecursionError on arrays nested this deep
+    path = tmp_path / "deep.json"
+    path.write_text('{"algebras": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["check-file", str(path)]) == 2
+    assert capsys.readouterr().err == "catalog error: $: the JSON nests too deeply to read\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["7" * 5000, "1+" * 2500 + ")"], ids=["literal-of-5000-digits", "trailing-input"]
+)
+def test_long_expression_is_one_short_catalog_error_line(tmp_path, capsys, text):
+    # the message quotes the first 60 characters of the text and its length,
+    # and keeps the JSON path and the parser's reason
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    doc["algebras"][0]["structures"][0]["J"][0][0] = text
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-file", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("catalog error: algebras[0].structures[0].J[0][0]: cannot parse")
+    assert f"({len(text)} characters)" in line
+    assert len(line) < 300

@@ -1,8 +1,11 @@
 """Connection, curvature tensor, Ricci data, and classification labels."""
 
+import ast
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from oracles import (
     bianchi_residuals,
     connection_metric_residuals,
     first_nonzero,
+    mat_mul,
     torsion_residuals,
 )
 
@@ -434,6 +438,114 @@ def test_sparse_oracle_equals_dense_loops(n, cases):
         gamma = numeric.christoffel(c, g, numeric.invert(g))
         assert gamma == dense_christoffel(c, g), (n, case)
         assert numeric.curvature(c, gamma) == dense_curvature(c, gamma), (n, case)
+
+
+def dense_det(m):
+    """The Leibniz sum over permutations: singularity decided without elimination."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = Fraction(-1) ** inversions
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fraction_free_invert_is_an_inverse(n):
+    # Each matrix either inverts to a right inverse or is singular by the
+    # Leibniz sum, so neither a wrong inverse nor a spurious ZeroDivisionError
+    # passes.  Every fourth matrix has a zero leading entry, which forces a row
+    # swap at the first column.
+    rng = random.Random(1968 + n)
+    singular_cases = regular_cases = 0
+    for case in range(120):
+        density = (0.3, 0.6, 1.0)[case % 3]
+        g = [[_random_fraction(rng, density) for _ in range(n)] for _ in range(n)]
+        if case % 4 == 0:
+            g[0][0] = Fraction(0)
+        if dense_det(g) == 0:
+            singular_cases += 1
+            with pytest.raises(ZeroDivisionError):
+                numeric.invert(g)
+        else:
+            regular_cases += 1
+            assert mat_mul(g, numeric.invert(g)) == _identity(n), (n, case)
+    assert singular_cases > 0 and regular_cases > 0
+
+
+def test_fraction_free_invert_swaps_rows_and_rejects_singular_input():
+    antidiagonal = [[Fraction(i + 1, 2) if i + j == 3 else Fraction(0) for j in range(4)]
+                    for i in range(4)]
+    # a zero pivot in every column until a row below is swapped up
+    cyclic = [[Fraction(-3, i + 2) if j == (i + 1) % 4 else Fraction(0) for j in range(4)]
+              for i in range(4)]
+    # the second pivot vanishes only after the first column is eliminated
+    late_swap = [[Fraction(v) for v in row]
+                 for row in ([1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 1, 1], [1, 0, 0, Fraction(1, 3)])]
+    for g in (antidiagonal, cyclic, late_swap):
+        assert mat_mul(g, numeric.invert(g)) == _identity(4)
+    zero_column = [[Fraction(0) if j == 2 else Fraction(i + j + 1, 3) for j in range(4)]
+                   for i in range(4)]
+    dependent_row = [list(row) for row in late_swap[:3]]
+    dependent_row.append([2 * a - Fraction(1, 2) * b for a, b in zip(late_swap[0], late_swap[2])])
+    # a pivot that vanishes midway: row 1 is twice row 0 in the first two columns
+    rank_three = [[Fraction(v) for v in row]
+                  for row in ([1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1], [1, 1, 2, 0])]
+    for g in (zero_column, dependent_row, rank_three, [[Fraction(0)] * 4 for _ in range(4)]):
+        with pytest.raises(ZeroDivisionError):
+            numeric.invert(g)
+
+
+def dense_ricci(riem, ginv):
+    n = len(ginv)
+    ric = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            for i in range(n):
+                ric[j][k] += riem[i][j][k][i]
+    operator = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for m in range(n):
+            for k in range(n):
+                operator[j][m] += ric[j][k] * ginv[k][m]
+    scalar = Fraction(0)
+    for i in range(n):
+        scalar += operator[i][i]
+    return ric, operator, scalar
+
+
+@pytest.mark.parametrize("n, cases", [(4, 60), (5, 20)])
+def test_numeric_ricci_equals_dense_loops(n, cases):
+    # R is given no symmetry, so a trace over the wrong index pair shows
+    rng = random.Random(19680101 + n)
+    for case in range(cases):
+        density = (0.1, 0.3, 0.6, 1.0)[case % 4]
+        riem = [_random_tensor(rng, n, density) for _ in range(n)]
+        ginv = numeric.invert(_random_invertible(rng, n, max(density, 0.3)))
+        assert numeric.ricci(riem, ginv) == dense_ricci(riem, ginv), (n, case)
+
+
+def test_oracle_imports_only_the_standard_library():
+    # The oracle corroborates the symbolic path only while it shares no code
+    # with it: numeric.py imports from the standard library and nothing else.
+    tree = ast.parse(Path(numeric.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in numeric.py"
+            imported.add(node.module)
+        elif isinstance(node, ast.Name):
+            assert node.id != "__import__"
+    assert imported <= {"__future__", "fractions", "math", "typing"}, imported
 
 
 def test_corroboration_detects_single_perturbations():
