@@ -28,8 +28,11 @@ Both identity checks take their curvature bundles as given: the 4D bundle the
 base verification already computed and the 5D bundle of h on the extended
 algebra.  Neither computes a bundle of its own.  The curvature identities are
 checked in one pass over R^s_ijk, where the slots among j, k, s that hold xi
-select the identity and its closed form; both checks report their residuals
-through ``collect_residuals``, as the 4D axiom checks do.
+select the identity and its closed form.  On the base the closed form is built
+once per entry as polynomial numerators over one denominator, and each
+component is compared with it by cross-multiplication; only a nonzero residual
+is normalized.  Both checks report their residuals through
+``collect_residuals``, as the 4D axiom checks do.
 """
 
 from __future__ import annotations
@@ -40,10 +43,13 @@ from typing import Dict, Tuple
 
 from .curvature import CurvatureBundle
 from .expressions import (
+    _P_ZERO,
     EXPR_ONE,
     EXPR_ZERO,
     ExprMatrix,
     RationalExpr,
+    _make,
+    common_denominator,
     expr,
     format_expr,
 )
@@ -193,10 +199,23 @@ def verify_lifted_curvature(
     over R^s_ijk with i on the base and j, k, s on the base or xi."""
     n = ps.extension.base.dim
     riem5 = ext_bundle.riemann.comps
-    riem4 = base_bundle.riemann.comps
     g = base_bundle.metric.matrix
-    gj = g @ j_matrix  # (g . J)_ik = g(e_i, J e_k)
-    qgj, hgj = gj.scale(QUARTER), gj.scale(HALF)
+    # the closed form of R^s_ijk on the base, as numerators over one den:
+    # R4 - 1/4 gJ_ik J_sj + 1/4 gJ_jk J_si - 1/2 gJ_ij J_sk, gJ_ik = g(e_i, J e_k)
+    riem4 = base_bundle.riemann.comps
+    dr, r4 = common_denominator([x for a in riem4 for b in a for c in b for x in c])
+    dgj, gj = (g @ j_matrix)._cleared()
+    dj, jn = j_matrix._cleared()
+    den, r4_scale = (dr * dgj * dj).scale(4), (dgj * dj).scale(4)
+    # gjj[a][b][s][c] = dr gJ_ab J_sc, multiplied out only for nonzero factors
+    gjd = [[x * dr if x.terms else x for x in row] for row in gj]
+    gjj = [[[[x * y if x.terms and y.terms else _P_ZERO for y in jr] for jr in jn] for x in row]
+           for row in gjd]
+    closed = {
+        (i, j, k, s): (x * r4_scale if x.terms else x)
+        + gjj[j][k][s][i] - gjj[i][k][s][j] - gjj[i][j][s][k].scale(2)
+        for (i, j, k, s), x in zip(product(range(n), repeat=4), r4)
+    }
     names = [str(x + 1) for x in range(n)] + ["xi"]
 
     def cases():
@@ -204,13 +223,9 @@ def verify_lifted_curvature(
             where = f"R({names[i]},{names[j]}){names[k]}|{names[s]}"
             value = riem5[i][j][k][s]
             if j < n and k < n:  # R(X,Y)Z, whose xi-component (s = n) is 0
-                if s < n:
-                    value -= (
-                        riem4[i][j][k][s]
-                        - qgj[i, k] * j_matrix[s, j]
-                        + qgj[j, k] * j_matrix[s, i]
-                        - hgj[i, j] * j_matrix[s, k]
-                    )
+                if s < n:  # value - closed/den, normalized only when nonzero
+                    lhs, rhs = value.num * den, closed[i, j, k, s] * value.den
+                    value = EXPR_ZERO if lhs == rhs else _make(lhs - rhs, value.den * den)
                 yield "base_formula", where, value
             elif j < n:
                 yield "r_xy_xi", where, value

@@ -9,7 +9,10 @@ connection coefficients and curvature are
 
 (the torsion-free condition appears as Gamma^m_ij - Gamma^m_ji = C^m_ij).
 Each kernel clears its inputs to one shared denominator, forms every output
-numerator with polynomial ring operations and normalizes it once.
+numerator with polynomial ring operations and normalizes it once.  The
+curvature numerator is antisymmetric in (i, j) as written, so only R^s_ijk
+with i < j is formed and normalized; R^s_jik is its negation, which is
+canonical too, and R^s_iik is zero.
 Everything is exact; classification labels are decided by symbolic zero
 tests, never by sampling.
 """
@@ -17,7 +20,7 @@ tests, never by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Optional
 
 from .expressions import (
@@ -86,28 +89,30 @@ def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
     dg, flat = common_denominator([x for plane in gam.gamma for row in plane for x in row])
     g = [[flat[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
     dc, constants = algebra.cleared_constants()
-    # quad[i][j][k][s] = Gamma^s_ip Gamma^p_jk, shared by R^s_ijk and R^s_jik;
-    # lin[i][j][k][s] = C^p_ij Gamma^s_pk
+    # quad[i][j][k][s] = Gamma^s_ip Gamma^p_jk for i != j, shared by R^s_ijk
+    # and R^s_jik; lin[i][j][k][s] = C^p_ij Gamma^s_pk, for i < j
     quad = [[[[_P_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     lin = [[[[_P_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, k, p in product(range(n), repeat=4):
+    for (i, j), k, p in product(permutations(range(n), 2), range(n), range(n)):
         b, acc = g[j][k][p], quad[i][j][k]
         if b.is_zero:
             continue
         for s, a in enumerate(g[i][p]):
             if not a.is_zero:
                 acc[s] = acc[s] + a * b
-    for (i, j, p, c), k in product(constants, range(n)):
+    for (i, j, p, c), k in product([t for t in constants if t[0] < t[1]], range(n)):
         acc = lin[i][j][k]
         for s, b in enumerate(g[p][k]):
             if not b.is_zero:
                 acc[s] = acc[s] + c * b
-    # R = ((quad_ij - quad_ji) dc - lin dg) / (dg^2 dc)
+    # R = ((quad_ij - quad_ji) dc - lin dg) / (dg^2 dc): antisymmetric in
+    # (i, j) by construction, so R^s_jik = -R^s_ijk and R^s_iik = 0
     den = dg * dg * dc
     comps = [[[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, k, s in product(range(n), repeat=4):
+    for (i, j), k, s in product(combinations(range(n), 2), range(n), range(n)):
         num = (quad[i][j][k][s] - quad[j][i][k][s]) * dc - lin[i][j][k][s] * dg
-        comps[i][j][k][s] = _make(num, den)
+        comps[i][j][k][s] = r = _make(num, den)
+        comps[j][i][k][s] = -r
     frozen = tuple(
         tuple(tuple(tuple(row) for row in plane) for plane in block) for block in comps
     )

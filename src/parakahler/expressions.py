@@ -79,7 +79,8 @@ class SingularMatrixError(ValueError):
 
 
 def set_term_limit(limit: int) -> None:
-    """Set the global guard on polynomial term counts (default 100000)."""
+    """Set the global guard on polynomial term counts (default 100000).  A
+    product whose factors' term counts multiply past it is refused unformed."""
     global _term_limit
     if limit < 1:
         raise ValueError("term limit must be positive")
@@ -163,7 +164,16 @@ class Polynomial:
         return Polynomial(_guard(out))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            s = out.get(exp, 0) - coeff
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+        return Polynomial(_guard(out))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial({e: -c for e, c in self.terms.items()})
@@ -171,8 +181,15 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.terms or not other.terms:
             return _P_ZERO
-        if self == _P_ONE or other == _P_ONE:
-            return other if self == _P_ONE else self
+        if self.terms == _P_ONE.terms:
+            return other
+        if other.terms == _P_ONE.terms:
+            return self
+        if len(self.terms) * len(other.terms) > _term_limit:
+            raise ExpressionBlowupError(
+                f"product of {len(self.terms)} by {len(other.terms)} terms exceeds "
+                f"the guard ({_term_limit}); raise the limit if this is intentional"
+            )
         acc: dict = {}
         t2 = other.terms.items()
         for e1, c1 in self.terms.items():
@@ -835,7 +852,7 @@ def common_denominator(values) -> Tuple[Polynomial, List[Polynomial]]:
     """(D, numerators) with values[i] == numerators[i] / D, D the lcm of the
     denominators: math.lcm of their integer contents times the lcm of their
     primitive parts, for which divisibility is tried both ways before a gcd."""
-    dens = {v.den: _split(v.den) for v in values if not v.num.is_zero}
+    dens = {v.den: _split(v.den) for v in values if v.num.terms}
     scale, lcm = 1, _P_ONE
     for c, d in dens.values():
         scale = _int_lcm(scale, c)
@@ -846,8 +863,8 @@ def common_denominator(values) -> Tuple[Polynomial, List[Polynomial]]:
         else:
             lcm = d * exact_div(lcm, poly_gcd(lcm, d))
     lcm = lcm.scale(scale)
-    cofactors = {d: exact_div(lcm, d) for d in dens if d != lcm}
-    return lcm, [v.num * cofactors[v.den] if v.den in cofactors else v.num for v in values]
+    cofactors = {d: _P_ONE if d == lcm else exact_div(lcm, d) for d in dens}
+    return lcm, [v.num * cofactors[v.den] if v.num.terms else v.num for v in values]
 
 
 def _laplace(m: List[List[Polynomial]], adjugate: bool = False):
@@ -890,9 +907,10 @@ def _laplace(m: List[List[Polynomial]], adjugate: bool = False):
 class ExprMatrix:
     """Immutable rectangular matrix of rational expressions."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_clear")
 
     def __init__(self, entries):
+        self._clear = None  # (D, N) of ``_cleared``, made on first use
         self.entries = tuple(tuple(row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
@@ -974,10 +992,13 @@ class ExprMatrix:
         return ExprMatrix([[_make(x, den) for x in row] for row in out])
 
     def _cleared(self):
-        """(D, N): the entries as polynomial numerators N[i][j] over one D."""
-        den, flat = common_denominator([x for row in self.entries for x in row])
-        c = self.cols
-        return den, [flat[i * c : (i + 1) * c] for i in range(self.rows)]
+        """(D, N): the entries as polynomial numerators N[i][j] over one D,
+        computed once per matrix; callers only read N."""
+        if self._clear is None:
+            den, flat = common_denominator([x for row in self.entries for x in row])
+            c = self.cols
+            self._clear = den, [flat[i * c : (i + 1) * c] for i in range(self.rows)]
+        return self._clear
 
     def scale(self, factor: ExprLike) -> "ExprMatrix":
         f = expr(factor)

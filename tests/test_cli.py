@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 
 import pytest
 
@@ -207,6 +208,22 @@ def test_term_limit_does_not_carry_into_the_next_call(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["report", "--samples", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["summary"]["failures"] == 0
+
+
+def test_power_past_the_term_guard_exits_3_before_the_work(tmp_path, capsys):
+    # the guard bounds each product before forming it, so the parse of the
+    # power stops at its first oversized product, not after building it
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    algebra = next(a for a in doc["algebras"] if a["name"] == "r2r2")
+    algebra["structures"] = algebra["structures"][:1]
+    algebra["structures"][0]["J"][1][0] = "(a+b+c+d+lam)^30"
+    doc["algebras"] = [algebra]
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify", "--catalog", str(path), "--samples", "1"]) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err.startswith("infrastructure error: ")
 
 
 def _degenerate_catalog(tmp_path):

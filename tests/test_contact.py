@@ -2,9 +2,11 @@
 
 import dataclasses
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
+from parakahler import numeric
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.contact import (
@@ -29,6 +31,7 @@ from parakahler.liealgebra import (
     jacobi_check,
     pfaffian4,
 )
+from parakahler.sampling import DeterministicRng, sample_point
 from parakahler.structures import Metric, metric_from
 
 from conftest import make_algebra, make_form
@@ -263,7 +266,37 @@ def test_lift_identities_across_builtin_sample():
         assert ps.phi_vs_deta == "equal", entry.entry_id
 
 
+def test_lifted_riemann_fill_agrees_with_the_oracle():
+    # every component of each lift's 5D R^s_ijk, the j < i half filled by
+    # negation, against the Fraction oracle at a point off the 5D denominators
+    catalog = builtin_catalog()
+    extensions = {}
+    for entry in catalog.entries:
+        algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
+        key = (entry.algebra, entry.form)
+        if key not in extensions:
+            extensions[key] = _extend(algebra, form)
+        ps = build_paracontact(extensions[key], entry.j_matrix)
+        ext = ps.extension.extended
+        bundle = curvature_bundle(ext, ps.h)
+        riem = bundle.riemann.comps
+        values = [x for m in (ps.h.matrix, bundle.metric_inverse) for r in m.entries for x in r]
+        values += [x for plane in bundle.christoffel.gamma for row in plane for x in row]
+        values += [x for block in riem for plane in block for row in plane for x in row]
+        avoid = list(ext.denominators()) + [v.den for v in values if not v.den.is_const]
+        rng = DeterministicRng(len(entry.entry_id))
+        point = sample_point(rng, catalog.domains_of(entry), avoid)
+        h = ps.h.matrix.eval_at(point)
+        c = ext.structure_eval(point)
+        oracle = numeric.curvature(c, numeric.christoffel(c, h, numeric.invert(h)))
+        for i, j, k, s in product(range(5), repeat=4):
+            assert point.agrees(riem[i][j][k][s], oracle[i][j][k][s]), (entry.entry_id, i, j, k, s)
+
+
 FACTOR = expr("(a+2)/(a+1)")  # != 1: moves a value through its denominator
+# != 1, with a non-monomial denominator; (a+b) - (a^2+b) = a(1-a) cancels
+# the a in the denominator of R(1,4)4|1
+NON_MONOMIAL = expr("(a+b)/(a^2+b)")
 XI = 4
 
 
@@ -273,6 +306,10 @@ def _plus_one(value):
 
 def _times_factor(value):
     return value * FACTOR
+
+
+def _times_non_monomial(value):
+    return value * NON_MONOMIAL
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +354,19 @@ def _ricci_identities(*failed):
         # R(1,2)2|3 = 3a/2, nonzero, times the factor
         ({(0, 1, 1, 2): _times_factor}, ("base_formula",), (("R(1,2)2|3", "3/2*a/(a + 1)"),)),
         ({(0, 1, 2, XI): _plus_one}, ("base_formula",), (("R(1,2)3|xi", "1"),)),
+        # R(1,2)1|4 = 0, every index on the base
+        ({(0, 1, 0, 3): _plus_one}, ("base_formula",), (("R(1,2)1|4", "1"),)),
+        # R(1,4)4|1 = (a^3 - 8a^2 + 3ab/2 - 3b)/a
+        (
+            {(0, 3, 3, 0): _times_non_monomial},
+            ("base_formula",),
+            (
+                (
+                    "R(1,4)4|1",
+                    "(-a^4 + 9*a^3 - 3/2*a^2*b - 8*a^2 + 9/2*a*b - 3*b)/(a^2 + b)",
+                ),
+            ),
+        ),
         ({(0, 1, XI, 3): _plus_one}, ("r_xy_xi",), (("R(1,2)xi|4", "1"),)),
         # R(1,xi)2|xi = g(1,2)/4 = a/8
         ({(0, XI, 1, XI): _times_factor}, ("r_x_xi_z",), (("R(1,xi)2|xi", "1/8*a/(a + 1)"),)),
@@ -333,8 +383,9 @@ def _ricci_identities(*failed):
             ),
         ),
     ],
-    ids=["nonzero-factor", "zero-xi-slot", "r-xy-xi", "r-x-xi-z-factor", "r-x-xi-z-zero",
-         "r-x-xi-xi-factor", "three-identities"],
+    ids=["nonzero-factor", "zero-xi-slot", "zero-base-slot", "base-non-monomial-factor",
+         "r-xy-xi", "r-x-xi-z-factor", "r-x-xi-z-zero", "r-x-xi-xi-factor",
+         "three-identities"],
 )
 def test_lifted_curvature_pins_single_perturbations(d42_lift, changes, failed, residuals):
     ps, base, j_matrix, ext_bundle = d42_lift

@@ -18,6 +18,7 @@ from parakahler.expressions import (
     SingularMatrixError,
     SymbolicZeroDivisionError,
     UnknownParameterError,
+    common_denominator,
     expr,
     format_expr,
     parse_expr,
@@ -394,3 +395,33 @@ def test_term_limit_guard():
             (base ** 4) * (base ** 4)
     finally:
         set_term_limit(100_000)
+
+
+def test_term_guard_bounds_a_product_before_forming_it():
+    # (a+b)(a-b) = a^2 - b^2 has 2 terms, but it takes 4 term products
+    f, g = parse_expr("a+b").num, parse_expr("a-b").num
+    set_term_limit(3)
+    try:
+        with pytest.raises(ExpressionBlowupError, match="product of 2 by 2 terms"):
+            f * g
+        set_term_limit(4)
+        assert f * g == parse_expr("a^2-b^2").num
+    finally:
+        set_term_limit(100_000)
+
+
+def _cleared_afresh(m):
+    den, flat = common_denominator([x for row in m.entries for x in row])
+    return den, [flat[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+
+
+def test_cleared_is_cached_per_matrix_and_never_inherited():
+    m = ExprMatrix.from_rows([["a/(b+1)", "1/b"], ["c", "(a+1)/(b^2+b)"]])
+    first = m._cleared()
+    assert m._cleared() is first
+    assert first == _cleared_afresh(m)
+    other = ExprMatrix.from_rows([["b", "1/a"], ["1/(a+1)", "2"]])
+    other._cleared()
+    results = (m @ other, m + other, m - other, m.transpose(), m.scale("1/(c+1)"), m.inverse())
+    for result in results:
+        assert result._cleared() == _cleared_afresh(result)
