@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from .catalog import Catalog, CatalogFormatError, builtin_catalog, load_catalog
-from .expressions import DEFAULT_TERM_LIMIT, ExpressionBlowupError, format_expr, set_term_limit
+from .expressions import ExpressionBlowupError, format_expr
 from .sampling import SamplingError
 from .verify import RunConfig, render_report, verify_all
 
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--filter", dest="entry_filter", default=None, help="glob on structure ids")
         p.add_argument("--strict", action="store_true", help="treat published-value mismatches as failures")
         p.add_argument("--out", default=None, help="write the rendered report to this path")
-        p.add_argument("--term-limit", type=int, default=DEFAULT_TERM_LIMIT, help="polynomial term-count guard")
 
     sub.add_parser("list", help="list algebras, forms, and structures")
     for name, help_text in (
@@ -105,15 +104,6 @@ def _config(args) -> RunConfig:
         strict=args.strict,
         entry_filter=args.entry_filter,
     )
-
-
-def _apply_term_limit(args) -> None:
-    """Set the process-global term guard on every command, so that a limit
-    given to one call of ``main`` does not carry into the next."""
-    try:
-        set_term_limit(getattr(args, "term_limit", DEFAULT_TERM_LIMIT))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _check_out(args) -> None:
@@ -247,7 +237,6 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        _apply_term_limit(args)
         if args.command == "list":
             return _cmd_list(args)
         if args.command == "verify":

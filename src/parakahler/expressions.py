@@ -38,12 +38,13 @@ _NV = len(PARAMS)
 _IDX = {name: i for i, name in enumerate(PARAMS)}
 _ZEXP = (0,) * _NV
 
-DEFAULT_TERM_LIMIT = 100_000
-_term_limit = DEFAULT_TERM_LIMIT
+# The guard on polynomial term counts: a product whose factors' term counts
+# multiply past it is refused unformed, and a sum past it is refused.
+TERM_LIMIT = 100_000
 
 
 class ExpressionBlowupError(RuntimeError):
-    """An intermediate polynomial exceeded the configured term-count bound."""
+    """An intermediate polynomial exceeded the term-count guard, ``TERM_LIMIT``."""
 
 
 class SymbolicZeroDivisionError(ZeroDivisionError):
@@ -78,20 +79,10 @@ class SingularMatrixError(ValueError):
     """Matrix inversion requested for a matrix with zero determinant."""
 
 
-def set_term_limit(limit: int) -> None:
-    """Set the global guard on polynomial term counts (default 100000).  A
-    product whose factors' term counts multiply past it is refused unformed."""
-    global _term_limit
-    if limit < 1:
-        raise ValueError("term limit must be positive")
-    _term_limit = limit
-
-
 def _guard(terms: dict) -> dict:
-    if len(terms) > _term_limit:
+    if len(terms) > TERM_LIMIT:
         raise ExpressionBlowupError(
-            f"polynomial with {len(terms)} terms exceeds the guard "
-            f"({_term_limit}); raise the limit if this is intentional"
+            f"polynomial with {len(terms)} terms exceeds the guard ({TERM_LIMIT})"
         )
     return terms
 
@@ -185,10 +176,10 @@ class Polynomial:
             return other
         if other.terms == _P_ONE.terms:
             return self
-        if len(self.terms) * len(other.terms) > _term_limit:
+        if len(self.terms) * len(other.terms) > TERM_LIMIT:
             raise ExpressionBlowupError(
                 f"product of {len(self.terms)} by {len(other.terms)} terms exceeds "
-                f"the guard ({_term_limit}); raise the limit if this is intentional"
+                f"the guard ({TERM_LIMIT})"
             )
         acc: dict = {}
         t2 = other.terms.items()

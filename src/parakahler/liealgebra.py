@@ -191,10 +191,6 @@ class LieAlgebra:
         """Structure constant C^k_ij, 0-based."""
         return self._c[i][j][k]
 
-    def nonzero_constants(self) -> Tuple[Tuple[int, int, int, RationalExpr], ...]:
-        """All nonzero (i, j, k, C^k_ij), both index orders, 0-based."""
-        return self._nonzero
-
     def sparse_brackets(self) -> Tuple[Tuple[int, int, int, RationalExpr], ...]:
         """Nonzero entries with i < j only, 1-based (serialization order)."""
         return tuple(

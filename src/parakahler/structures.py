@@ -4,19 +4,26 @@ An endomorphism J (columns = images of basis vectors) is para-complex when
 J^2 = Id with balanced eigenvalues (trace J = 0) and its Nijenhuis tensor
 vanishes.  Compatibility with a two-form omega means omega(JX, Y) +
 omega(X, JY) = 0; the associated metric is g(X, Y) = omega(X, JY), i.e.
-g = omega . J as matrices.  All checks are symbolic and report structured
-findings instead of raising, so that broken inputs can be diagnosed; every
-reported identity, here and in ``contact``, goes through ``collect_residuals``.
+g = omega . J as matrices.  The Nijenhuis tensor is two contractions of
+A^k_im = J^l_i C^k_lm, formed once:
+
+    N^k_ij = C^k_ij + J^m_j A^k_im - J^k_m (A^m_ij - A^m_ji),
+
+normalized for i < j only and filled by N^k_ji = -N^k_ij, N^k_ii = 0, since
+C^k_ji = -C^k_ij.  Each axiom product (J^T omega, g J) is formed once.  All
+checks are symbolic and report structured findings instead of raising, so
+that broken inputs can be diagnosed; every reported identity, here and in
+``contact``, goes through ``collect_residuals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Mapping, Tuple
 
-from .expressions import _P_ZERO, ExprMatrix, RationalExpr, _make, format_expr
+from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
 from .liealgebra import LieAlgebra, TwoForm
 
 
@@ -83,9 +90,9 @@ def check_involution(j_matrix: ExprMatrix) -> AxiomCheck:
 def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> AxiomCheck:
     """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega."""
     w = omega.matrix
-    jt = j_matrix.transpose()
-    primary = jt @ w + w @ j_matrix
-    crosscheck = jt @ w @ j_matrix + w
+    jtw = j_matrix.transpose() @ w
+    primary = jtw + w @ j_matrix
+    crosscheck = jtw @ j_matrix + w
     return _axiom_check(
         "omega-compat", _entries("Jt*w+w*J", primary) + _entries("w(J.,J.)+w", crosscheck)
     )
@@ -113,55 +120,37 @@ class NijenhuisTensor:
 
 
 def nijenhuis(algebra: LieAlgebra, j_matrix: ExprMatrix) -> NijenhuisTensor:
-    """N^k_ij = C^k_ij + J^l_i J^m_j C^k_lm - J^l_i J^k_m C^m_lj - J^l_j J^k_m C^m_il."""
+    """N^k_ij = C^k_ij + J^l_i J^m_j C^k_lm - J^l_i J^k_m C^m_lj - J^l_j J^k_m C^m_il.
+
+    With A^k_im = J^l_i C^k_lm this is C^k_ij + J^m_j A^k_im - J^k_m (A^m_ij - A^m_ji),
+    formed and normalized for i < j only: C^k_ji = -C^k_ij makes it
+    antisymmetric in (i, j), so N^k_ji = -N^k_ij and N^k_ii = 0."""
     n = algebra.dim
     if j_matrix.rows != n:
         raise ValueError("endomorphism dimension does not match the algebra")
     dj, j = j_matrix._cleared()
     dc, constants = algebra.cleared_constants()
     dj2 = dj * dj
-    # numerators over dj^2 dc
-    comps = [[[_P_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, jj, k, c) in constants:
-        comps[i][jj][k] = c * dj2
-    for (l, m, k, c) in constants:
-        # + J^l_i J^m_j C^k_lm
-        for i in range(n):
-            jli = j[l][i]
-            if jli.is_zero:
-                continue
-            for jj in range(n):
-                jmj = j[m][jj]
-                if jmj.is_zero:
-                    continue
-                comps[i][jj][k] = comps[i][jj][k] + jli * jmj * c
-    for (l, jj, m, c) in constants:
-        # - J^l_i J^k_m C^m_lj
-        for i in range(n):
-            jli = j[l][i]
-            if jli.is_zero:
-                continue
-            for k in range(n):
-                jkm = j[k][m]
-                if jkm.is_zero:
-                    continue
-                comps[i][jj][k] = comps[i][jj][k] - jli * jkm * c
-    for (i, l, m, c) in constants:
-        # - J^l_j J^k_m C^m_il
-        for jj in range(n):
-            jlj = j[l][jj]
-            if jlj.is_zero:
-                continue
-            for k in range(n):
-                jkm = j[k][m]
-                if jkm.is_zero:
-                    continue
-                comps[i][jj][k] = comps[i][jj][k] - jlj * jkm * c
+    # a[i][m][k] = A^k_im, numerators over dj dc
+    a = [[[_P_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (l, m, k, c), i in product(constants, range(n)):
+        if not j[l][i].is_zero:
+            a[i][m][k] = a[i][m][k] + j[l][i] * c
+    cdj2 = {(l, m, k): c * dj2 for l, m, k, c in constants if l < m}  # C^k_lm dj^2
     den = dj2 * dc
-    frozen = tuple(
-        tuple(tuple(_make(x, den) for x in row) for row in plane) for plane in comps
-    )
-    return NijenhuisTensor(n, frozen)
+    comps = [[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, jj in combinations(range(n), 2):
+        skew = [x - y for x, y in zip(a[i][jj], a[jj][i])]  # A^m_ij - A^m_ji
+        for k in range(n):
+            acc = cdj2.get((i, jj, k), _P_ZERO)
+            for m in range(n):
+                if not j[m][jj].is_zero and not a[i][m][k].is_zero:
+                    acc = acc + j[m][jj] * a[i][m][k]
+                if not j[k][m].is_zero and not skew[m].is_zero:
+                    acc = acc - j[k][m] * skew[m]
+            comps[i][jj][k] = x = _make(acc, den)
+            comps[jj][i][k] = -x
+    return NijenhuisTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in comps))
 
 
 class Metric:
@@ -208,8 +197,10 @@ def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
 
 
 def check_metric_compat(g: Metric, j_matrix: ExprMatrix) -> AxiomCheck:
-    """g(JX, Y) + g(X, JY) = 0 entrywise, symbolically."""
-    residual = j_matrix.transpose() @ g.matrix + g.matrix @ j_matrix
+    """g(JX, Y) + g(X, JY) = 0 entrywise, symbolically; g is symmetric, so
+    J^T g = (g J)^T and one product serves both terms."""
+    gj = g.matrix @ j_matrix
+    residual = gj.transpose() + gj
     return _axiom_check("metric-compat", _entries("Jt*g+g*J", residual))
 
 

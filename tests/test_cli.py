@@ -48,7 +48,6 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["verify", "--samples", "0"]) == 2
-    assert main(["verify", "--term-limit", "0"]) == 2
 
 
 def test_corrupted_catalog_file_exits_one(tmp_path, capsys):
@@ -199,15 +198,6 @@ def test_env_seed_not_an_integer_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: PARAKAHLER_SEED")
     assert "Traceback" not in err
-
-
-def test_term_limit_does_not_carry_into_the_next_call(tmp_path, capsys):
-    # the guard is process-global; a call without the flag gets the default
-    assert main(["verify", "--filter", "rn4.*", "--samples", "1", "--term-limit", "3"]) == 0
-    capsys.readouterr()
-    out = tmp_path / "report.json"
-    assert main(["report", "--samples", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["summary"]["failures"] == 0
 
 
 def test_power_past_the_term_guard_exits_3_before_the_work(tmp_path, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from parakahler import expressions
 from parakahler.expressions import (
     PARAMS,
     DenominatorVanishesError,
@@ -23,7 +24,6 @@ from parakahler.expressions import (
     format_expr,
     parse_expr,
     poly_gcd,
-    set_term_limit,
     variable,
 )
 
@@ -387,27 +387,21 @@ def test_matrix_identities_randomized():
             assert a @ a.inverse() == ExprMatrix.identity(3)
 
 
-def test_term_limit_guard():
-    set_term_limit(10)
-    try:
-        base = parse_expr("a+b+c+d")
-        with pytest.raises(ExpressionBlowupError):
-            (base ** 4) * (base ** 4)
-    finally:
-        set_term_limit(100_000)
+def test_term_limit_guard(monkeypatch):
+    monkeypatch.setattr(expressions, "TERM_LIMIT", 10)
+    base = parse_expr("a+b+c+d")
+    with pytest.raises(ExpressionBlowupError):
+        (base ** 4) * (base ** 4)
 
 
-def test_term_guard_bounds_a_product_before_forming_it():
+def test_term_guard_bounds_a_product_before_forming_it(monkeypatch):
     # (a+b)(a-b) = a^2 - b^2 has 2 terms, but it takes 4 term products
     f, g = parse_expr("a+b").num, parse_expr("a-b").num
-    set_term_limit(3)
-    try:
-        with pytest.raises(ExpressionBlowupError, match="product of 2 by 2 terms"):
-            f * g
-        set_term_limit(4)
-        assert f * g == parse_expr("a^2-b^2").num
-    finally:
-        set_term_limit(100_000)
+    monkeypatch.setattr(expressions, "TERM_LIMIT", 3)
+    with pytest.raises(ExpressionBlowupError, match="product of 2 by 2 terms"):
+        f * g
+    monkeypatch.setattr(expressions, "TERM_LIMIT", 4)
+    assert f * g == parse_expr("a^2-b^2").num
 
 
 def _cleared_afresh(m):

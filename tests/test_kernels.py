@@ -7,6 +7,7 @@ Normalization is canonical, so the kernels must print identically.
 
 import random
 import time
+from itertools import product
 
 from parakahler.catalog import builtin_catalog
 from parakahler.curvature import christoffel, curvature, curvature_bundle, ricci
@@ -83,11 +84,22 @@ def ref_inverse(m):
     return ExprMatrix(adj).scale(EXPR_ONE / d)
 
 
+def ref_constants(algebra):
+    """Every nonzero (i, j, k, C^k_ij), both index orders, 0-based, read off
+    ``algebra.c`` so the references share no sparse list with the kernels."""
+    n = algebra.dim
+    return [
+        (i, j, k, algebra.c(i, j, k))
+        for i, j, k in product(range(n), repeat=3)
+        if not algebra.c(i, j, k).is_zero
+    ]
+
+
 def ref_christoffel(algebra, g, ginv):
     n = algebra.dim
     gm = g.matrix
     low = [[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (x, y, p, c) in algebra.nonzero_constants():
+    for (x, y, p, c) in ref_constants(algebra):
         for z in range(n):
             if not gm[p, z].is_zero:
                 low[x][y][z] = low[x][y][z] + c * gm[p, z]
@@ -148,17 +160,18 @@ def ref_nijenhuis(algebra, j_matrix):
     n = algebra.dim
     j = j_matrix.entries
     comps = [[[algebra.c(i, jj, k) for k in range(n)] for jj in range(n)] for i in range(n)]
-    for (l, m, k, c) in algebra.nonzero_constants():
+    constants = ref_constants(algebra)
+    for (l, m, k, c) in constants:
         for i in range(n):
             for jj in range(n):
                 if not j[l][i].is_zero and not j[m][jj].is_zero:
                     comps[i][jj][k] = comps[i][jj][k] + j[l][i] * j[m][jj] * c
-    for (l, jj, m, c) in algebra.nonzero_constants():
+    for (l, jj, m, c) in constants:
         for i in range(n):
             for k in range(n):
                 if not j[l][i].is_zero and not j[k][m].is_zero:
                     comps[i][jj][k] = comps[i][jj][k] - j[l][i] * j[k][m] * c
-    for (i, l, m, c) in algebra.nonzero_constants():
+    for (i, l, m, c) in constants:
         for jj in range(n):
             for k in range(n):
                 if not j[l][jj].is_zero and not j[k][m].is_zero:
@@ -340,7 +353,7 @@ def test_chain_shear_r2p_j1_inverts_and_curves_quickly():
         for b in range(a + 1, n):
             for c in range(n):
                 value = EXPR_ZERO
-                for (i, j, k, v) in algebra.nonzero_constants():
+                for (i, j, k, v) in ref_constants(algebra):
                     value = value + q[c, k] * v * p[i, a] * p[j, b]
                 if not value.is_zero:
                     brackets.append((a + 1, b + 1, c + 1, value))

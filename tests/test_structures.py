@@ -85,6 +85,49 @@ def test_omega_compat_diagonal_fail():
     assert report.issues[0].residual == "2"
 
 
+def _issues(check):
+    return tuple((issue.where, issue.residual) for issue in check.issues)
+
+
+def test_omega_compat_pins_the_cross_check_residuals():
+    # J = a*diag(1, 1, -1, -1) passes the primary block for every a, but
+    # omega(JX, JY) = a^2 omega(X, Y), so only the cross-check fails
+    omega = make_form(4, OMEGA_13_24)
+    j = ExprMatrix.from_rows([["a", 0, 0, 0], [0, "a", 0, 0], [0, 0, "-a", 0], [0, 0, 0, "-a"]])
+    report = check_omega_compat(omega, j)
+    assert not report.ok
+    assert _issues(report) == (
+        ("w(J.,J.)+w[1,3]", "-a^2 + 1"),
+        ("w(J.,J.)+w[2,4]", "-a^2 + 1"),
+        ("w(J.,J.)+w[3,1]", "a^2 - 1"),
+        ("w(J.,J.)+w[4,2]", "a^2 - 1"),
+    )
+
+
+def test_omega_compat_pins_the_residuals_of_both_blocks():
+    omega = make_form(4, OMEGA_13_24)
+    report = check_omega_compat(omega, J3_RR3M1)
+    assert not report.ok
+    assert _issues(report) == (
+        ("Jt*w+w*J[1,2]", "-b"),
+        ("Jt*w+w*J[1,3]", "-a + 1"),
+        ("Jt*w+w*J[2,1]", "b"),
+        ("Jt*w+w*J[2,4]", "a - 1"),
+        ("Jt*w+w*J[3,1]", "a - 1"),
+        ("Jt*w+w*J[3,4]", "(a^2 - 1)/b"),
+        ("Jt*w+w*J[4,2]", "-a + 1"),
+        ("Jt*w+w*J[4,3]", "(-a^2 + 1)/b"),
+        ("w(J.,J.)+w[1,2]", "b"),
+        ("w(J.,J.)+w[1,3]", "-a + 1"),
+        ("w(J.,J.)+w[2,1]", "-b"),
+        ("w(J.,J.)+w[2,4]", "-a + 1"),
+        ("w(J.,J.)+w[3,1]", "a - 1"),
+        ("w(J.,J.)+w[3,4]", "(a^2 - 1)/b"),
+        ("w(J.,J.)+w[4,2]", "a - 1"),
+        ("w(J.,J.)+w[4,3]", "(-a^2 + 1)/b"),
+    )
+
+
 def test_omega_compat_rr3m1_j3():
     omega = make_form(4, [(1, 4, 1), (2, 3, 1)])
     assert check_omega_compat(omega, J3_RR3M1).ok
@@ -126,6 +169,40 @@ def test_nijenhuis_detects_non_integrable():
     assert oracle[i - 1][j - 1][k - 1] == value.eval(point)
     assert any(
         oracle[x][y][z] != 0 for x in range(4) for y in range(4) for z in range(4)
+    )
+
+
+def test_nijenhuis_pins_parametric_residuals():
+    # N^k_ji = -N^k_ij: each residual is listed with its negation
+    r2r2 = make_algebra("r2r2")
+    j = ExprMatrix.from_rows(
+        [[1, 0, 0, 0], [0, 0, 0, "1/(b+1)"], [0, 0, -1, 0], [0, "b+1", 0, 0]]
+    )
+    assert check_involution(j).ok
+    assert _issues(nijenhuis(r2r2, j).as_check()) == (
+        ("N[1,2;2]", "1"),
+        ("N[1,2;4]", "-b - 1"),
+        ("N[1,4;2]", "1/(b + 1)"),
+        ("N[1,4;4]", "-1"),
+        ("N[2,1;2]", "-1"),
+        ("N[2,1;4]", "b + 1"),
+        ("N[2,3;2]", "1"),
+        ("N[2,3;4]", "b + 1"),
+        ("N[3,2;2]", "-1"),
+        ("N[3,2;4]", "-b - 1"),
+        ("N[3,4;2]", "1/(b + 1)"),
+        ("N[3,4;4]", "1"),
+        ("N[4,1;2]", "-1/(b + 1)"),
+        ("N[4,1;4]", "1"),
+        ("N[4,3;2]", "-1/(b + 1)"),
+        ("N[4,3;4]", "-1"),
+    )
+    d4lam = make_algebra("d4lam")
+    j = ExprMatrix.from_rows([[1, "a", 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    assert check_involution(j).ok
+    assert _issues(nijenhuis(d4lam, j).as_check()) == (
+        ("N[2,4;1]", "4*a*lam - 2*a"),
+        ("N[4,2;1]", "-4*a*lam + 2*a"),
     )
 
 
@@ -198,6 +275,13 @@ def test_metric_compat_of_derived_metrics():
 def test_metric_compat_failure():
     g = Metric(ExprMatrix.identity(4))
     assert not check_metric_compat(g, DIAG_PP_MM).ok
+    # for a diagonal J the residual is g_ij (J_ii + J_jj)
+    report = check_metric_compat(Metric(G3_RR3M1), DIAG_PP_MM)
+    assert not report.ok
+    assert _issues(report) == (
+        ("Jt*g+g*J[1,1]", "2*b"),
+        ("Jt*g+g*J[4,4]", "(-2*a^2 + 2)/b"),
+    )
 
 
 def test_metric_compat_rh3_j2():
