@@ -175,10 +175,16 @@ def _matrix(path: str, raw, dim: int) -> ExprMatrix:
 
 
 def _fraction(path: str, value) -> Fraction:
+    """``value`` as a rational.  ``Fraction`` computes 10^e for a decimal
+    exponent e, so one past Python's 4,300-digit int limit is refused first."""
     try:
-        return Fraction(str(value))
+        text = str(value)
+        exponent = text.lower().partition("e")[2]
+        if not exponent or abs(int(exponent)) <= 4_300:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogFormatError(path, f"bad rational {_shown(value)}") from exc
+    raise CatalogFormatError(path, f"exponent of {_shown(value)} exceeds 4300 in magnitude")
 
 
 def _parse_domain(path: str, raw) -> ParamDomain:

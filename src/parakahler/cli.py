@@ -156,9 +156,10 @@ def _domain_text(dom) -> str:
         return "free"
     if dom.kind == "positive":
         return "> 0"
-    lo = "-inf" if dom.lo is None else str(dom.lo)
+    # the interval ``ParamDomain.admits`` accepts: lo <= x < hi
+    lo = "(-inf" if dom.lo is None else f"[{dom.lo}"
     hi = "+inf" if dom.hi is None else str(dom.hi)
-    text = f"in ({lo}, {hi})"
+    text = f"in {lo}, {hi})"
     if dom.excluded:
         text += ", excluding " + ", ".join(str(v) for v in dom.excluded)
     return text

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .curvature import CurvatureBundle
 from .expressions import (
@@ -54,7 +54,7 @@ from .expressions import (
     format_expr,
 )
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, ce_differential_1, pfaffian4
-from .structures import Metric, collect_residuals
+from .structures import IdentityReport, Metric, collect_residuals
 
 
 class NonSymplecticError(ValueError):
@@ -170,23 +170,8 @@ def metric_restriction_residuals(ps: ParacontactStructure, base_g: Metric) -> Ex
     return ps.h.matrix - _bordered(base_g.matrix, EXPR_ONE)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identities: Dict[str, bool]
-    residuals: Tuple[Tuple[str, str], ...]  # (component tag, residual text)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.identities.values())
-
-
 QUARTER = expr("1/4")
 HALF = expr("1/2")
-
-
-def _report(cases, *identities: str) -> IdentityReport:
-    failed, residuals = collect_residuals(cases)
-    return IdentityReport({name: name not in failed for name in identities}, residuals)
 
 
 def verify_lifted_curvature(
@@ -234,7 +219,7 @@ def verify_lifted_curvature(
             else:
                 yield "r_x_xi_xi", where, value + QUARTER if s == i else value
 
-    return _report(cases(), "base_formula", "r_xy_xi", "r_x_xi_z", "r_x_xi_xi")
+    return collect_residuals(cases(), "base_formula", "r_xy_xi", "r_x_xi_z", "r_x_xi_xi")
 
 
 def verify_lifted_ricci(
@@ -256,4 +241,4 @@ def verify_lifted_ricci(
             yield "ric_y_xi", f"Ric(xi,{j + 1})", ric5[xi, j]
         yield "ric_xi_xi", "Ric(xi,xi)", ric5[xi, xi] + expr(xi // 2) * HALF
 
-    return _report(cases(), "ric_base", "ric_y_xi", "ric_xi_xi")
+    return collect_residuals(cases(), "ric_base", "ric_y_xi", "ric_xi_xi")

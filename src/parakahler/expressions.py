@@ -42,9 +42,13 @@ _ZEXP = (0,) * _NV
 # multiply past it is refused unformed, and a sum past it is refused.
 TERM_LIMIT = 100_000
 
+# The guard on the total degree of a parsed numerator or denominator: the
+# parser refuses a power past it unformed, and any other result past it.
+DEGREE_LIMIT = 1_000
+
 
 class ExpressionBlowupError(RuntimeError):
-    """An intermediate polynomial exceeded the term-count guard, ``TERM_LIMIT``."""
+    """A polynomial exceeded a size guard, ``TERM_LIMIT`` or ``DEGREE_LIMIT``."""
 
 
 class SymbolicZeroDivisionError(ZeroDivisionError):
@@ -548,27 +552,25 @@ def _coerce(value):
 
 
 class SamplePoint(Mapping):
-    """A read-only parameter assignment with its integer evaluation tables.
+    """A read-only parameter assignment that evaluates polynomials in integers.
 
     For values x_i = p_i/q_i it holds L = lcm(q_i) and the integers
-    r_i = x_i*L, and fills tables of r_i^k and of L^k as evaluations ask for
-    them.  A polynomial f of total degree T evaluates to the integer
+    r_i = x_i*L.  A polynomial f of total degree T evaluates to the integer
     H(f) = sum c_e * prod r_i^e_i * L^(T - |e|), so that f(x) = H(f)/L^T and
     no ``Fraction`` is built inside the sum.  A parameter may be left out;
     evaluating a polynomial that uses it raises ``ValueError``.
     """
 
-    __slots__ = ("_values", "_lcm", "_powers", "_lcm_powers")
+    __slots__ = ("_values", "_lcm", "_scaled")
 
     def __init__(self, values: Mapping[str, Fraction]):
         self._values = dict(values)
         given = {_IDX[k]: Fraction(v) for k, v in self._values.items() if k in _IDX}
         self._lcm = _int_lcm(*(x.denominator for x in given.values()))
-        # r_i^k for k = 0, 1, ... ; None for a parameter without a value
-        self._powers = [None] * _NV
+        # r_i; None for a parameter without a value
+        self._scaled = [None] * _NV
         for i, x in given.items():
-            self._powers[i] = [1, x.numerator * (self._lcm // x.denominator)]
-        self._lcm_powers = [1]
+            self._scaled[i] = x.numerator * (self._lcm // x.denominator)
 
     def __getitem__(self, name):
         return self._values[name]
@@ -579,39 +581,28 @@ class SamplePoint(Mapping):
     def __len__(self):
         return len(self._values)
 
-    def _lcm_power(self, k: int) -> int:
-        powers = self._lcm_powers
-        while len(powers) <= k:
-            powers.append(powers[-1] * self._lcm)
-        return powers[k]
-
-    def _power(self, i: int, k: int) -> int:
-        """r_i^k, for k >= 1."""
-        powers = self._powers[i]
-        if powers is None:
-            raise ValueError(f"no value assigned to parameter {PARAMS[i]!r}")
-        while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
-        return powers[k]
-
     def homogenized(self, f: Polynomial) -> Tuple[int, int]:
         """(H(f), T) with f = H(f)/L^T at this point, T the total degree of f."""
+        scaled, lcm = self._scaled, self._lcm
         acc = top = 0
         for exp, coeff in f.terms.items():
             degree = 0
             for i, k in enumerate(exp):
                 if k:
-                    coeff *= self._power(i, k)
+                    r = scaled[i]
+                    if r is None:
+                        raise ValueError(f"no value assigned to parameter {PARAMS[i]!r}")
+                    coeff *= r ** k
                     degree += k
             if degree > top:
-                acc *= self._lcm_power(degree - top)
+                acc *= lcm ** (degree - top)
                 top = degree
-            acc += coeff * self._lcm_power(top - degree)
+            acc += coeff * lcm ** (top - degree)
         return acc, top
 
     def value(self, f: Polynomial) -> Fraction:
         h, degree = self.homogenized(f)
-        return Fraction(h, self._lcm_power(degree))
+        return Fraction(h, self._lcm ** degree)
 
     def _integers(self, e: "RationalExpr") -> Tuple[int, int]:
         """(n, d) with e = n/d at this point: H(N)*L^(T_D - T_N) over H(D), the
@@ -625,8 +616,8 @@ class SamplePoint(Mapping):
             )
         hn, tn = self.homogenized(e.num)
         if td >= tn:
-            return hn * self._lcm_power(td - tn), hd
-        return hn, hd * self._lcm_power(tn - td)
+            return hn * self._lcm ** (td - tn), hd
+        return hn, hd * self._lcm ** (tn - td)
 
     def quotient(self, e: "RationalExpr") -> Fraction:
         """e at this point: one ``Fraction``, built from two integers."""
@@ -643,7 +634,7 @@ class SamplePoint(Mapping):
 
 
 def at_point(point: Mapping[str, Fraction]) -> SamplePoint:
-    """``point`` itself if it carries its tables, else a new ``SamplePoint``."""
+    """``point`` itself if it is a ``SamplePoint``, else a new one."""
     return point if isinstance(point, SamplePoint) else SamplePoint(point)
 
 
@@ -739,12 +730,22 @@ class _Parser:
             )
         return value
 
+    def guard(self, value: RationalExpr, power: int = 1) -> RationalExpr:
+        """``value``, refused when ``power`` times the larger total degree of its
+        numerator and denominator passes ``DEGREE_LIMIT``."""
+        degree = power * max(map(sum, [*value.num.terms, *value.den.terms]))
+        if degree > DEGREE_LIMIT:
+            raise ExpressionBlowupError(
+                f"degree {degree} exceeds the guard ({DEGREE_LIMIT}) in {quoted(self.text)}"
+            )
+        return value
+
     def expr(self) -> RationalExpr:
         value = self.term()
         while self.peek() in "+-":
             op = self.take()[0]
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.guard(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self) -> RationalExpr:
@@ -752,7 +753,7 @@ class _Parser:
         while self.peek() in "*/":
             op = self.take()[0]
             rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
+            value = self.guard(value * rhs if op == "*" else value / rhs)
         return value
 
     def unary(self) -> RationalExpr:
@@ -770,7 +771,8 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"exponent must be a nonnegative integer literal in {quoted(self.text)}"
                 )
-            return base ** self.integer(tok[1])
+            n = self.integer(tok[1])
+            return self.guard(base, n) ** n  # refused before it is formed
         return base
 
     def atom(self) -> RationalExpr:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .expressions import (
@@ -43,7 +44,7 @@ class ParamDomain:
     """Admissible values of one parameter.
 
     ``kind`` is one of ``free``, ``positive``, ``open-interval``; an interval
-    may be half-open by leaving ``lo`` or ``hi`` unset.  ``excluded`` lists
+    admits lo <= x < hi, and either end may be left unset.  ``excluded`` lists
     isolated forbidden values on top of the kind constraint.
     """
 
@@ -129,21 +130,6 @@ class TwoForm:
     def __repr__(self):
         body = " + ".join(f"({format_expr(v)})*e{i}^e{j}" for i, j, v in self.terms())
         return f"TwoForm({body or '0'})"
-
-
-class ThreeForm:
-    """Totally antisymmetric rank-3 array of expressions."""
-
-    __slots__ = ("dim", "_comp")
-
-    def __init__(self, dim: int, components: dict):
-        # components keyed by strictly increasing (i, j, k), 0-based
-        self.dim = dim
-        self._comp = {k: v for k, v in components.items() if not v.is_zero}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._comp
 
 
 class LieAlgebra:
@@ -282,26 +268,23 @@ def ce_differential_1(algebra: LieAlgebra, alpha: Sequence[ExprLike]) -> TwoForm
     return TwoForm(ExprMatrix(grid))
 
 
-def ce_differential_2(algebra: LieAlgebra, omega: TwoForm) -> ThreeForm:
-    """d(omega) on basis triples; vanishes iff omega is closed."""
+def ce_differential_2(algebra: LieAlgebra, omega: TwoForm) -> dict:
+    """The nonzero components of d(omega) as expressions keyed by 0-based
+    (i, j, k), i < j < k; empty iff omega is closed."""
     n = algebra.dim
     if omega.dim != n:
         raise DimensionMismatchError("two-form dimension does not match the algebra")
     comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = EXPR_ZERO
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p in range(n):
-                        cp = algebra.c(x, y, p)
-                        if cp.is_zero:
-                            continue
-                        w = omega(p, z)
-                        if not w.is_zero:
-                            acc = acc - cp * w
-                comps[(i, j, k)] = acc
-    return ThreeForm(n, comps)
+    for i, j, k in combinations(range(n), 3):
+        acc = EXPR_ZERO
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for p in range(n):
+                cp, w = algebra.c(x, y, p), omega(p, z)
+                if not cp.is_zero and not w.is_zero:
+                    acc = acc - cp * w
+        if not acc.is_zero:
+            comps[i, j, k] = acc
+    return comps
 
 
 @dataclass(frozen=True)
@@ -315,7 +298,7 @@ def is_symplectic(algebra: LieAlgebra, omega: TwoForm) -> SymplecticReport:
     """Closedness (symbolic) plus nondegeneracy (det not identically zero)."""
     if algebra.dim % 2:
         raise OddDimensionError("symplectic forms need even dimension")
-    closed = ce_differential_2(algebra, omega).is_zero
+    closed = not ce_differential_2(algebra, omega)
     det = omega.matrix.det()
     return SymplecticReport(ok=closed and not det.is_zero, closed=closed, det=det)
 

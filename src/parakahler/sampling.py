@@ -5,14 +5,14 @@ byte-identical runs on every platform and Python version.  Sample points are
 small rationals (numerators and denominators in [-9, 9]) rejected against
 parameter domains and against a list of polynomials that must not vanish
 (typically the denominators collected from a structure's expressions).  A
-point is a ``SamplePoint``, so every later evaluation at it reads the integer
-tables that the avoid test filled.
+point is a ``SamplePoint``, so the avoid test and every later evaluation at
+it sum integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .expressions import PARAMS, Polynomial, SamplePoint
 
@@ -40,9 +40,6 @@ class DeterministicRng:
 
     def fraction(self) -> Fraction:
         return Fraction(self.randint(-9, 9), self.randint(1, 9))
-
-    def choice(self, items: Sequence):
-        return items[self.randint(0, len(items) - 1)]
 
 
 class SamplingError(RuntimeError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
 from .liealgebra import LieAlgebra, TwoForm
@@ -36,25 +36,22 @@ class SingularMetricError(ValueError):
 
 
 @dataclass(frozen=True)
-class AxiomIssue:
-    where: str
-    residual: str
+class IdentityReport:
+    identities: Dict[str, bool]
+    residuals: Tuple[Tuple[str, str], ...]  # (component tag, residual text)
 
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    axiom: str
-    ok: bool
-    issues: Tuple[AxiomIssue, ...] = ()
+    @property
+    def ok(self) -> bool:
+        return all(self.identities.values())
 
 
 _MAX_RESIDUALS = 16
 
 
-def collect_residuals(cases):
-    """Read ``(identity, where, residual)`` cases in order; return the set of
-    identities with a nonzero residual and ``(where, text)`` for the first 16
-    nonzero residuals.  Nothing past that cap is formatted."""
+def collect_residuals(cases, *identities: str) -> IdentityReport:
+    """Read ``(identity, where, residual)`` cases in order; report which of
+    ``identities`` hold and ``(where, text)`` for the first 16 nonzero
+    residuals.  Nothing past that cap is formatted."""
     failed = set()
     residuals = []
     for identity, where, residual in cases:
@@ -62,7 +59,7 @@ def collect_residuals(cases):
             failed.add(identity)
             if len(residuals) < _MAX_RESIDUALS:
                 residuals.append((where, format_expr(residual)))
-    return failed, tuple(residuals)
+    return IdentityReport({name: name not in failed for name in identities}, tuple(residuals))
 
 
 def _entries(label: str, m: ExprMatrix):
@@ -72,13 +69,12 @@ def _entries(label: str, m: ExprMatrix):
     ]
 
 
-def _axiom_check(axiom: str, cases) -> AxiomCheck:
+def _axiom_check(axiom: str, cases) -> IdentityReport:
     """One identity ``axiom`` over ``(where, residual)`` cases."""
-    failed, residuals = collect_residuals((axiom, where, r) for where, r in cases)
-    return AxiomCheck(axiom, not failed, tuple(AxiomIssue(*r) for r in residuals))
+    return collect_residuals(((axiom, where, r) for where, r in cases), axiom)
 
 
-def check_involution(j_matrix: ExprMatrix) -> AxiomCheck:
+def check_involution(j_matrix: ExprMatrix) -> IdentityReport:
     """J^2 = Id entrywise and trace J = 0, both symbolically."""
     j_matrix._square()
     residual = j_matrix @ j_matrix - ExprMatrix.identity(j_matrix.rows)
@@ -87,7 +83,7 @@ def check_involution(j_matrix: ExprMatrix) -> AxiomCheck:
     )
 
 
-def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> AxiomCheck:
+def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> IdentityReport:
     """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega."""
     w = omega.matrix
     jtw = j_matrix.transpose() @ w
@@ -111,7 +107,7 @@ class NijenhuisTensor:
     def is_zero(self) -> bool:
         return all(x.is_zero for plane in self.comps for row in plane for x in row)
 
-    def as_check(self) -> AxiomCheck:
+    def as_check(self) -> IdentityReport:
         cases = (
             (f"N[{i + 1},{j + 1};{k + 1}]", self.comps[i][j][k])
             for i, j, k in product(range(self.dim), repeat=3)
@@ -196,7 +192,7 @@ def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
     return TwoForm(g.matrix @ j_matrix)
 
 
-def check_metric_compat(g: Metric, j_matrix: ExprMatrix) -> AxiomCheck:
+def check_metric_compat(g: Metric, j_matrix: ExprMatrix) -> IdentityReport:
     """g(JX, Y) + g(X, JY) = 0 entrywise, symbolically; g is symmetric, so
     J^T g = (g J)^T and one product serves both terms."""
     gj = g.matrix @ j_matrix

@@ -9,8 +9,8 @@ stages on one finding, built first as the failure of an entry whose axioms
 fail: each stage that passes fills in its part, and the first that fails (an
 axiom, an asymmetric metric, a degenerate form, a metric, signature or
 corroboration check) returns the finding as it stands.  Only an entry that
-passes every stage is ``ok`` or a ``discrepancy``.  Each sample point is a
-``SamplePoint`` whose integer tables serve every evaluation there: the
+passes every stage is ``ok`` or a ``discrepancy``.  Each sample point is one
+``SamplePoint``, which evaluates in integers and serves every use there: the
 sampler's avoid test, the signature, the oracle's inputs and the
 corroboration, which compares each symbolic component with the re-run's value
 by integer cross-multiplication and builds no ``Fraction`` of its own.
@@ -86,10 +86,8 @@ class RunConfig:
 def _axiom_dict(check) -> dict:
     out = {"ok": check.ok}
     if not check.ok:
-        out["first_failure"] = {
-            "where": check.issues[0].where,
-            "residual": check.issues[0].residual,
-        }
+        where, residual = check.residuals[0]
+        out["first_failure"] = {"where": where, "residual": residual}
     return out
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from parakahler.curvature import Christoffel, CurvatureTensor
 from parakahler.expressions import EXPR_ZERO, PARAMS, Polynomial, RationalExpr
-from parakahler.liealgebra import LieAlgebra, ThreeForm
+from parakahler.liealgebra import LieAlgebra
 from parakahler.numeric import Mat
 from parakahler.structures import Metric
 
@@ -38,12 +38,13 @@ def first_nonzero(comps):
     return None
 
 
-def three_form_component(form: ThreeForm, i: int, j: int, k: int) -> RationalExpr:
-    """The (i, j, k) component of ``form``, 0-based, signed by the permutation."""
+def three_form_component(form: dict, i: int, j: int, k: int) -> RationalExpr:
+    """The (i, j, k) component of the three-form whose nonzero components
+    ``form`` holds by increasing index, 0-based, signed by the permutation."""
     if len({i, j, k}) < 3:
         return EXPR_ZERO
     order = sorted((i, j, k))
-    value = form._comp.get(tuple(order), EXPR_ZERO)
+    value = form.get(tuple(order), EXPR_ZERO)
     # parity of the permutation taking sorted order to (i, j, k)
     perm = (order.index(i), order.index(j), order.index(k))
     inversions = sum(

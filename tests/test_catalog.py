@@ -112,6 +112,30 @@ def test_wrong_matrix_shape_rejected():
     assert "4x4" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "key, value, path",
+    [
+        ("lo", "1e10000000", "domain.lo"),
+        ("hi", "-1E-4301", "domain.hi"),
+        ("excluded", ["1", "2e+4301"], "domain.excluded[1]"),
+    ],
+)
+def test_domain_exponent_past_the_digit_limit_is_refused(key, value, path):
+    # Fraction would compute 10^10000000 before the loader could look at it
+    doc = _mutate(lambda d: d["algebras"][0]["params"][0]["domain"].__setitem__(key, value))
+    with pytest.raises(CatalogFormatError) as info:
+        load_catalog(doc)
+    assert str(info.value).startswith(f"algebras[0].params[0].{path}: exponent of ")
+
+
+def test_domain_exponent_at_the_digit_limit_is_read():
+    doc = _mutate(
+        lambda d: d["algebras"][0]["params"][0]["domain"].update(lo="-1e4300", hi="1e4300")
+    )
+    domain = dict(load_catalog(doc).algebras["r2r2"].params)["lam"]
+    assert (domain.lo, domain.hi) == (-(10**4300), 10**4300)
+
+
 def test_bad_bracket_indices_rejected():
     doc = _mutate(lambda d: d["algebras"][0]["brackets"].append([2, 1, 1, "1"]))
     with pytest.raises(CatalogFormatError):

@@ -22,6 +22,15 @@ def test_list_shows_all_algebras(capsys):
         assert f"- {name}:" in out
 
 
+def test_list_prints_the_interval_that_domains_admit(capsys):
+    # ParamDomain.admits takes lo <= x < hi, and the sampler does draw lo = 0
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "parameters: alpha (in [0, 1))" in out
+    assert "parameters: beta (in [-1, 0))" in out
+    assert "parameters: lam (in [1/2, +inf), excluding 1, 2)" in out
+
+
 def test_verify_filtered_r2r2(capsys):
     assert main(["verify", "--filter", "r2r2.*", "--samples", "2"]) == 0
     out = capsys.readouterr().out
@@ -214,6 +223,41 @@ def test_power_past_the_term_guard_exits_3_before_the_work(tmp_path, capsys):
     assert main(["verify", "--catalog", str(path), "--samples", "1"]) == 3
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err.startswith("infrastructure error: ")
+
+
+def test_power_past_the_degree_guard_exits_3_before_the_work(tmp_path, capsys):
+    # J stays an involution whatever its (2,1) slot holds; the parser refuses
+    # the power before forming it, so evaluating it never starts
+    doc = copy.deepcopy(BUILTIN_DOCUMENT)
+    algebra = next(a for a in doc["algebras"] if a["name"] == "r2r2")
+    algebra["structures"] = [
+        s for s in algebra["structures"] if s["id"] == "r2r2.lambdapos.J11"
+    ]
+    algebra["structures"][0]["J"][1][0] = "a^100000"
+    doc["algebras"] = [algebra]
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify", "--catalog", str(path), "--samples", "1"]) == 3
+    assert time.perf_counter() - start < 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("infrastructure error: degree 100000 exceeds the guard (1000)")
+
+
+def test_domain_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys):
+    doc = {"algebras": [{
+        "name": "x", "dim": 4, "brackets": [], "forms": [], "structures": [],
+        "params": [{"name": "a", "domain": {"kind": "open-interval", "lo": "1e10000000"}}],
+    }]}
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check-file", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "catalog error: algebras[0].params[0].domain.lo: "
+        "exponent of '1e10000000' exceeds 4300 in magnitude\n"
+    )
 
 
 def _degenerate_catalog(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -402,6 +403,36 @@ def test_term_guard_bounds_a_product_before_forming_it(monkeypatch):
         f * g
     monkeypatch.setattr(expressions, "TERM_LIMIT", 4)
     assert f * g == parse_expr("a^2-b^2").num
+
+
+def test_degree_guard_refuses_a_power_before_forming_it():
+    assert parse_expr("a^1000") == variable("a") ** 1000
+    for text in ("a^1001", "(a*b)^501", "(1/(a+b))^1001", "a^99999999999999999999"):
+        with pytest.raises(ExpressionBlowupError, match=r"exceeds the guard \(1000\)"):
+            parse_expr(text)
+
+
+def test_degree_guard_refuses_every_other_result_past_it():
+    # the numerator and the denominator are bounded apart, after cancelling
+    assert parse_expr("a^600/b^1000") == variable("a") ** 600 / variable("b") ** 1000
+    assert parse_expr("a^1000/a^999*a^999") == variable("a") ** 1000
+    for text in ("a^600*b^401", "(a^600+1)*b^401", "a^600+1/b^401", "a^1000*a-b"):
+        with pytest.raises(ExpressionBlowupError, match="degree 1001 exceeds the guard"):
+            parse_expr(text)
+
+
+def test_evaluation_memory_does_not_grow_with_the_degree():
+    # built directly: the parser's degree guard would refuse this power
+    f = Polynomial.var("a") ** 4000
+    at = SamplePoint({"a": Fraction(-7, 9)})
+    tracemalloc.start()
+    try:
+        value = at.value(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(-7, 9) ** 4000
+    assert peak < 1_000_000
 
 
 def _cleared_afresh(m):

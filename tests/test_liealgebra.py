@@ -112,12 +112,12 @@ def test_d1_heisenberg(rh3):
 
 def test_d2_heisenberg_form_closed(rh3):
     omega = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    assert ce_differential_2(rh3, omega).is_zero
+    assert not ce_differential_2(rh3, omega)
 
 
 def test_d2_abelian_always_closed(rn4):
     omega = make_form(4, [(1, 3, "a"), (2, 4, "b"), (1, 2, 7)])
-    assert ce_differential_2(rn4, omega).is_zero
+    assert not ce_differential_2(rn4, omega)
 
 
 def test_dd_vanishes_on_one_forms():
@@ -126,7 +126,7 @@ def test_dd_vanishes_on_one_forms():
         for p in range(4):
             alpha = [expr(1 if q == p else 0) for q in range(4)]
             d_alpha = ce_differential_1(algebra, alpha)
-            assert ce_differential_2(algebra, d_alpha).is_zero, (name, p)
+            assert not ce_differential_2(algebra, d_alpha), (name, p)
 
 
 def test_leibniz_on_decomposable_two_forms():

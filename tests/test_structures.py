@@ -6,6 +6,7 @@ import pytest
 
 from parakahler.expressions import ExprMatrix, expr
 from parakahler.structures import (
+    IdentityReport,
     Metric,
     MetricAsymmetryError,
     SingularMetricError,
@@ -65,7 +66,7 @@ def test_involution_block_diagonal():
 def test_involution_identity_fails_trace():
     report = check_involution(ExprMatrix.identity(4))
     assert not report.ok
-    assert any(issue.where == "trace(J)" for issue in report.issues)
+    assert any(where == "trace(J)" for where, _ in report.residuals)
 
 
 def test_involution_parametric_j22():
@@ -82,11 +83,11 @@ def test_omega_compat_diagonal_fail():
     report = check_omega_compat(omega, DIAG_PM_PM)
     assert not report.ok
     # direct expansion: omega(J e1, e3) + omega(e1, J e3) = 2 omega(e1, e3) = 2
-    assert report.issues[0].residual == "2"
+    assert report.residuals[0][1] == "2"
 
 
 def _issues(check):
-    return tuple((issue.where, issue.residual) for issue in check.issues)
+    return check.residuals
 
 
 def test_omega_compat_pins_the_cross_check_residuals():
@@ -314,6 +315,21 @@ def test_sign_flip_preserves_axioms():
         assert check_involution(j).ok
         assert check_omega_compat(omega, j).ok
         assert nijenhuis(r2r2, j).is_zero
+
+
+@pytest.mark.parametrize("j", [DIAG_PP_MM, DIAG_PM_PM], ids=["passing", "failing"])
+def test_each_axiom_check_is_an_identity_report_of_its_one_axiom(j):
+    omega, r2r2 = make_form(4, OMEGA_13_24), make_algebra("r2r2")
+    checks = {
+        "involution": check_involution(j),
+        "omega-compat": check_omega_compat(omega, j),
+        "nijenhuis": nijenhuis(r2r2, j).as_check(),
+        "metric-compat": check_metric_compat(Metric(ExprMatrix.identity(4)), j),
+    }
+    for axiom, report in checks.items():
+        assert isinstance(report, IdentityReport)
+        assert list(report.identities) == [axiom]
+        assert report.identities[axiom] == report.ok == (not report.residuals)
 
 
 def test_signature_diagonal():
