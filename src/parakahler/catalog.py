@@ -20,7 +20,6 @@ offending field; ``dump_catalog`` and ``load_catalog`` round-trip exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,12 +27,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .builtin_data import BUILTIN_DOCUMENT
 from .expressions import (
+    DIGIT_LIMIT,
     PARAMS,
     ExprMatrix,
     ExprSyntaxError,
     RationalExpr,
     SymbolicZeroDivisionError,
     UnknownParameterError,
+    digit_count,
     expr,
     format_expr,
     quoted,
@@ -99,10 +100,7 @@ def _shown(value) -> str:
     of more than 4,300 digits, so a long integer is named by its digit count
     and a value that holds one by its type; text is cut by ``quoted``."""
     if type(value) is int and value.bit_length() > 64:
-        n = abs(value)
-        digits = int(math.log10(n)) + 1  # a float, so possibly one off
-        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
-        return f"an integer of {digits} digits"
+        return f"an integer of {digit_count(value)} digits"
     if isinstance(value, str):
         return quoted(value)
     try:
@@ -176,15 +174,15 @@ def _matrix(path: str, raw, dim: int) -> ExprMatrix:
 
 def _fraction(path: str, value) -> Fraction:
     """``value`` as a rational.  ``Fraction`` computes 10^e for a decimal
-    exponent e, so one past Python's 4,300-digit int limit is refused first."""
+    exponent e, so one past ``DIGIT_LIMIT``, Python's int limit, is refused first."""
     try:
         text = str(value)
         exponent = text.lower().partition("e")[2]
-        if not exponent or abs(int(exponent)) <= 4_300:
+        if not exponent or abs(int(exponent)) <= DIGIT_LIMIT:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogFormatError(path, f"bad rational {_shown(value)}") from exc
-    raise CatalogFormatError(path, f"exponent of {_shown(value)} exceeds 4300 in magnitude")
+    raise CatalogFormatError(path, f"exponent of {_shown(value)} exceeds {DIGIT_LIMIT} in magnitude")
 
 
 def _parse_domain(path: str, raw) -> ParamDomain:

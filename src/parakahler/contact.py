@@ -2,9 +2,10 @@
 
 A symplectic algebra (g, omega) extends to h = g x_omega R by adjoining a
 central xi with [X, Y]_h = [X, Y]_g + omega(X, Y) xi.  The extension, its
-contact form eta = xi^* and d(eta) depend on the pair (g, omega) only, so they
-are built once per form; each compatible para-complex structure J on g then
-induces the para-contact metric structure (eta, xi, phi, h) with
+contact form eta = xi^*, d(eta), eta^T eta = xi eta and the Reeb identities
+depend on the pair (g, omega) only, so they are built once per form; each
+compatible para-complex structure J on g then induces the para-contact metric
+structure (eta, xi, phi, h), with fundamental form Phi = phi^T h, where
 
     phi = blockdiag(J, 0),    h = eta^T eta - d(eta) phi,
 
@@ -12,15 +13,16 @@ with eta a 1 x 5 row and xi = eta^T a column.  The para-contact axioms are
 checked as whole-matrix identities; each residual builder returns the matrix
 (or matrices) that must vanish:
 
-    phi^T h phi + h - eta^T eta                  compatible metric
+    Phi phi + h - eta^T eta                      compatible metric
     h - blockdiag(g, 1)                          restriction to the base
-    xi _| d(eta),  eta(xi) - 1                   Reeb vector
-    phi xi,  eta phi,  phi^2 - Id + xi eta       almost para-contact
+    xi _| d(eta),  eta(xi) - 1                   Reeb vector (per form)
+    phi xi,  eta phi,  phi^2 - Id + eta^T eta    almost para-contact
 
 The curvature and Ricci tensors of h are verified against the closed-form
-expressions they must satisfy when the base is para-Kahler:
+expressions they must satisfy when the base is para-Kahler, where
+omega(X, Z) = g(X, JZ) since g = omega J and J^2 = Id:
 
-    R(X,Y)Z   = R_g(X,Y)Z - 1/4 g(X,JZ) JY + 1/4 g(Y,JZ) JX - 1/2 g(X,JY) JZ
+    R(X,Y)Z   = R_g(X,Y)Z - 1/4 omega(X,Z) JY + 1/4 omega(Y,Z) JX - 1/2 omega(X,Y) JZ
     R(X,Y)xi  = 0,  R(X,xi)Z = 1/4 g(X,Z) xi,  R(X,xi)xi = -1/4 X
     Ric(Y,Z)  = Ric_g(Y,Z) + 1/2 g(Y,Z),  Ric(Y,xi) = 0,  Ric(xi,xi) = -1
 
@@ -68,6 +70,7 @@ class CentralExtension:
     extended: LieAlgebra
     eta: ExprMatrix  # the contact form xi^* as a 1 x 5 row; xi = eta^T
     d_eta: TwoForm
+    eta_eta: ExprMatrix  # eta^T eta = xi eta
 
     @property
     def xi_index(self) -> int:
@@ -90,10 +93,9 @@ def central_extend(
     extended = LieAlgebra.from_brackets(
         f"{algebra.name}^ext", n + 1, brackets, algebra.params
     )
-    eta = (EXPR_ZERO,) * n + (EXPR_ONE,)  # xi^*
-    return CentralExtension(
-        algebra, omega, extended, ExprMatrix([eta]), ce_differential_1(extended, eta)
-    )
+    eta = ExprMatrix([(EXPR_ZERO,) * n + (EXPR_ONE,)])  # xi^*
+    d_eta = ce_differential_1(extended, eta.entries[0])
+    return CentralExtension(algebra, omega, extended, eta, d_eta, eta.transpose() @ eta)
 
 
 def _bordered(m: ExprMatrix, corner: RationalExpr) -> ExprMatrix:
@@ -108,26 +110,27 @@ class ParacontactStructure:
     extension: CentralExtension
     phi: ExprMatrix
     h: Metric
-    phi_vs_deta: str  # Phi = phi^T h against d(eta): equal | negated | mismatch
+    fundamental: ExprMatrix  # Phi = phi^T h
+    phi_vs_deta: str  # Phi against d(eta): equal | negated | mismatch
 
 
 def build_paracontact(ext: CentralExtension, j_matrix: ExprMatrix) -> ParacontactStructure:
-    """phi = blockdiag(J, 0); h = eta^T eta - d(eta) phi.
+    """phi = blockdiag(J, 0); h = eta^T eta - d(eta) phi; Phi = phi^T h.
 
     ``j_matrix`` is a structure that passed the 4D axioms, so it is a
     para-complex structure compatible with ``ext.omega``.
     """
-    eta, d_eta = ext.eta, ext.d_eta
+    d_eta = ext.d_eta.matrix
     phi = _bordered(j_matrix, EXPR_ZERO)
-    h = Metric(eta.transpose() @ eta - d_eta.matrix @ phi)
+    h = Metric(ext.eta_eta - d_eta @ phi)
     fundamental = phi.transpose() @ h.matrix
-    if fundamental == d_eta.matrix:
+    if fundamental == d_eta:
         phi_vs_deta = "equal"
-    elif fundamental == -d_eta.matrix:
+    elif fundamental == -d_eta:
         phi_vs_deta = "negated"
     else:
         phi_vs_deta = "mismatch"
-    return ParacontactStructure(ext, phi, h, phi_vs_deta)
+    return ParacontactStructure(ext, phi, h, fundamental, phi_vs_deta)
 
 
 @dataclass(frozen=True)
@@ -146,23 +149,20 @@ def check_contact(ext: CentralExtension) -> ContactReport:
     return ContactReport(ok=not total.is_zero, coefficient=total)
 
 
-def reeb_residuals(ps: ParacontactStructure) -> Tuple[ExprMatrix, ExprMatrix]:
+def reeb_residuals(ext: CentralExtension) -> Tuple[ExprMatrix, ExprMatrix]:
     """xi _| d(eta) and eta(xi) - 1; both vanish for the Reeb vector."""
-    eta = ps.extension.eta
-    return eta @ ps.extension.d_eta.matrix, eta @ eta.transpose() - ExprMatrix.identity(1)
+    return ext.eta @ ext.d_eta.matrix, ext.eta @ ext.eta.transpose() - ExprMatrix.identity(1)
 
 
 def almost_paracontact_residuals(ps: ParacontactStructure) -> Tuple[ExprMatrix, ...]:
     """phi xi, eta phi and phi^2 - Id + xi eta; all vanish."""
-    phi, eta = ps.phi, ps.extension.eta
-    xi = eta.transpose()
-    return phi @ xi, eta @ phi, phi @ phi - ExprMatrix.identity(phi.rows) + xi @ eta
+    phi, eta, xi_eta = ps.phi, ps.extension.eta, ps.extension.eta_eta
+    return phi @ eta.transpose(), eta @ phi, phi @ phi - ExprMatrix.identity(phi.rows) + xi_eta
 
 
 def check_compatible_metric(ps: ParacontactStructure) -> ExprMatrix:
-    """phi^T h phi + h - eta^T eta: h(phi X, phi Y) = -h(X, Y) + eta(X) eta(Y)."""
-    h, eta = ps.h.matrix, ps.extension.eta
-    return ps.phi.transpose() @ h @ ps.phi + h - eta.transpose() @ eta
+    """Phi phi + h - eta^T eta: h(phi X, phi Y) = -h(X, Y) + eta(X) eta(Y)."""
+    return ps.fundamental @ ps.phi + ps.h.matrix - ps.extension.eta_eta
 
 
 def metric_restriction_residuals(ps: ParacontactStructure, base_g: Metric) -> ExprMatrix:
@@ -186,19 +186,19 @@ def verify_lifted_curvature(
     riem5 = ext_bundle.riemann.comps
     g = base_bundle.metric.matrix
     # the closed form of R^s_ijk on the base, as numerators over one den:
-    # R4 - 1/4 gJ_ik J_sj + 1/4 gJ_jk J_si - 1/2 gJ_ij J_sk, gJ_ik = g(e_i, J e_k)
+    # R4 - 1/4 w_ik J_sj + 1/4 w_jk J_si - 1/2 w_ij J_sk, w_ik = omega_ik = g(e_i, J e_k)
     riem4 = base_bundle.riemann.comps
     dr, r4 = common_denominator([x for a in riem4 for b in a for c in b for x in c])
-    dgj, gj = (g @ j_matrix)._cleared()
+    dw, w = ps.extension.omega.matrix._cleared()
     dj, jn = j_matrix._cleared()
-    den, r4_scale = (dr * dgj * dj).scale(4), (dgj * dj).scale(4)
-    # gjj[a][b][s][c] = dr gJ_ab J_sc, multiplied out only for nonzero factors
-    gjd = [[x * dr if x.terms else x for x in row] for row in gj]
-    gjj = [[[[x * y if x.terms and y.terms else _P_ZERO for y in jr] for jr in jn] for x in row]
-           for row in gjd]
+    den, r4_scale = (dr * dw * dj).scale(4), (dw * dj).scale(4)
+    # wj[a][b][s][c] = dr w_ab J_sc, multiplied out only for nonzero factors
+    wd = [[x * dr if x.terms else x for x in row] for row in w]
+    wj = [[[[x * y if x.terms and y.terms else _P_ZERO for y in jr] for jr in jn] for x in row]
+          for row in wd]
     closed = {
         (i, j, k, s): (x * r4_scale if x.terms else x)
-        + gjj[j][k][s][i] - gjj[i][k][s][j] - gjj[i][j][s][k].scale(2)
+        + wj[j][k][s][i] - wj[i][k][s][j] - wj[i][j][s][k].scale(2)
         for (i, j, k, s), x in zip(product(range(n), repeat=4), r4)
     }
     names = [str(x + 1) for x in range(n)] + ["xi"]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, lcm as _int_lcm, log10
 from operator import add as _add
 from typing import Iterable, List, Tuple, Union
 
@@ -42,13 +42,14 @@ _ZEXP = (0,) * _NV
 # multiply past it is refused unformed, and a sum past it is refused.
 TERM_LIMIT = 100_000
 
-# The guard on the total degree of a parsed numerator or denominator: the
-# parser refuses a power past it unformed, and any other result past it.
+# The guards on the total degree and the coefficient digits of a parsed numerator
+# or denominator: the parser refuses a power past them unformed, and any other result.
 DEGREE_LIMIT = 1_000
+DIGIT_LIMIT = 4_300  # Python's default limit on printing an int
 
 
 class ExpressionBlowupError(RuntimeError):
-    """A polynomial exceeded a size guard, ``TERM_LIMIT`` or ``DEGREE_LIMIT``."""
+    """A polynomial passed a size guard or has a coefficient too long to print."""
 
 
 class SymbolicZeroDivisionError(ZeroDivisionError):
@@ -73,6 +74,12 @@ def quoted(text: str) -> str:
     if len(text) <= 60:
         return repr(text)
     return f"{text[:60]!r}… ({len(text)} characters)"
+
+
+def digit_count(n: int) -> int:
+    """The decimal digits of a nonzero ``n``, counted without ``str``."""
+    digits = int(log10(abs(n))) + 1  # a float, so possibly one off
+    return digits + (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
 
 
 class UnknownParameterError(ExprSyntaxError):
@@ -731,12 +738,18 @@ class _Parser:
         return value
 
     def guard(self, value: RationalExpr, power: int = 1) -> RationalExpr:
-        """``value``, refused when ``power`` times the larger total degree of its
-        numerator and denominator passes ``DEGREE_LIMIT``."""
+        """``value``, refused when ``power`` times its largest total degree passes
+        ``DEGREE_LIMIT`` or ``power`` times its longest coefficient's digits ``DIGIT_LIMIT``."""
         degree = power * max(map(sum, [*value.num.terms, *value.den.terms]))
         if degree > DEGREE_LIMIT:
             raise ExpressionBlowupError(
                 f"degree {degree} exceeds the guard ({DEGREE_LIMIT}) in {quoted(self.text)}"
+            )
+        top = max(map(abs, [*value.num.terms.values(), *value.den.terms.values()]))
+        digits = power * digit_count(top)
+        if digits > DIGIT_LIMIT:
+            raise ExpressionBlowupError(
+                f"{digits} digits exceed the guard ({DIGIT_LIMIT}) in {quoted(self.text)}"
             )
         return value
 
@@ -772,7 +785,7 @@ class _Parser:
                     f"exponent must be a nonnegative integer literal in {quoted(self.text)}"
                 )
             n = self.integer(tok[1])
-            return self.guard(base, n) ** n  # refused before it is formed
+            return self.guard(self.guard(base, n) ** n)  # refused before it is formed
         return base
 
     def atom(self) -> RationalExpr:
@@ -828,12 +841,15 @@ def format_expr(e: RationalExpr) -> str:
     """Canonical printing: graded-lex term order, no redundant parentheses;
     the denominator's integer content is divided into the numerator."""
     content, den = _split(e.den)
-    num = _poly_str(e.num, content)
+    try:
+        num, text = _poly_str(e.num, content), _poly_str(den)
+    except ValueError:  # str() refuses an int past the interpreter's digit limit
+        digits = digit_count(max(map(abs, [*e.num.terms.values(), *e.den.terms.values()])))
+        raise ExpressionBlowupError(f"cannot print a coefficient of {digits} digits") from None
     if den == _P_ONE:
         return num
     if len(e.num.terms) > 1:
         num = f"({num})"
-    text = _poly_str(den)
     # a primitive one-term denominator has coefficient 1: a lone power needs no parens
     return f"{num}/({text})" if " " in text or "*" in text else f"{num}/{text}"
 

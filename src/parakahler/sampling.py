@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 from .expressions import PARAMS, Polynomial, SamplePoint
 
 _MASK = (1 << 64) - 1
+MAX_TRIES = 2000  # draws per sample point before sampling gives up
 
 
 class DeterministicRng:
@@ -43,14 +44,13 @@ class DeterministicRng:
 
 
 class SamplingError(RuntimeError):
-    """No admissible sample found within the retry budget."""
+    """No admissible sample found within ``MAX_TRIES`` draws."""
 
 
 def sample_point(
     rng: DeterministicRng,
     domains: Mapping[str, "ParamDomainLike"],
     avoid: Iterable[Polynomial] = (),
-    max_tries: int = 2000,
 ) -> SamplePoint:
     """Draw one assignment of all parameters avoiding the given zero sets.
 
@@ -59,7 +59,7 @@ def sample_point(
     ``avoid`` must evaluate to a nonzero value at the returned point.
     """
     avoid = tuple(avoid)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         values = {}
         ok = True
         for name in PARAMS:
@@ -80,7 +80,7 @@ def sample_point(
         if all(point.homogenized(p)[0] for p in avoid):
             return point
     raise SamplingError(
-        f"no admissible sample in {max_tries} tries for domains "
+        f"no admissible sample in {MAX_TRIES} tries for domains "
         f"{sorted(domains)} avoiding {len(avoid)} polynomials"
     )
 

@@ -10,7 +10,8 @@ A^k_im = J^l_i C^k_lm, formed once:
     N^k_ij = C^k_ij + J^m_j A^k_im - J^k_m (A^m_ij - A^m_ji),
 
 normalized for i < j only and filled by N^k_ji = -N^k_ij, N^k_ii = 0, since
-C^k_ji = -C^k_ij.  Each axiom product (J^T omega, g J) is formed once.  All
+C^k_ji = -C^k_ij.  As J^T omega = -(omega J)^T, the omega check forms omega J
+once: its residual is the asymmetry of g, and its cross-check omega - (omega J)^T J.  All
 checks are symbolic and report structured findings instead of raising, so
 that broken inputs can be diagnosed; every reported identity, here and in
 ``contact``, goes through ``collect_residuals``.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
 from .liealgebra import LieAlgebra, TwoForm
@@ -85,13 +86,10 @@ def check_involution(j_matrix: ExprMatrix) -> IdentityReport:
 
 def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> IdentityReport:
     """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega."""
-    w = omega.matrix
-    jtw = j_matrix.transpose() @ w
-    primary = jtw + w @ j_matrix
-    crosscheck = jtw @ j_matrix + w
-    return _axiom_check(
-        "omega-compat", _entries("Jt*w+w*J", primary) + _entries("w(J.,J.)+w", crosscheck)
-    )
+    wj = omega.matrix @ j_matrix
+    primary = _entries("Jt*w+w*J", wj - wj.transpose())
+    crosscheck = _entries("w(J.,J.)+w", omega.matrix - wj.transpose() @ j_matrix)
+    return _axiom_check("omega-compat", primary + crosscheck)
 
 
 class NijenhuisTensor:
@@ -200,9 +198,9 @@ def check_metric_compat(g: Metric, j_matrix: ExprMatrix) -> IdentityReport:
     return _axiom_check("metric-compat", _entries("Jt*g+g*J", residual))
 
 
-def signature_at(g: Metric, point: Mapping[str, Fraction]) -> Tuple[int, int]:
-    """Exact signature (p, q) of g at a sample, by symmetric Gaussian reduction."""
-    m = [list(row) for row in g.matrix.eval_at(point)]
+def signature_at(g: List[List[Fraction]]) -> Tuple[int, int]:
+    """Exact signature (p, q) of g evaluated at a sample, by symmetric Gaussian reduction."""
+    m = [list(row) for row in g]
     n = len(m)
     active = list(range(n))
     plus = minus = 0

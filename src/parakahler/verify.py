@@ -7,13 +7,13 @@ classification, entrywise comparison against the published Ricci operator, and
 a pure-Fraction re-run of the pipeline at sampled parameter points.  These are
 stages on one finding, built first as the failure of an entry whose axioms
 fail: each stage that passes fills in its part, and the first that fails (an
-axiom, an asymmetric metric, a degenerate form, a metric, signature or
-corroboration check) returns the finding as it stands.  Only an entry that
-passes every stage is ``ok`` or a ``discrepancy``.  Each sample point is one
-``SamplePoint``, which evaluates in integers and serves every use there: the
-sampler's avoid test, the signature, the oracle's inputs and the
-corroboration, which compares each symbolic component with the re-run's value
-by integer cross-multiplication and builds no ``Fraction`` of its own.
+axiom, a degenerate form, a metric, signature or corroboration check) returns
+the finding as it stands; g = omega J is symmetric once the omega axiom holds.
+Only an entry that passes every stage is ``ok`` or a ``discrepancy``.  Each
+sample point is one ``SamplePoint``, which evaluates in integers and serves
+every use there: the avoid test, the one evaluation of g for the signature and
+the oracle, and the corroboration, which compares each symbolic component with
+the re-run's value by integer cross-multiplication, building no ``Fraction``.
 Mathematical failures are recorded in the finding, never raised; only
 infrastructure problems (e.g. the expression-size guard) propagate.
 
@@ -23,9 +23,10 @@ as failures, mirroring how a typo in a printed table should surface.
 
 ``verify_extension`` checks the 5D para-Sasakian lift of an entry on its
 form's lift, which ``verify_all`` builds once per (algebra, form) with
-``lift_form``, and takes the entry's 4D curvature bundle as given.  An entry
-whose 4D check built no bundle (its J fails an axiom) has nothing to lift: its
-extension is a recorded failure, like a form that is not symplectic, and keeps
+``lift_form`` with its contact and Reeb checks, and takes the entry's 4D
+curvature bundle as given.  An entry whose 4D check built no bundle (its J
+fails an axiom) has nothing to lift: its extension is a recorded failure, like
+a form that is not symplectic or fails the Reeb identities, and keeps
 ``ExtensionFinding``'s defaults with its one cause in ``residuals``.
 """
 
@@ -62,7 +63,6 @@ from .curvature import (
 from .expressions import ExprMatrix, Polynomial, at_point, format_expr
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
-    MetricAsymmetryError,
     SingularMetricError,
     check_involution,
     check_metric_compat,
@@ -131,13 +131,12 @@ class EntryFinding:
         }
 
 
-def _numeric_corroboration(algebra, g, bundle, point) -> bool:
-    """Re-run the pipeline on Fractions at a sample; exact agreement required,
-    decided per component by ``SamplePoint.agrees``."""
+def _numeric_corroboration(algebra, g_num, bundle, point) -> bool:
+    """Re-run the pipeline on Fractions from g evaluated at a sample; exact
+    agreement required, decided per component by ``SamplePoint.agrees``."""
     n = algebra.dim
     at = at_point(point)
     c_num = algebra.structure_eval(at)
-    g_num = g.matrix.eval_at(at)
     g_inv = numeric.invert(g_num)
     gamma_num = numeric.christoffel(c_num, g_num, g_inv)
     riem_num = numeric.curvature(c_num, gamma_num)
@@ -210,10 +209,7 @@ def verify_entry(
     if not (involution.ok and compat.ok and integrability.ok):
         return finding
     metric_info, label_info, ric_info = finding.metric, finding.label, finding.ric_comparison
-    try:
-        g = metric_from(form, entry.j_matrix)
-    except MetricAsymmetryError:
-        return finding
+    g = metric_from(form, entry.j_matrix)
     metric_info["symmetric"] = True
     metric_info["compat"] = check_metric_compat(g, entry.j_matrix).ok
     metric_info["roundtrip"] = omega_from(g, entry.j_matrix) == form
@@ -268,12 +264,13 @@ def verify_entry(
     agree = 0
     for _ in range(config.samples):
         point = sample_point(rng, domains, avoid)
+        g_num = g.matrix.eval_at(point)
         try:
-            if signature_at(g, point) != (algebra.dim // 2, algebra.dim // 2):
+            if signature_at(g_num) != (algebra.dim // 2, algebra.dim // 2):
                 signature_ok = False
         except SingularMetricError:
             signature_ok = False
-        if _numeric_corroboration(algebra, g, bundle, point):
+        if _numeric_corroboration(algebra, g_num, bundle, point):
             agree += 1
     metric_info["signature_samples"] = config.samples
     metric_info["signature_ok"] = signature_ok
@@ -330,18 +327,18 @@ class ExtensionFinding:
         }
 
 
-# a form's extension with its contact check, or why the form has none
-FormLift = Union[Tuple[CentralExtension, ContactReport], NonSymplecticError]
+# a form's extension with its contact check and Reeb result, or why it has none
+FormLift = Union[Tuple[CentralExtension, ContactReport, bool], NonSymplecticError]
 
 
 def lift_form(algebra: LieAlgebra, form: TwoForm, report: SymplecticReport) -> FormLift:
-    """The central extension by ``form`` with its contact check, or why it has none;
-    ``report`` is the form's symplectic gate."""
+    """The central extension by ``form`` with its contact and Reeb checks, or why
+    it has none; ``report`` is the form's symplectic gate."""
     try:
         ext = central_extend(algebra, form, report)
     except NonSymplecticError as exc:
         return exc
-    return ext, check_contact(ext)
+    return ext, check_contact(ext), all(r.is_zero for r in reeb_residuals(ext))
 
 
 def verify_extension(
@@ -356,19 +353,21 @@ def verify_extension(
         return ExtensionFinding(
             entry.entry_id, (("central_extension", f"form {entry.form!r}: {lift}"),)
         )
+    ext, contact, reeb = lift
+    if not reeb:  # then h = eta^T eta - d(eta) phi is no metric
+        why = f"form {entry.form!r}: xi is not the Reeb vector of eta"
+        return ExtensionFinding(entry.entry_id, (("reeb", why),))
     if base_bundle is None:
         why = (
             f"structure {entry.entry_id!r} fails a para-Kahler axiom, so it has "
             "no 4D curvature to lift"
         )
         return ExtensionFinding(entry.entry_id, (("base_structure", why),))
-    ext, contact = lift
     ps = build_paracontact(ext, entry.j_matrix)
     ext_bundle = curvature_bundle(ext.extended, ps.h)
     apc = all(r.is_zero for r in almost_paracontact_residuals(ps))
     compat = check_compatible_metric(ps).is_zero
     restriction = metric_restriction_residuals(ps, base_bundle.metric).is_zero
-    reeb = all(r.is_zero for r in reeb_residuals(ps))
     t2 = verify_lifted_curvature(ps, base_bundle, entry.j_matrix, ext_bundle)
     t3 = verify_lifted_ricci(ps, base_bundle, ext_bundle)
     ok = (
@@ -376,7 +375,6 @@ def verify_extension(
         and apc
         and compat
         and restriction
-        and reeb
         and ps.phi_vs_deta == "equal"
         and t2.ok
         and t3.ok
@@ -388,7 +386,7 @@ def verify_extension(
         almost_paracontact_ok=apc,
         compatible_metric_ok=compat,
         restriction_ok=restriction,
-        reeb_ok=reeb,
+        reeb_ok=True,
         phi_vs_deta=ps.phi_vs_deta,
         curvature_identities=dict(t2.identities),
         ricci_identities=dict(t3.identities),

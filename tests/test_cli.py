@@ -9,6 +9,7 @@ import pytest
 from parakahler import cli
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.cli import main
+from test_schema_fuzz import EXAMPLE as README_EXAMPLE
 
 
 def test_list_shows_all_algebras(capsys):
@@ -258,6 +259,37 @@ def test_domain_exponent_past_the_digit_limit_exits_2_at_once(tmp_path, capsys):
         "catalog error: algebras[0].params[0].domain.lo: "
         "exponent of '1e10000000' exceeds 4300 in magnitude\n"
     )
+
+
+def _readme_catalog(tmp_path, name, edit):
+    """The README's catalog example with ``edit`` applied to its one algebra."""
+    doc = copy.deepcopy(README_EXAMPLE)
+    edit(doc["algebras"][0])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_coefficient_past_the_digit_limit_exits_3_at_once(tmp_path, capsys):
+    def bracket(algebra):  # refused unformed: 300000000 times the one digit of 2
+        algebra["brackets"][0][3] = "2^300000000"
+
+    def form(algebra):  # 10^2500 is read, but det omega = 10^5000 is too long to print
+        algebra["forms"][0]["terms"][0][2] = "1" + "0" * 2500
+
+    out = str(tmp_path / "report.json")
+    for argv, message in (
+        (["check-file", _readme_catalog(tmp_path, "bracket.json", bracket)],
+         "300000000 digits exceed the guard (4300)"),
+        (["verify", "--samples", "1", "--out", out,
+          "--catalog", _readme_catalog(tmp_path, "form.json", form)],
+         "cannot print a coefficient of 5001 digits"),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("infrastructure error: " + message)
 
 
 def _degenerate_catalog(tmp_path):

@@ -102,7 +102,7 @@ def test_paracontact_block_structure(rn4):
     # phi(xi) = 0 and the almost-paracontact identities hold
     assert all(ps.phi[i, 4].is_zero for i in range(5))
     assert all(r.is_zero for r in almost_paracontact_residuals(ps))
-    assert all(r.is_zero for r in reeb_residuals(ps))
+    assert all(r.is_zero for r in reeb_residuals(ext))
     # h restricted to the distribution equals g; h(xi, xi) = 1
     g = metric_from(ext.omega, RN4_J)
     assert metric_restriction_residuals(ps, g).is_zero
@@ -118,13 +118,14 @@ def test_contact_condition_pass_and_fail(rn4):
     # e1^e2 is closed but degenerate: central_extend refuses it, so the
     # extension [e1, e2] = xi is built by hand
     extended = LieAlgebra.from_brackets("rn4^ext", 5, [(1, 2, 5, expr(1))], rn4.params)
-    eta = _basis(5, 4)
+    eta = ExprMatrix([_basis(5, 4)])
     degenerate = CentralExtension(
         base=rn4,
         omega=make_form(4, [(1, 2, 1)]),
         extended=extended,
-        eta=ExprMatrix([eta]),
-        d_eta=ce_differential_1(extended, eta),
+        eta=eta,
+        d_eta=ce_differential_1(extended, eta.entries[0]),
+        eta_eta=eta.transpose() @ eta,
     )
     assert not check_contact(degenerate).ok
 
@@ -147,7 +148,8 @@ def test_compatible_metric_identity_and_failure(rn4):
     # eta(X) = h(xi, X) for all basis X
     for i in range(5):
         assert (ps.h(4, i) - ps.extension.eta[0, i]).is_zero
-    broken = dataclasses.replace(ps, h=Metric(ExprMatrix.identity(5)))
+    h = Metric(ExprMatrix.identity(5))
+    broken = dataclasses.replace(ps, h=h, fundamental=ps.phi.transpose() @ h.matrix)
     assert not check_compatible_metric(broken).is_zero
 
 

@@ -361,7 +361,7 @@ def _d42_bundle():
 
 def test_full_pipeline_matches_numeric_oracle():
     d42, g, bundle = _d42_bundle()
-    assert _numeric_corroboration(d42, g, bundle, FULL_POINT) is True
+    assert _numeric_corroboration(d42, g.matrix.eval_at(FULL_POINT), bundle, FULL_POINT) is True
 
 
 # -- the sparse Fraction oracle against the dense loops it replaced ----------
@@ -588,7 +588,8 @@ def test_corroboration_detects_single_perturbations():
         christ = dataclasses.replace(bundle.christoffel, gamma=gamma)
         return dataclasses.replace(bundle, christoffel=christ)
 
-    assert _numeric_corroboration(d42, g, bundle, point) is True
+    g_num = g.matrix.eval_at(point)
+    assert _numeric_corroboration(d42, g_num, bundle, point) is True
     for perturbed in (
         with_gamma(*nonzero),
         with_gamma(*zero),
@@ -598,4 +599,4 @@ def test_corroboration_detects_single_perturbations():
         with_matrix_entry("operator", 3, 3),
         with_gamma_factor(*nonzero),
     ):
-        assert _numeric_corroboration(d42, g, perturbed, point) is False
+        assert _numeric_corroboration(d42, g_num, perturbed, point) is False

@@ -21,6 +21,7 @@ from parakahler.expressions import (
     SymbolicZeroDivisionError,
     UnknownParameterError,
     common_denominator,
+    digit_count,
     expr,
     format_expr,
     parse_expr,
@@ -419,6 +420,36 @@ def test_degree_guard_refuses_every_other_result_past_it():
     for text in ("a^600*b^401", "(a^600+1)*b^401", "a^600+1/b^401", "a^1000*a-b"):
         with pytest.raises(ExpressionBlowupError, match="degree 1001 exceeds the guard"):
             parse_expr(text)
+
+
+def test_digit_guard_refuses_a_power_before_forming_it():
+    # the bound is the exponent times the digits of the base's largest coefficient
+    assert parse_expr("9^4300") == expr(9**4300)
+    assert parse_expr("(-7/2)^4300") == expr(Fraction(-7, 2) ** 4300)
+    for text in ("2^300000000", "9^4301", "10^2151", "(1/3)^4301", "(1234567890*a-b)^500"):
+        with pytest.raises(ExpressionBlowupError, match=r"digits exceed the guard \(4300\)"):
+            parse_expr(text)
+
+
+def test_digit_guard_refuses_every_other_result_past_it():
+    nines = "9" * 4300  # the longest literal that int() reads
+    assert parse_expr(nines + "-1") == expr(10**4300 - 2)
+    c = "9" + "0" * 2149  # 2 times 2,150 digits is in bounds, but 2 c^2 has 4,301
+    for text in (nines + "+1", nines + "*10", "a/" + nines + "/10", f"({c}*a+{c}*b)^2"):
+        with pytest.raises(ExpressionBlowupError, match="4301 digits exceed the guard"):
+            parse_expr(text)
+
+
+def test_digit_count_at_the_powers_of_ten():
+    for k in (1, 15, 16, 17, 4300, 5000):
+        assert digit_count(10**k - 1) == k
+        assert digit_count(-(10**k)) == k + 1
+
+
+def test_format_names_a_coefficient_too_long_to_print():
+    assert format_expr(expr(10**4299)) == "1" + "0" * 4299
+    with pytest.raises(ExpressionBlowupError, match="cannot print a coefficient of 5001 digits"):
+        format_expr(expr(10**5000) * variable("a"))
 
 
 def test_evaluation_memory_does_not_grow_with_the_degree():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from parakahler import sampling
 from parakahler.expressions import Polynomial
 from parakahler.liealgebra import ParamDomain
 from parakahler.sampling import DeterministicRng, SamplingError, sample_point
@@ -46,13 +47,14 @@ def test_avoid_polynomials():
         assert point["b"] != 0
 
 
-def test_unsatisfiable_raises():
+def test_unsatisfiable_raises(monkeypatch):
     # no fraction with denominator <= 9 lies in this sliver
     impossible = ParamDomain(
         "open-interval", lo=Fraction(1, 1000001), hi=Fraction(1, 1000000)
     )
-    with pytest.raises(SamplingError):
-        sample_point(DeterministicRng(0), {"b": impossible}, max_tries=50)
+    monkeypatch.setattr(sampling, "MAX_TRIES", 50)
+    with pytest.raises(SamplingError, match="no admissible sample in 50 tries"):
+        sample_point(DeterministicRng(0), {"b": impossible})
 
 
 def test_sample_points_deterministic():

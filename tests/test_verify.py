@@ -1,13 +1,14 @@
 """Verification driver, findings, and report rendering."""
 
 import copy
+import dataclasses
 import json
 import sys
 
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
-from parakahler.expressions import ExprMatrix, parse_expr
-from parakahler.liealgebra import is_symplectic
+from parakahler.expressions import ExprMatrix, expr, parse_expr
+from parakahler.liealgebra import TwoForm, is_symplectic
 from parakahler import contact, liealgebra, verify
 from parakahler.cli import main
 from parakahler.verify import (
@@ -153,15 +154,17 @@ def test_extension_findings_builtin_sample():
 
 def test_one_lift_per_form(monkeypatch):
     # the 57 builtin structures use 20 forms; each form is gated, extended and
-    # its contact condition checked once, not once per structure, and det omega
-    # and d(eta) are computed once per form
+    # its contact and Reeb conditions checked once, not once per structure, and
+    # det omega and d(eta) are computed once per form; the matrix products of
+    # the whole pass are pinned too
     homes = {
         "central_extend": contact,
         "check_contact": contact,
+        "reeb_residuals": contact,
         "is_symplectic": liealgebra,
         "ce_differential_1": liealgebra,
     }
-    calls = dict.fromkeys([*homes, "ExprMatrix.det"], 0)
+    calls = dict.fromkeys([*homes, "ExprMatrix.det", "ExprMatrix.__matmul__"], 0)
 
     def counter(name, original):
         def counted(*args):
@@ -177,7 +180,9 @@ def test_one_lift_per_form(monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.startswith("parakahler.")]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counter(name, original))
-    monkeypatch.setattr(ExprMatrix, "det", counter("ExprMatrix.det", ExprMatrix.det))
+    for name in ("det", "__matmul__"):
+        method = getattr(ExprMatrix, name)
+        monkeypatch.setattr(ExprMatrix, name, counter(f"ExprMatrix.{name}", method))
     catalog = builtin_catalog()
     report = verify_all(catalog, RunConfig(seed=0, samples=1), include_extensions=True)
     assert len(report.sasakian) == 57
@@ -185,10 +190,32 @@ def test_one_lift_per_form(monkeypatch):
     assert calls == {
         "central_extend": 20,
         "check_contact": 20,
+        "reeb_residuals": 20,
         "is_symplectic": 20,
         "ce_differential_1": 20,
         "ExprMatrix.det": 20,
+        "ExprMatrix.__matmul__": 1124,
     }
+
+
+def test_lift_whose_xi_is_not_the_reeb_vector_is_a_failure(monkeypatch):
+    # central_extend makes xi central, so xi _| d(eta) = 0 always; an e5^e1
+    # term in d(eta) breaks it, and h = eta^T eta - d(eta) phi is then no metric
+    catalog = builtin_catalog()
+    entry = _entry(catalog, "rn4.omega.J")
+    algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
+    report = is_symplectic(algebra, form)
+    ext = contact.central_extend(algebra, form, report)
+    rows = [list(row) for row in ext.d_eta.matrix.entries]
+    rows[4][0], rows[0][4] = expr(1), expr(-1)
+    perturbed = dataclasses.replace(ext, d_eta=TwoForm(ExprMatrix(rows)))
+    assert not contact.reeb_residuals(perturbed)[0].is_zero
+    monkeypatch.setattr(verify, "central_extend", lambda *args: perturbed)
+    lift = lift_form(algebra, form, report)
+    finding = verify_extension(entry, lift, verify_entry(catalog, entry, report, CFG).bundle)
+    assert finding.reeb_ok is False
+    assert finding.status == "failure"
+    assert [where for where, _ in finding.residuals] == ["reeb"]
 
 
 def test_report_json_round_trip():
