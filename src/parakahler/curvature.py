@@ -165,20 +165,21 @@ class Classification:
     einstein_factor: Optional[RationalExpr]
 
 
-def hermitian_residual(ric: ExprMatrix, j_matrix: ExprMatrix) -> ExprMatrix:
-    """Ric(JX, JY) - Ric(X, Y) as a matrix: Jt . Ric . J - Ric."""
-    return j_matrix.transpose() @ ric @ j_matrix - ric
+def hermitian_residual(ric: ExprMatrix, j_matrix: ExprMatrix, jric=None) -> ExprMatrix:
+    """Ric(JX, JY) - Ric(X, Y) as a matrix: Jt . Ric . J - Ric; ``jric`` is
+    Jt . Ric . J when the caller has formed it."""
+    return (j_matrix.transpose() @ ric @ j_matrix if jric is None else jric) - ric
 
 
-def anti_invariance_residual(ric: ExprMatrix, j_matrix: ExprMatrix) -> ExprMatrix:
-    """Ric(JX, JY) + Ric(X, Y); identically zero for any para-Kahler metric."""
-    return j_matrix.transpose() @ ric @ j_matrix + ric
+def anti_invariance_residual(ric: ExprMatrix, j_matrix: ExprMatrix, jric=None) -> ExprMatrix:
+    """Ric(JX, JY) + Ric(X, Y); identically zero for any para-Kahler metric.
+    ``jric`` is Jt . Ric . J when the caller has formed it."""
+    return (j_matrix.transpose() @ ric @ j_matrix if jric is None else jric) + ric
 
 
-def classify(
-    bundle: CurvatureBundle, j_matrix: ExprMatrix
-) -> Classification:
-    """Most specific label wins: flat > ricci_flat > einstein > hermitian > generic."""
+def classify(bundle: CurvatureBundle, j_matrix: ExprMatrix, jric=None) -> Classification:
+    """Most specific label wins: flat > ricci_flat > einstein > hermitian > generic.
+    ``jric`` is Jt . Ric . J when the caller has formed it."""
     ric = bundle.ricci.ricci
     if bundle.riemann.is_zero:
         return Classification("flat", EXPR_ZERO)
@@ -187,7 +188,7 @@ def classify(
     factor = bundle.ricci.scalar / expr(bundle.metric.dim)
     if (ric - bundle.metric.matrix.scale(factor)).is_zero:
         return Classification("einstein", factor)
-    if hermitian_residual(ric, j_matrix).is_zero:
+    if hermitian_residual(ric, j_matrix, jric).is_zero:
         return Classification("hermitian_ricci", None)
     return Classification("generic", None)
 

@@ -2,10 +2,13 @@
 
 Every scalar in this package is a quotient of two polynomials with integer
 coefficients in the fixed parameter list ``a, b, c, d, lam, alpha, beta``.
-A polynomial is a sparse dictionary mapping exponent tuples (one entry per
-parameter) to nonzero ``int`` coefficients; the zero polynomial is the empty
-dictionary.  This representation gives a decidable, exact zero test: an
-expression is zero iff its numerator normalizes to the empty dictionary.
+A polynomial is a sparse dictionary mapping monomials to nonzero ``int``
+coefficients; the zero polynomial is the empty dictionary.  A monomial is one
+``int``: the exponent of each parameter in a 16-bit field, ``a`` highest, and
+the total degree above them all, so that multiplying monomials is one ``int``
+addition and ``int`` order is graded-lex order.  This representation gives a
+decidable, exact zero test: an expression is zero iff its numerator
+normalizes to the empty dictionary.
 
 Quotients are kept in the canonical form of a rational function over
 Z[a, b, c, d, lam, alpha, beta]: numerator and denominator are coprime
@@ -28,15 +31,26 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import gcd as _int_gcd, lcm as _int_lcm, log10
-from operator import add as _add
 from typing import Iterable, List, Tuple, Union
 
 PARAMS = ("a", "b", "c", "d", "lam", "alpha", "beta")
 
 _NV = len(PARAMS)
 _IDX = {name: i for i, name in enumerate(PARAMS)}
-_ZEXP = (0,) * _NV
+# Exponents stay below 2^15, so in (r | _GUARD) - g no field borrows from the
+# next, and a field keeps its guard bit exactly where r's exponent is at least g's.
+_BITS = 16
+_SHIFT = tuple(_BITS * (_NV - 1 - i) for i in range(_NV))
+_DEG = _BITS * _NV
+_UNIT = tuple((1 << _DEG) + (1 << s) for s in _SHIFT)  # the monomial PARAMS[i]
+_FIELD = (1 << _BITS) - 1
+_GUARD = sum(1 << (s + _BITS - 1) for s in _SHIFT)
+_TOP = _GUARD - sum(1 << s for s in _SHIFT)  # every exponent at 2^15 - 1
+# bit_length of the fields -> (unit, index) of the highest nonzero field
+_AT = (None,) + tuple((1 << b // _BITS * _BITS, _NV - 1 - b // _BITS) for b in range(_DEG))
 
 # The guard on polynomial term counts: a product whose factors' term counts
 # multiply past it is refused unformed, and a sum past it is refused.
@@ -46,6 +60,7 @@ TERM_LIMIT = 100_000
 # or denominator: the parser refuses a power past them unformed, and any other result.
 DEGREE_LIMIT = 1_000
 DIGIT_LIMIT = 4_300  # Python's default limit on printing an int
+EXPONENT_LIMIT = 1 << (_BITS - 1)  # a product reaching this total degree is refused unformed
 
 
 class ExpressionBlowupError(RuntimeError):
@@ -98,10 +113,6 @@ def _guard(terms: dict) -> dict:
     return terms
 
 
-def _grlex(exp: tuple) -> tuple:
-    return (sum(exp), exp)
-
-
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
@@ -117,7 +128,7 @@ class Polynomial:
 
     @staticmethod
     def const(value: int) -> "Polynomial":
-        return Polynomial({_ZEXP: value} if value else {})
+        return Polynomial({0: value} if value else {})
 
     @staticmethod
     def var(name: str) -> "Polynomial":
@@ -125,9 +136,7 @@ class Polynomial:
             raise UnknownParameterError(
                 f"unknown parameter {quoted(name)}; known parameters: {', '.join(PARAMS)}"
             )
-        exp = [0] * _NV
-        exp[_IDX[name]] = 1
-        return Polynomial({tuple(exp): 1})
+        return Polynomial({_UNIT[_IDX[name]]: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -137,7 +146,7 @@ class Polynomial:
 
     @property
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -192,11 +201,16 @@ class Polynomial:
                 f"product of {len(self.terms)} by {len(other.terms)} terms exceeds "
                 f"the guard ({TERM_LIMIT})"
             )
+        top = max(self.terms) + max(other.terms) >> _DEG  # the product's degree
+        if top >= EXPONENT_LIMIT:
+            raise ExpressionBlowupError(
+                f"product of degree {top} reaches the guard ({EXPONENT_LIMIT})"
+            )
         acc: dict = {}
         t2 = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in t2:
-                exp = tuple(map(_add, e1, e2))
+                exp = e1 + e2
                 acc[exp] = acc.get(exp, 0) + c1 * c2
         return Polynomial(_guard({e: c for e, c in acc.items() if c}))
 
@@ -233,19 +247,18 @@ class Polynomial:
     def degree_in(self, v: int) -> int:
         if not self.terms:
             return 0
-        return max(e[v] for e in self.terms)
+        s = _SHIFT[v]
+        return max(e >> s & _FIELD for e in self.terms)
 
     def params(self) -> set:
-        used = set()
+        used = 0
         for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(PARAMS[i])
-        return used
+            used |= e
+        return {name for name, s in zip(PARAMS, _SHIFT) if used >> s & _FIELD}
 
     def leading(self) -> tuple:
-        """Leading (exponent, coefficient) in graded-lexicographic order."""
-        exp = max(self.terms, key=_grlex)
+        """Leading (monomial, coefficient) in graded-lexicographic order."""
+        exp = max(self.terms)
         return exp, self.terms[exp]
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -259,7 +272,7 @@ class Polynomial:
 
 
 _P_ZERO = Polynomial({})
-_P_ONE = Polynomial({_ZEXP: 1})
+_P_ONE = Polynomial({0: 1})
 
 
 # -- polynomial division and GCD ------------------------------------------
@@ -275,16 +288,16 @@ def exact_div(f: Polynomial, g: Polynomial):
     quotient: dict = {}
     rest = dict(f.terms)
     while rest:
-        r_exp = max(rest, key=_grlex)
-        d = tuple(x - y for x, y in zip(r_exp, g_exp))
-        if any(x < 0 for x in d):
+        r_exp = max(rest)
+        if (r_exp | _GUARD) - g_exp & _GUARD != _GUARD:  # some exponent of g is larger
             return None
+        d = r_exp - g_exp
         qc, r = divmod(rest[r_exp], g_coeff)
         if r:
             return None
         quotient[d] = qc
         for e2, c2 in g.terms.items():
-            exp = tuple(x + y for x, y in zip(d, e2))
+            exp = d + e2
             s = rest.get(exp, 0) - qc * c2
             if s:
                 rest[exp] = s
@@ -294,18 +307,13 @@ def exact_div(f: Polynomial, g: Polynomial):
 
 
 def _coeff_of(f: Polynomial, v: int, k: int) -> Polynomial:
-    out = {}
-    for e, c in f.terms.items():
-        if e[v] == k:
-            reduced = list(e)
-            reduced[v] = 0
-            out[tuple(reduced)] = c
-    return Polynomial(out)
+    s, cut = _SHIFT[v], k * _UNIT[v]
+    return Polynomial({e - cut: c for e, c in f.terms.items() if e >> s & _FIELD == k})
 
 
-def _times_monomial(f: Polynomial, exp: tuple) -> Polynomial:
-    """f times the monomial of exponent ``exp``, whose entries may be negative."""
-    return Polynomial({tuple(map(_add, e, exp)): c for e, c in f.terms.items()})
+def _times_monomial(f: Polynomial, exp: int) -> Polynomial:
+    """f times the monomial ``exp``, or divided by it when ``exp`` is negated."""
+    return Polynomial({e + exp: c for e, c in f.terms.items()})
 
 
 def _split(f: Polynomial) -> Tuple[int, Polynomial]:
@@ -340,8 +348,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
         if dr < dg:
             break
         lc_r = _coeff_of(r, v, dr)
-        shift = _ZEXP[:v] + (dr - dg,) + _ZEXP[v + 1 :]
-        r = lc_g * r - _times_monomial(lc_r, shift) * g
+        r = lc_g * r - _times_monomial(lc_r, (dr - dg) * _UNIT[v]) * g
     return r
 
 
@@ -389,10 +396,16 @@ def _make(num: Polynomial, den: Polynomial) -> "RationalExpr":
     if num.is_zero:
         return EXPR_ZERO
     if not den.is_const:
-        # cancel the common monomial content first; it is cheap and frequent.
-        shift = tuple(-min(col) for col in zip(*num.terms, *den.terms))
-        if any(shift):
-            num, den = _times_monomial(num, shift), _times_monomial(den, shift)
+        # cancel the common monomial content first: each field's least exponent, at once
+        m = _TOP
+        for e in chain(num.terms, den.terms):
+            lower = _GUARD & ~((e | _GUARD) - m)  # the guard bits of the fields where e < m
+            m ^= (m ^ e) & (lower - (lower >> (_BITS - 1)))
+            if not m:
+                break
+        else:  # no break: a common monomial is left
+            shift = m + (m % _FIELD << _DEG)  # the degree: the field sum, below 2^16 - 1
+            num, den = _times_monomial(num, -shift), _times_monomial(den, -shift)
     # num / (scale * den) with den primitive and positive-leading from here on
     scale, den = _split(den)
     if scale < 0:
@@ -593,14 +606,15 @@ class SamplePoint(Mapping):
         scaled, lcm = self._scaled, self._lcm
         acc = top = 0
         for exp, coeff in f.terms.items():
-            degree = 0
-            for i, k in enumerate(exp):
-                if k:
-                    r = scaled[i]
-                    if r is None:
-                        raise ValueError(f"no value assigned to parameter {PARAMS[i]!r}")
-                    coeff *= r ** k
-                    degree += k
+            degree = exp >> _DEG
+            low = exp - (degree << _DEG)
+            while low:  # the nonzero fields only, highest first
+                unit, i = _AT[low.bit_length()]
+                k, low = divmod(low, unit)
+                r = scaled[i]
+                if r is None:
+                    raise ValueError(f"no value assigned to parameter {PARAMS[i]!r}")
+                coeff *= r ** k
             if degree > top:
                 acc *= lcm ** (degree - top)
                 top = degree
@@ -740,7 +754,7 @@ class _Parser:
     def guard(self, value: RationalExpr, power: int = 1) -> RationalExpr:
         """``value``, refused when ``power`` times its largest total degree passes
         ``DEGREE_LIMIT`` or ``power`` times its longest coefficient's digits ``DIGIT_LIMIT``."""
-        degree = power * max(map(sum, [*value.num.terms, *value.den.terms]))
+        degree = power * (max([*value.num.terms, *value.den.terms]) >> _DEG)
         if degree > DEGREE_LIMIT:
             raise ExpressionBlowupError(
                 f"degree {degree} exceeds the guard ({DEGREE_LIMIT}) in {quoted(self.text)}"
@@ -801,18 +815,20 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {quoted(value)} in {quoted(self.text)}")
 
 
+@lru_cache(maxsize=4096)  # a catalog repeats its texts ("0" 745 times in the builtin one)
 def parse_expr(text: str) -> RationalExpr:
     """Parse expression text (integers, parameters, ``+ - * / ^``, parens)."""
     return _Parser(text).parse()
 
 
-def _mono_str(exp: tuple) -> str:
+def _mono_str(exp: int) -> str:
     parts = []
-    for i, k in enumerate(exp):
+    for name, s in zip(PARAMS, _SHIFT):
+        k = exp >> s & _FIELD
         if k == 1:
-            parts.append(PARAMS[i])
+            parts.append(name)
         elif k > 1:
-            parts.append(f"{PARAMS[i]}^{k}")
+            parts.append(f"{name}^{k}")
     return "*".join(parts)
 
 
@@ -821,7 +837,7 @@ def _poly_str(p: Polynomial, divisor: int = 1) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for exp in sorted(p.terms, key=_grlex, reverse=True):
+    for exp in sorted(p.terms, reverse=True):
         coeff = Fraction(p.terms[exp], divisor)
         mono = _mono_str(exp)
         if not mono:

@@ -84,9 +84,10 @@ def check_involution(j_matrix: ExprMatrix) -> IdentityReport:
     )
 
 
-def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> IdentityReport:
-    """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega."""
-    wj = omega.matrix @ j_matrix
+def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix, wj=None) -> IdentityReport:
+    """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega;
+    ``wj`` is omega . J when the caller has formed it."""
+    wj = omega.matrix @ j_matrix if wj is None else wj
     primary = _entries("Jt*w+w*J", wj - wj.transpose())
     crosscheck = _entries("w(J.,J.)+w", omega.matrix - wj.transpose() @ j_matrix)
     return _axiom_check("omega-compat", primary + crosscheck)
@@ -180,9 +181,9 @@ class Metric:
         return f"Metric({self.matrix})"
 
 
-def metric_from(omega: TwoForm, j_matrix: ExprMatrix) -> Metric:
-    """g = omega . J  (g_ij = omega_ik J^k_j); raises if the result is asymmetric."""
-    return Metric(omega.matrix @ j_matrix)
+def metric_from(omega: TwoForm, j_matrix: ExprMatrix, wj=None) -> Metric:
+    """g = omega . J (``wj`` if the caller has formed it); raises if it is asymmetric."""
+    return Metric(omega.matrix @ j_matrix if wj is None else wj)
 
 
 def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
@@ -190,10 +191,10 @@ def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
     return TwoForm(g.matrix @ j_matrix)
 
 
-def check_metric_compat(g: Metric, j_matrix: ExprMatrix) -> IdentityReport:
+def check_metric_compat(g: Metric, j_matrix: ExprMatrix, gj=None) -> IdentityReport:
     """g(JX, Y) + g(X, JY) = 0 entrywise, symbolically; g is symmetric, so
-    J^T g = (g J)^T and one product serves both terms."""
-    gj = g.matrix @ j_matrix
+    J^T g = (g J)^T and one product, ``gj`` if the caller has formed it, serves both."""
+    gj = g.matrix @ j_matrix if gj is None else gj
     residual = gj.transpose() + gj
     return _axiom_check("metric-compat", _entries("Jt*g+g*J", residual))
 

@@ -169,7 +169,8 @@ def verify_entry(
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
     involution = check_involution(entry.j_matrix)
-    compat = check_omega_compat(form, entry.j_matrix)
+    wj = form.matrix @ entry.j_matrix  # the metric, once the omega check passes
+    compat = check_omega_compat(form, entry.j_matrix, wj)
     integrability = nijenhuis(algebra, entry.j_matrix).as_check()
     finding = EntryFinding(
         entry_id=entry.entry_id,
@@ -209,10 +210,11 @@ def verify_entry(
     if not (involution.ok and compat.ok and integrability.ok):
         return finding
     metric_info, label_info, ric_info = finding.metric, finding.label, finding.ric_comparison
-    g = metric_from(form, entry.j_matrix)
+    g = metric_from(form, entry.j_matrix, wj)
     metric_info["symmetric"] = True
-    metric_info["compat"] = check_metric_compat(g, entry.j_matrix).ok
-    metric_info["roundtrip"] = omega_from(g, entry.j_matrix) == form
+    recovered = omega_from(g, entry.j_matrix)
+    metric_info["compat"] = check_metric_compat(g, entry.j_matrix, recovered.matrix).ok
+    metric_info["roundtrip"] = recovered == form
     # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
     # identically exactly when the form is degenerate.
     if report.det.is_zero:
@@ -223,13 +225,13 @@ def verify_entry(
         return finding
 
     bundle = finding.bundle = curvature_bundle(algebra, g)
-    classification = classify(bundle, entry.j_matrix)
+    ric = bundle.ricci.ricci
+    jric = entry.j_matrix.transpose() @ ric @ entry.j_matrix  # Ric(JX, JY)
+    classification = classify(bundle, entry.j_matrix, jric)
     label_info["computed"] = classification.label
     if classification.einstein_factor is not None:
         label_info["einstein_factor"] = format_expr(classification.einstein_factor)
-    label_info["anti_invariant"] = anti_invariance_residual(
-        bundle.ricci.ricci, entry.j_matrix
-    ).is_zero
+    label_info["anti_invariant"] = anti_invariance_residual(ric, entry.j_matrix, jric).is_zero
     op = bundle.ricci.operator
     label_info["operator_commutes"] = (
         op @ entry.j_matrix - entry.j_matrix @ op

@@ -1,7 +1,9 @@
 """Checks that only the tests run: connection and curvature identities, a
 Fraction Nijenhuis tensor, a Fraction matrix product, readers for nested
-tensors and three-forms, and the Fraction loop that evaluates a polynomial
-term by term.
+tensors and three-forms, the packing of an exponent tuple into the ``int``
+monomial of a ``Polynomial`` and back, polynomial product and exact division
+over exponent tuples, and the Fraction loop that evaluates a polynomial term
+by term.
 
 The residual functions return every nonzero component of an identity that
 must vanish, 1-based with the residual last; an empty list means it holds.
@@ -53,14 +55,74 @@ def three_form_component(form: dict, i: int, j: int, k: int) -> RationalExpr:
     return -value if inversions % 2 else value
 
 
+FIELD_BITS = 16
+
+
+def pack(exps) -> int:
+    """The monomial of the exponent tuple ``exps`` (one exponent per parameter):
+    each exponent in a 16-bit field, the first parameter highest, and the total
+    degree above them all."""
+    mono = sum(exps)
+    for k in exps:
+        mono = mono << FIELD_BITS | k
+    return mono
+
+
+def unpack(mono: int) -> tuple:
+    """The exponent tuple of the monomial ``mono``; the inverse of ``pack``."""
+    top, field = FIELD_BITS * (len(PARAMS) - 1), (1 << FIELD_BITS) - 1
+    return tuple(mono >> (top - FIELD_BITS * i) & field for i in range(len(PARAMS)))
+
+
+def polynomial(terms: dict) -> Polynomial:
+    """The ``Polynomial`` of ``terms``, a dict from exponent tuples to coefficients."""
+    return Polynomial({pack(e): c for e, c in terms.items()})
+
+
+def grlex(exps: tuple) -> tuple:
+    """The graded-lex sort key of an exponent tuple."""
+    return sum(exps), exps
+
+
+def tuple_mul(f: dict, g: dict) -> dict:
+    """The product of two polynomials given as exponent-tuple dicts."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_exact_div(f: dict, g: dict):
+    """f/g over exponent tuples when g divides f exactly, else None: divide
+    by g's leading term while the leading term of the rest allows it."""
+    g_exp = max(g, key=grlex)
+    quotient, rest = {}, dict(f)
+    while rest:
+        r_exp = max(rest, key=grlex)
+        d = tuple(x - y for x, y in zip(r_exp, g_exp))
+        qc, r = divmod(rest[r_exp], g[g_exp])
+        if min(d) < 0 or r:
+            return None
+        quotient[d] = qc
+        for e, c in tuple_mul({d: qc}, g).items():
+            s = rest.get(e, 0) - c
+            if s:
+                rest[e] = s
+            else:
+                del rest[e]
+    return quotient
+
+
 def poly_eval(poly: Polynomial, point) -> Fraction:
     """``poly`` at ``point`` in Fractions, one power cache per call and one
     Fraction per term: the reference for the integer evaluator."""
     total = Fraction(0)
     cache = {}
-    for exp, coeff in poly.terms.items():
+    for mono, coeff in poly.terms.items():
         term = coeff
-        for i, k in enumerate(exp):
+        for i, k in enumerate(unpack(mono)):
             if k:
                 key = (i, k)
                 p = cache.get(key)

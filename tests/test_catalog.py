@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from parakahler import expressions
 from parakahler.catalog import (
     CatalogFormatError,
     builtin_catalog,
@@ -402,3 +403,22 @@ def test_select_by_glob():
     assert len(catalog.select("r2r2.*")) == 8
     assert len(catalog.select("d42.omega3.*")) == 9
     assert [e.entry_id for e in catalog.select("rn4.*")] == ["rn4.omega.J"]
+
+
+def test_builtin_load_parses_each_distinct_text_once(monkeypatch):
+    # 1,403 expression texts, 92 of them distinct; errors are not remembered
+    built = []
+
+    class Counted(expressions._Parser):
+        def __init__(self, text):
+            built.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(expressions, "_Parser", Counted)
+    expressions.parse_expr.cache_clear()
+    load_catalog(BUILTIN_DOCUMENT)
+    assert len(built) == len(set(built)) == 92
+    for _ in range(2):
+        with pytest.raises(expressions.ExprSyntaxError):
+            expressions.parse_expr("a+*b")
+    assert built[92:] == ["a+*b", "a+*b"]

@@ -292,6 +292,19 @@ def test_coefficient_past_the_digit_limit_exits_3_at_once(tmp_path, capsys):
         assert line.startswith("infrastructure error: " + message)
 
 
+def test_product_past_the_exponent_field_exits_3_at_once(tmp_path, capsys):
+    def form(algebra):  # omega_12 has nine coprime denominators of degree 1000
+        algebra["forms"][0]["terms"] += [[1, 2, f"1/(a^1000 + {k})"] for k in range(1, 10)]
+
+    catalog = _readme_catalog(tmp_path, "exponent.json", form)
+    start = time.perf_counter()
+    # det omega divides by the fourth power of that degree-9000 denominator
+    assert main(["verify", "--samples", "1", "--catalog", catalog]) == 3
+    assert time.perf_counter() - start < 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "infrastructure error: product of degree 36000 reaches the guard (32768)"
+
+
 def _degenerate_catalog(tmp_path):
     # r2r2.lambda0 reduced to e1^e2 alone: closed, and J21 stays compatible
     # with it, but det omega = 0

@@ -29,7 +29,7 @@ from parakahler.expressions import (
     variable,
 )
 
-from oracles import poly_eval
+from oracles import grlex, pack, poly_eval, polynomial, tuple_exact_div, tuple_mul
 
 
 def test_add_shares_denominator():
@@ -113,15 +113,17 @@ _VALUES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 _POINTS = st.fixed_dictionaries({name: _VALUES for name in PARAMS})
 
 
-def _polynomials(nvars, top, size):
+def _exponent_terms(nvars, top, size):
     """Integer polynomials in the first ``nvars`` parameters, each exponent
-    at most ``top``."""
+    at most ``top``, as dicts from exponent tuples to coefficients."""
     exponents = st.tuples(*[st.integers(0, top)] * nvars).map(
         lambda e: e + (0,) * (len(PARAMS) - nvars)
     )
-    return st.dictionaries(
-        exponents, st.integers(-60, 60).filter(bool), max_size=size
-    ).map(Polynomial)
+    return st.dictionaries(exponents, st.integers(-60, 60).filter(bool), max_size=size)
+
+
+def _polynomials(nvars, top, size):
+    return _exponent_terms(nvars, top, size).map(polynomial)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -149,6 +151,62 @@ def test_agrees_is_equality_of_values(f, h, point, other):
     assert e.eval(point) == value
     for v in (value, other, value + 1, 2 * value, -value):
         assert at.agrees(e, v) == (e.eval(point) == v)
+
+
+def _printed(terms: dict) -> str:
+    """The text of ``terms`` (exponent tuples) with its terms put in graded-lex
+    order by the tuples; each term is printed alone by the package."""
+    pieces = [str(polynomial({e: terms[e]})) for e in sorted(terms, key=grlex, reverse=True)]
+    if not pieces:
+        return "0"
+    signed = [f"- {p[1:]}" if p.startswith("-") else f"+ {p}" for p in pieces[1:]]
+    return " ".join(pieces[:1] + signed)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_exponent_terms(3, 2, 4), _exponent_terms(3, 2, 4))
+def test_packed_monomials_agree_with_exponent_tuples(f, g):
+    pf, pg = polynomial(f), polynomial(g)
+    assert pf * pg == polynomial(tuple_mul(f, g))
+    if g:
+        expected = tuple_exact_div(f, g)
+        found = expressions.exact_div(pf, pg)
+        assert found == (None if expected is None else polynomial(expected))
+        assert expressions.exact_div(pf * pg, pg) == pf
+    for v in range(3):
+        assert pf.degree_in(v) == max((e[v] for e in f), default=0)
+        for k in range(3):
+            coeff = {e[:v] + (0,) + e[v + 1 :]: c for e, c in f.items() if e[v] == k}
+            assert expressions._coeff_of(pf, v, k) == polynomial(coeff)
+    assert str(pf) == _printed(f)
+    if f:
+        top = max(f, key=grlex)
+        assert pf.leading() == (pack(top), f[top])
+
+
+def test_exact_div_refuses_a_divisor_larger_in_one_field():
+    # b*c has the smaller total degree and the smaller a-exponent, but more b
+    assert expressions.exact_div(parse_expr("a*c^2").num, parse_expr("b*c").num) is None
+    assert expressions.exact_div(parse_expr("a*b*c^2").num, parse_expr("b*c").num) == (
+        parse_expr("a*c").num
+    )
+    assert expressions.exact_div(parse_expr("a^2").num, parse_expr("a*b").num) is None
+
+
+def test_product_reaching_the_exponent_field_is_refused_unformed(monkeypatch):
+    half = Polynomial.var("a") ** (expressions.EXPONENT_LIMIT // 2)
+    below = Polynomial.var("beta") ** (expressions.EXPONENT_LIMIT // 2 - 1)
+    top = half * below  # the largest total degree a polynomial may have
+    assert (top.degree_in(0), top.degree_in(6)) == (16384, 16383)
+    assert str(top) == "a^16384*beta^16383"
+    quadratic = parse_expr("a^2 + b + 1").num
+    formed = []
+    monkeypatch.setattr(expressions, "_guard", lambda terms: formed.append(terms) or terms)
+    with pytest.raises(ExpressionBlowupError, match=r"degree 32768 reaches the guard \(32768\)"):
+        half * half
+    with pytest.raises(ExpressionBlowupError, match="product of degree 32769"):
+        top * quadratic
+    assert formed == []
 
 
 def test_pow_and_negative_pow():

@@ -194,7 +194,7 @@ def test_one_lift_per_form(monkeypatch):
         "is_symplectic": 20,
         "ce_differential_1": 20,
         "ExprMatrix.det": 20,
-        "ExprMatrix.__matmul__": 1124,
+        "ExprMatrix.__matmul__": 972,
     }
 
 
