@@ -31,9 +31,11 @@ base verification already computed and the 5D bundle of h on the extended
 algebra.  Neither computes a bundle of its own.  The curvature identities are
 checked in one pass over R^s_ijk, where the slots among j, k, s that hold xi
 select the identity and its closed form.  On the base the closed form is built
-once per entry as polynomial numerators over one denominator, and each
-component is compared with it by cross-multiplication; only a nonzero residual
-is normalized.  Both checks report their residuals through
+once per entry from the 4D curvature numerators, as polynomial numerators over
+one denominator, and each normalized 5D component is compared with it by
+cross-multiplication; only a nonzero residual is normalized.  Only the
+components where R, the closed form or an xi-slot constant is nonzero are
+visited.  Both checks report their residuals through
 ``collect_residuals``, as the 4D axiom checks do.
 """
 
@@ -51,7 +53,6 @@ from .expressions import (
     ExprMatrix,
     RationalExpr,
     _make,
-    common_denominator,
     expr,
     format_expr,
 )
@@ -181,35 +182,46 @@ def verify_lifted_curvature(
     ext_bundle: CurvatureBundle,
 ) -> IdentityReport:
     """Compare the 5D curvature with its para-Sasakian closed form, in one pass
-    over R^s_ijk with i on the base and j, k, s on the base or xi."""
+    over R^s_ijk with i on the base and j, k, s on the base or xi.  Only the
+    components where R, the closed form or a constant of an xi-slot identity
+    is nonzero can leave a residual, so only those are visited, in index order."""
     n = ps.extension.base.dim
-    riem5 = ext_bundle.riemann.comps
     g = base_bundle.metric.matrix
+    # R of h normalized where nonzero, R^s_jik = -R^s_ijk filled in
+    riem5 = ext_bundle.riemann.normalized()
+    riem5.update({(j, i, k, s): -r for (i, j, k, s), r in list(riem5.items())})
     # the closed form of R^s_ijk on the base, as numerators over one den:
     # R4 - 1/4 w_ik J_sj + 1/4 w_jk J_si - 1/2 w_ij J_sk, w_ik = omega_ik = g(e_i, J e_k)
-    riem4 = base_bundle.riemann.comps
-    dr, r4 = common_denominator([x for a in riem4 for b in a for c in b for x in c])
+    dr = base_bundle.riemann.den
     dw, w = ps.extension.omega.matrix._cleared()
     dj, jn = j_matrix._cleared()
     den, r4_scale = (dr * dw * dj).scale(4), (dw * dj).scale(4)
-    # wj[a][b][s][c] = dr w_ab J_sc, multiplied out only for nonzero factors
-    wd = [[x * dr if x.terms else x for x in row] for row in w]
-    wj = [[[[x * y if x.terms and y.terms else _P_ZERO for y in jr] for jr in jn] for x in row]
-          for row in wd]
-    closed = {
-        (i, j, k, s): (x * r4_scale if x.terms else x)
-        + wj[j][k][s][i] - wj[i][k][s][j] - wj[i][j][s][k].scale(2)
-        for (i, j, k, s), x in zip(product(range(n), repeat=4), r4)
-    }
+    closed = {}
+    for (i, j, k, s), x in base_bundle.riemann.nums:
+        closed[i, j, k, s] = x = x * r4_scale
+        closed[j, i, k, s] = -x
+    # dr w_ab J_sc, multiplied out only for nonzero factors, enters R^s_cab,
+    # R^s_acb negated and R^s_abc times -2
+    for (a, b, x), (s, c, y) in product(
+        [(a, b, x * dr) for a, row in enumerate(w) for b, x in enumerate(row) if x.terms],
+        [(s, c, y) for s, row in enumerate(jn) for c, y in enumerate(row) if y.terms],
+    ):
+        term = x * y
+        for key, t in (((c, a, b, s), term), ((a, c, b, s), -term), ((a, b, c, s), term.scale(-2))):
+            closed[key] = closed.get(key, _P_ZERO) + t
+    visit = {key for key in riem5 if key[0] < n} | set(closed)
+    visit |= {(i, n, k, n) for i in range(n) for k in range(n) if not g[i, k].is_zero}
+    visit |= {(i, n, n, i) for i in range(n)}
     names = [str(x + 1) for x in range(n)] + ["xi"]
 
     def cases():
-        for i, j, k, s in product(range(n), range(n + 1), range(n + 1), range(n + 1)):
+        for i, j, k, s in sorted(visit):
             where = f"R({names[i]},{names[j]}){names[k]}|{names[s]}"
-            value = riem5[i][j][k][s]
+            value = riem5.get((i, j, k, s), EXPR_ZERO)
             if j < n and k < n:  # R(X,Y)Z, whose xi-component (s = n) is 0
                 if s < n:  # value - closed/den, normalized only when nonzero
-                    lhs, rhs = value.num * den, closed[i, j, k, s] * value.den
+                    lhs = value.num * den
+                    rhs = closed.get((i, j, k, s), _P_ZERO) * value.den
                     value = EXPR_ZERO if lhs == rhs else _make(lhs - rhs, value.den * den)
                 yield "base_formula", where, value
             elif j < n:

@@ -8,11 +8,12 @@ connection coefficients and curvature are
     Ric_jk     = R^i_ijk,   RIC = Ric . g^{-1},   S = trace(RIC)
 
 (the torsion-free condition appears as Gamma^m_ij - Gamma^m_ji = C^m_ij).
-Each kernel clears its inputs to one shared denominator, forms every output
-numerator with polynomial ring operations and normalizes it once.  The
-curvature numerator is antisymmetric in (i, j) as written, so only R^s_ijk
-with i < j is formed and normalized; R^s_jik is its negation, which is
-canonical too, and R^s_iik is zero.
+Each kernel clears its inputs to one shared denominator, lists the nonzero
+entries of each input row once, and forms each output numerator from those
+alone with polynomial ring operations.  Gamma, Ric and RIC are normalized once
+per entry.  R^s_ijk is formed only for i < j (R^s_jik = -R^s_ijk, R^s_iik = 0)
+and only where a term is nonzero; ``CurvatureTensor`` keeps those numerators
+over one denominator for ``ricci``, the 5D lift check and the corroboration.
 Everything is exact; classification labels are decided by symbolic zero
 tests, never by sampling.
 """
@@ -20,6 +21,7 @@ tests, never by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Optional
 
@@ -27,10 +29,13 @@ from .expressions import (
     _P_ZERO,
     EXPR_ZERO,
     ExprMatrix,
+    Polynomial,
     RationalExpr,
     _make,
+    _split,
     common_denominator,
     expr,
+    nonzero_rows,
 )
 from .liealgebra import LieAlgebra
 from .structures import Metric
@@ -39,6 +44,8 @@ from .structures import Metric
 class Christoffel:
     dim: int
     gamma: tuple  # gamma[i][j][m] = Gamma^m_ij
+    den: Polynomial  # gamma as numerators over one den:
+    nums: tuple  # Gamma^m_ij = nums[(i * dim + j) * dim + m] / den
 
 
 def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel:
@@ -48,75 +55,87 @@ def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel
     dg, gm = g.matrix._cleared()
     dinv, gi = ginv._cleared()
     dc, constants = algebra.cleared_constants()
+    g_rows, gi_rows = nonzero_rows(gm), nonzero_rows(gi)
     # lowered brackets over dc*dg: low[x][y][z] = sum_p C^p_xy g_pz
     low = [[[_P_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (x, y, p, c), z in product(constants, range(n)):
-        if not gm[p][z].is_zero:
-            low[x][y][z] = low[x][y][z] + c * gm[p][z]
+    for x, y, p, c in constants:
+        for z, gpz in g_rows[p]:
+            low[x][y][z] = low[x][y][z] + c * gpz
     den = (dc * dg * dinv).scale(2)
-    gamma = [[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)]
+    split = _split(den)
+    gamma = []
     for i, j in product(range(n), repeat=2):
-        inner = [low[i][j][k] + low[k][i][j] + low[k][j][i] for k in range(n)]
-        for m in range(n):
-            acc = _P_ZERO
-            for term, gkm in zip(inner, (row[m] for row in gi)):
-                if not term.is_zero and not gkm.is_zero:
-                    acc = acc + term * gkm
-            gamma[i][j][m] = _make(acc, den)
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
-    return Christoffel(n, frozen)
+        acc = [_P_ZERO] * n
+        for k in range(n):
+            term = low[i][j][k] + low[k][i][j] + low[k][j][i]
+            if term.terms:
+                for m, gkm in gi_rows[k]:
+                    acc[m] = acc[m] + term * gkm
+        gamma.append(tuple(_make(x, den, split) for x in acc))
+    frozen = tuple(tuple(gamma[i * n:(i + 1) * n]) for i in range(n))
+    den, nums = common_denominator([x for row in gamma for x in row])
+    return Christoffel(n, frozen, den, tuple(nums))
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
+    """R^s_ijk over one denominator: ``nums`` holds the nonzero numerators with
+    i < j as ((i, j, k, s), numerator), in index order; ``comps`` normalizes."""
+
     dim: int
-    comps: tuple  # comps[i][j][k][s] = R^s_ijk
+    den: Polynomial
+    nums: tuple
 
     @property
     def is_zero(self) -> bool:
+        return not self.nums
+
+    def normalized(self) -> dict:
+        """{(i, j, k, s): R^s_ijk} for the nonzero components with i < j."""
+        split = _split(self.den)
+        return {key: _make(x, self.den, split) for key, x in self.nums}
+
+    @cached_property
+    def comps(self) -> tuple:  # comps[i][j][k][s] = R^s_ijk
         n = self.dim
-        return all(
-            self.comps[i][j][k][s].is_zero
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            for s in range(n)
+        comps = [[[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for (i, j, k, s), r in self.normalized().items():
+            comps[i][j][k][s], comps[j][i][k][s] = r, -r
+        return tuple(
+            tuple(tuple(tuple(row) for row in plane) for plane in block) for block in comps
         )
 
 
 def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
     n = algebra.dim
-    dg, flat = common_denominator([x for plane in gam.gamma for row in plane for x in row])
-    g = [[flat[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    dg = gam.den
+    rows = nonzero_rows(gam.nums[r * n:(r + 1) * n] for r in range(n * n))
+    g = [rows[i * n:(i + 1) * n] for i in range(n)]  # g[i][j]: (s, numerator of Gamma^s_ij)
     dc, constants = algebra.cleared_constants()
-    # quad[i][j][k][s] = Gamma^s_ip Gamma^p_jk for i != j, shared by R^s_ijk
-    # and R^s_jik; lin[i][j][k][s] = C^p_ij Gamma^s_pk, for i < j
-    quad = [[[[_P_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    lin = [[[[_P_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j), k, p in product(permutations(range(n), 2), range(n), range(n)):
-        b, acc = g[j][k][p], quad[i][j][k]
-        if b.is_zero:
-            continue
-        for s, a in enumerate(g[i][p]):
-            if not a.is_zero:
+    # quad[i, j, k][s] = Gamma^s_ip Gamma^p_jk for i != j, shared by R^s_ijk
+    # and R^s_jik; lin[i, j, k][s] = C^p_ij Gamma^s_pk, for i < j
+    quad = {}
+    for (i, j), k in product(permutations(range(n), 2), range(n)):
+        acc = quad[i, j, k] = [_P_ZERO] * n
+        for p, b in g[j][k]:
+            for s, a in g[i][p]:
                 acc[s] = acc[s] + a * b
+    lin = {}
     for (i, j, p, c), k in product([t for t in constants if t[0] < t[1]], range(n)):
-        acc = lin[i][j][k]
-        for s, b in enumerate(g[p][k]):
-            if not b.is_zero:
-                acc[s] = acc[s] + c * b
+        acc = lin.setdefault((i, j, k), [_P_ZERO] * n)
+        for s, b in g[p][k]:
+            acc[s] = acc[s] + c * b
     # R = ((quad_ij - quad_ji) dc - lin dg) / (dg^2 dc): antisymmetric in
     # (i, j) by construction, so R^s_jik = -R^s_ijk and R^s_iik = 0
-    den = dg * dg * dc
-    comps = [[[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j), k, s in product(combinations(range(n), 2), range(n), range(n)):
-        num = (quad[i][j][k][s] - quad[j][i][k][s]) * dc - lin[i][j][k][s] * dg
-        comps[i][j][k][s] = r = _make(num, den)
-        comps[j][i][k][s] = -r
-    frozen = tuple(
-        tuple(tuple(tuple(row) for row in plane) for plane in block) for block in comps
-    )
-    return CurvatureTensor(n, frozen)
+    nums = []
+    for (i, j), k in product(combinations(range(n), 2), range(n)):
+        lin_ijk = lin.get((i, j, k), [_P_ZERO] * n)
+        for s, (x, y, z) in enumerate(zip(quad[i, j, k], quad[j, i, k], lin_ijk)):
+            num = x - y  # each product formed only from nonzero factors
+            num = (num * dc if num.terms else num) - (z * dg if z.terms else z)
+            if num.terms:
+                nums.append(((i, j, k, s), num))
+    return CurvatureTensor(n, dg * dg * dc, tuple(nums))
 
 
 @dataclass(frozen=True)
@@ -129,14 +148,16 @@ class RicciData:
 def ricci(riemann: CurvatureTensor, ginv: ExprMatrix) -> RicciData:
     """Ric_jk = R^i_ijk, operator RIC = Ric . g^{-1}, scalar S = trace(RIC)."""
     n = riemann.dim
-    comps = riemann.comps
-    dr, flat = common_denominator(
-        [comps[i][j][k][i] for j in range(n) for k in range(n) for i in range(n)]
-    )
-    terms = [flat[r * n : (r + 1) * n] for r in range(n * n)]  # R^i_ijk at j * n + k
-    ric = ExprMatrix(
-        [[_make(sum(terms[j * n + k], _P_ZERO), dr) for k in range(n)] for j in range(n)]
-    )
+    # Ric_jk = sum_i R^i_ijk over R's den: R^s_ijk adds to Ric_jk where s = i,
+    # and R^j_jik = -R^j_ijk to Ric_ik where s = j
+    ric = [[_P_ZERO] * n for _ in range(n)]
+    for (i, j, k, s), x in riemann.nums:
+        if s == i:
+            ric[j][k] = ric[j][k] + x
+        elif s == j:
+            ric[i][k] = ric[i][k] - x
+    split = _split(riemann.den)
+    ric = ExprMatrix([[_make(x, riemann.den, split) for x in row] for row in ric])
     operator = ric @ ginv
     return RicciData(ricci=ric, operator=operator, scalar=operator.trace())
 

@@ -21,10 +21,10 @@ output entry.
 
 Evaluation at a rational point goes through a ``SamplePoint``, built once per
 point, which sums integers: it builds one ``Fraction`` per value, and none
-when it compares a value with a given rational by cross-multiplication.
-Otherwise ``Fraction`` appears only in coercion of a ``Fraction`` and in
-printing, which divides the denominator's integer content into the numerator
-(``a/2`` prints ``1/2*a``).
+when it evaluates numerators over one denominator as integers over one
+integer (``cleared``).  Otherwise ``Fraction`` appears only in coercion of a
+``Fraction`` and in printing, which divides the denominator's integer content
+into the numerator (``a/2`` prints ``1/2*a``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd as _int_gcd, lcm as _int_lcm, log10
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 PARAMS = ("a", "b", "c", "d", "lam", "alpha", "beta")
 
@@ -206,6 +206,12 @@ class Polynomial:
             raise ExpressionBlowupError(
                 f"product of degree {top} reaches the guard ({EXPONENT_LIMIT})"
             )
+        if len(other.terms) == 1:  # one term: no sums and no zero coefficients
+            [(e2, c2)] = other.terms.items()
+            return Polynomial(_guard({e1 + e2: c1 * c2 for e1, c1 in self.terms.items()}))
+        if len(self.terms) == 1:
+            [(e1, c1)] = self.terms.items()
+            return Polynomial(_guard({e1 + e2: c1 * c2 for e2, c2 in other.terms.items()}))
         acc: dict = {}
         t2 = other.terms.items()
         for e1, c1 in self.terms.items():
@@ -389,12 +395,15 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 ExprLike = Union["RationalExpr", Polynomial, int, Fraction, str]
 
 
-def _make(num: Polynomial, den: Polynomial) -> "RationalExpr":
-    """Normalize a quotient of polynomials. Denominator must be nonzero."""
+def _make(num: Polynomial, den: Polynomial, split=None) -> "RationalExpr":
+    """Normalize a quotient of polynomials. Denominator must be nonzero;
+    ``split`` is ``_split(den)``, made once by a kernel over one den."""
     if den.is_zero:
         raise SymbolicZeroDivisionError("division by symbolically zero expression")
     if num.is_zero:
         return EXPR_ZERO
+    # num / (scale * den) with den primitive and positive-leading from here on
+    scale, den = split or _split(den)
     if not den.is_const:
         # cancel the common monomial content first: each field's least exponent, at once
         m = _TOP
@@ -406,8 +415,6 @@ def _make(num: Polynomial, den: Polynomial) -> "RationalExpr":
         else:  # no break: a common monomial is left
             shift = m + (m % _FIELD << _DEG)  # the degree: the field sum, below 2^16 - 1
             num, den = _times_monomial(num, -shift), _times_monomial(den, -shift)
-    # num / (scale * den) with den primitive and positive-leading from here on
-    scale, den = _split(den)
     if scale < 0:
         num, scale = -num, -scale
     if not den.is_const:
@@ -459,30 +466,32 @@ class RationalExpr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, as ``op`` is ``Polynomial.__add__``
+        or ``Polynomial.__sub__``: the numerators combine directly."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero:
-            return other
+        if self.is_zero:  # 0/1, so op(0, N) over other's den
+            return RationalExpr(op(self.num, other.num), other.den)
         if other.is_zero:
             return self
         if self.den == other.den:
-            return _make(self.num + other.num, self.den)
+            return _make(op(self.num, other.num), self.den)
         (c1, p1), (c2, p2) = _split(self.den), _split(other.den)
         if p1 == p2:  # the denominators differ by an integer factor
             scale = _int_lcm(c1, c2)
-            num = self.num.scale(scale // c1) + other.num.scale(scale // c2)
+            num = op(self.num.scale(scale // c1), other.num.scale(scale // c2))
             return _make(num, p1.scale(scale))
-        return _make(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _make(op(self.num * other.den, other.num * self.den), self.den * other.den)
+
+    def __add__(self, other):
+        return self._combine(other, Polynomial.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, Polynomial.__sub__)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -625,33 +634,26 @@ class SamplePoint(Mapping):
         h, degree = self.homogenized(f)
         return Fraction(h, self._lcm ** degree)
 
-    def _integers(self, e: "RationalExpr") -> Tuple[int, int]:
-        """(n, d) with e = n/d at this point: H(N)*L^(T_D - T_N) over H(D), the
-        power of L on the side of smaller degree.  d must not vanish."""
-        hd, td = self.homogenized(e.den)
+    def cleared(self, den: Polynomial, nums) -> Tuple[List[int], int]:
+        """(values, d) with nums[i]/den == values[i]/d at this point, d > 0: each
+        homogenized once, over the power of L of the highest total degree."""
+        hd, td = self.homogenized(den)
         if not hd:
             raise DenominatorVanishesError(
-                f"denominator {_poly_str(_split(e.den)[1])} vanishes at "
+                f"denominator {_poly_str(_split(den)[1])} vanishes at "
                 + ", ".join(f"{k}={self[k]}" for k in sorted(self)),
                 self,
             )
-        hn, tn = self.homogenized(e.num)
-        if td >= tn:
-            return hn * self._lcm ** (td - tn), hd
-        return hn, hd * self._lcm ** (tn - td)
+        found = [self.homogenized(f) if f.terms else (0, 0) for f in nums]
+        top = max([td] + [t for _, t in found])
+        lcm, sign = self._lcm, (1 if hd > 0 else -1)
+        values = [sign * h * lcm ** (top - t) if h else 0 for h, t in found]
+        return values, sign * hd * lcm ** (top - td)
 
     def quotient(self, e: "RationalExpr") -> Fraction:
         """e at this point: one ``Fraction``, built from two integers."""
-        return Fraction(*self._integers(e))
-
-    def agrees(self, e: "RationalExpr", v: Fraction) -> bool:
-        """Whether e at this point equals the rational v = a/b, decided by
-        cross-multiplication, n*b == a*d, without a ``Fraction``.  A zero e
-        (canonical: 0/1) needs no evaluation."""
-        if e.num.is_zero:
-            return v == 0
-        n, d = self._integers(e)
-        return n * v.denominator == v.numerator * d
+        [value], d = self.cleared(e.den, [e.num])
+        return Fraction(value, d)
 
 
 def at_point(point: Mapping[str, Fraction]) -> SamplePoint:
@@ -877,7 +879,7 @@ def common_denominator(values) -> Tuple[Polynomial, List[Polynomial]]:
     """(D, numerators) with values[i] == numerators[i] / D, D the lcm of the
     denominators: math.lcm of their integer contents times the lcm of their
     primitive parts, for which divisibility is tried both ways before a gcd."""
-    dens = {v.den: _split(v.den) for v in values if v.num.terms}
+    dens = {d: _split(d) for d in dict.fromkeys(v.den for v in values if v.num.terms)}
     scale, lcm = 1, _P_ONE
     for c, d in dens.values():
         scale = _int_lcm(scale, c)
@@ -890,6 +892,12 @@ def common_denominator(values) -> Tuple[Polynomial, List[Polynomial]]:
     lcm = lcm.scale(scale)
     cofactors = {d: _P_ONE if d == lcm else exact_div(lcm, d) for d in dens}
     return lcm, [v.num * cofactors[v.den] if v.num.terms else v.num for v in values]
+
+
+def nonzero_rows(rows) -> List[List[Tuple[int, Polynomial]]]:
+    """``(index, numerator)`` for the nonzero entries of each row, so that a
+    kernel loops over those only."""
+    return [[(k, x) for k, x in enumerate(row) if x.terms] for row in rows]
 
 
 def _laplace(m: List[List[Polynomial]], adjugate: bool = False):
@@ -942,10 +950,6 @@ class ExprMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix construction")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[ExprLike]]) -> "ExprMatrix":
-        return cls([[expr(v) for v in row] for row in rows])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExprMatrix":
@@ -1002,19 +1006,18 @@ class ExprMatrix:
             )
         da, na = self._cleared()
         db, nb = other._cleared()
+        b_rows = nonzero_rows(nb)
+        den = da * db
+        split = _split(den)
         out = []
         for row in na:
-            out_row = []
-            for j in range(other.cols):
-                acc = _P_ZERO
-                for x, other_row in zip(row, nb):
-                    y = other_row[j]
-                    if not x.is_zero and not y.is_zero:
-                        acc = acc + x * y
-                out_row.append(acc)
-            out.append(out_row)
-        den = da * db
-        return ExprMatrix([[_make(x, den) for x in row] for row in out])
+            acc = [_P_ZERO] * other.cols
+            for k, x in enumerate(row):
+                if x.terms:
+                    for j, y in b_rows[k]:
+                        acc[j] = acc[j] + x * y
+            out.append([_make(x, den, split) for x in acc])
+        return ExprMatrix(out)
 
     def _cleared(self):
         """(D, N): the entries as polynomial numerators N[i][j] over one D,
@@ -1054,11 +1057,8 @@ class ExprMatrix:
         det, adj = _laplace(nums, adjugate=True)
         if det.is_zero:
             raise SingularMatrixError("matrix determinant is identically zero")
-        return ExprMatrix([[_make(x * den, det) for x in row] for row in adj])
-
-    def eval_at(self, point: Mapping[str, Fraction]):
-        at = at_point(point)
-        return [[at.quotient(x) for x in row] for row in self.entries]
+        split = _split(det)
+        return ExprMatrix([[_make(x * den, det, split) for x in row] for row in adj])
 
     def _square(self):
         if self.rows != self.cols:

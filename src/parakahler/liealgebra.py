@@ -202,14 +202,16 @@ class LieAlgebra:
         cleared once at construction."""
         return self._cleared
 
-    def structure_eval(self, point) -> list:
-        """Structure constants as nested lists of Fractions at a sample."""
+    def structure_at(self, point) -> Tuple[list, int]:
+        """(c, den): the structure constants at a sample as integers
+        c[i][j][k] over one positive den, evaluated from ``cleared_constants``."""
         n = self.dim
-        at = at_point(point)
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, v in self._nonzero:
-            out[i][j][k] = at.quotient(v)
-        return out
+        den, constants = self._cleared
+        values, d = at_point(point).cleared(den, [x for *_, x in constants])
+        out = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k, _), v in zip(constants, values):
+            out[i][j][k] = v
+        return out, d
 
     def denominators(self) -> Tuple[Polynomial, ...]:
         dens = []

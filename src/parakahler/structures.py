@@ -20,7 +20,6 @@ that broken inputs can be diagnosed; every reported identity, here and in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Tuple
 
@@ -101,10 +100,6 @@ class NijenhuisTensor:
     def __init__(self, dim: int, comps):
         self.dim = dim
         self.comps = comps  # comps[i][j][k] = N^k_ij
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x.is_zero for plane in self.comps for row in plane for x in row)
 
     def as_check(self) -> IdentityReport:
         cases = (
@@ -199,43 +194,38 @@ def check_metric_compat(g: Metric, j_matrix: ExprMatrix, gj=None) -> IdentityRep
     return _axiom_check("metric-compat", _entries("Jt*g+g*J", residual))
 
 
-def signature_at(g: List[List[Fraction]]) -> Tuple[int, int]:
-    """Exact signature (p, q) of g evaluated at a sample, by symmetric Gaussian reduction."""
+def signature_at(g: List[List[int]]) -> Tuple[int, int]:
+    """Exact signature (p, q) of a symmetric integer matrix (g at a sample over
+    a positive denominator) by fraction-free symmetric elimination (Bareiss):
+    the active block is the Schur complement times the last pivot ``prev``, so
+    a pivot d counts with the sign of d/prev.  With a zero active diagonal,
+    adding row and column j to i makes the diagonal entry 2 g_ij."""
     m = [list(row) for row in g]
-    n = len(m)
-    active = list(range(n))
+    active = list(range(len(m)))
     plus = minus = 0
+    prev = 1
     while active:
-        pivot = next((k for k in active if m[k][k] != 0), None)
+        pivot = next((k for k in active if m[k][k]), None)
         if pivot is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in active
-                    for j in active
-                    if i < j and m[i][j] != 0
-                ),
-                None,
-            )
+            pair = next(((i, j) for i in active for j in active if i < j and m[i][j]), None)
             if pair is None:
                 raise SingularMetricError("metric is singular at this sample")
             i, j = pair
-            for col in range(n):
-                m[i][col] += m[j][col]
-            for row in range(n):
-                m[row][i] += m[row][j]
+            for k in active:
+                m[i][k] += m[j][k]
+            for k in active:
+                m[k][i] += m[k][j]
             pivot = i
         d = m[pivot][pivot]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         active.remove(pivot)
+        line = m[pivot]
         for i in active:
-            if m[i][pivot] != 0:
-                factor = m[i][pivot] / d
-                for col in range(n):
-                    m[i][col] -= factor * m[pivot][col]
-                for row in range(n):
-                    m[row][i] -= factor * m[row][pivot]
+            row = m[i]
+            for j in active:
+                row[j] = (d * row[j] - row[pivot] * line[j]) // prev
+        prev = d
     return plus, minus

@@ -4,16 +4,16 @@
 report that its form's gate computed: the three para-complex axioms, metric
 properties with sampled signatures, the curvature pipeline with label
 classification, entrywise comparison against the published Ricci operator, and
-a pure-Fraction re-run of the pipeline at sampled parameter points.  These are
+an integer re-run of the pipeline at sampled parameter points.  These are
 stages on one finding, built first as the failure of an entry whose axioms
 fail: each stage that passes fills in its part, and the first that fails (an
 axiom, a degenerate form, a metric, signature or corroboration check) returns
 the finding as it stands; g = omega J is symmetric once the omega axiom holds.
 Only an entry that passes every stage is ``ok`` or a ``discrepancy``.  Each
-sample point is one ``SamplePoint``, which evaluates in integers and serves
-every use there: the avoid test, the one evaluation of g for the signature and
-the oracle, and the corroboration, which compares each symbolic component with
-the re-run's value by integer cross-multiplication, building no ``Fraction``.
+sample point is one ``SamplePoint``, which evaluates in integers: the avoid
+test, g once over one positive denominator for the signature and the oracle,
+and each symbolic tensor over its shared denominator for the corroboration,
+which cross-multiplies integers and builds no ``Fraction``.
 Mathematical failures are recorded in the finding, never raised; only
 infrastructure problems (e.g. the expression-size guard) propagate.
 
@@ -60,7 +60,7 @@ from .curvature import (
     curvature_bundle,
     label_holds,
 )
-from .expressions import ExprMatrix, Polynomial, at_point, format_expr
+from .expressions import ExprMatrix, Polynomial, format_expr
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
     SingularMetricError,
@@ -131,32 +131,39 @@ class EntryFinding:
         }
 
 
-def _numeric_corroboration(algebra, g_num, bundle, point) -> bool:
-    """Re-run the pipeline on Fractions from g evaluated at a sample; exact
-    agreement required, decided per component by ``SamplePoint.agrees``."""
+def _numeric_corroboration(algebra, g, bundle, at) -> bool:
+    """Re-run the pipeline in integers from ``g``, the metric at ``at`` as
+    integers over one denominator; each symbolic tensor's shared denominator is
+    evaluated once, and each component n/d must equal the oracle's a/b, n*b ==
+    a*d (a symbolic zero needs a zero a).  Those denominators are products of
+    factors of the structure constants' and the metric's denominators and of
+    det g's numerator (through g^-1), whose zeros the sampler avoids."""
     n = algebra.dim
-    at = at_point(point)
-    c_num = algebra.structure_eval(at)
-    g_inv = numeric.invert(g_num)
-    gamma_num = numeric.christoffel(c_num, g_num, g_inv)
-    riem_num = numeric.curvature(c_num, gamma_num)
-    ric_num, op_num, s_num = numeric.ricci(riem_num, g_inv)
-    agrees = at.agrees
-    gamma = bundle.christoffel.gamma
-    riem = bundle.riemann.comps
-    for i in range(n):
-        for j in range(n):
-            if not agrees(bundle.ricci.ricci[i, j], ric_num[i][j]):
-                return False
-            if not agrees(bundle.ricci.operator[i, j], op_num[i][j]):
-                return False
-            for k in range(n):
-                if not agrees(gamma[i][j][k], gamma_num[i][j][k]):
-                    return False
-                for s in range(n):
-                    if not agrees(riem[i][j][k][s], riem_num[i][j][k][s]):
-                        return False
-    return agrees(bundle.ricci.scalar, s_num)
+    c = algebra.structure_at(at)
+    ginv = numeric.invert(g)
+    gamma = numeric.christoffel(c, g, ginv)
+    riem = numeric.curvature(c, gamma)
+    ric, op, scalar = numeric.ricci(riem, ginv)
+    r_values, r_d = at.cleared(bundle.riemann.den, [x for _, x in bundle.riemann.nums])
+    r_flat = [0] * n**4
+    for ((i, j, k, s), _), v in zip(bundle.riemann.nums, r_values):
+        r_flat[((i * n + j) * n + k) * n + s], r_flat[((j * n + i) * n + k) * n + s] = v, -v
+    ric_den, ric_nums = bundle.ricci.ricci._cleared()
+    op_den, op_nums = bundle.ricci.operator._cleared()
+    s_expr = bundle.ricci.scalar
+    checks = (
+        (at.cleared(bundle.christoffel.den, bundle.christoffel.nums), gamma, 3),
+        ((r_flat, r_d), riem, 4),
+        (at.cleared(ric_den, [x for row in ric_nums for x in row]), ric, 2),
+        (at.cleared(op_den, [x for row in op_nums for x in row]), op, 2),
+        (at.cleared(s_expr.den, [s_expr.num]), ([scalar[0]], scalar[1]), 1),
+    )
+    for (values, d), (oracle, b), depth in checks:
+        for _ in range(depth - 1):
+            oracle = [x for part in oracle for x in part]
+        if [v * b for v in values] != [a * d for a in oracle]:
+            return False
+    return True
 
 
 def verify_entry(
@@ -264,15 +271,18 @@ def verify_entry(
     rng = DeterministicRng(config.seed * 0x10001 + len(entry.entry_id))
     signature_ok = True
     agree = 0
+    n = algebra.dim
+    g_den, g_nums = g.matrix._cleared()
     for _ in range(config.samples):
-        point = sample_point(rng, domains, avoid)
-        g_num = g.matrix.eval_at(point)
+        at = sample_point(rng, domains, avoid)
+        values, d = at.cleared(g_den, [x for row in g_nums for x in row])
+        g_at = [values[i * n:(i + 1) * n] for i in range(n)]  # over d > 0
         try:
-            if signature_at(g_num) != (algebra.dim // 2, algebra.dim // 2):
+            if signature_at(g_at) != (n // 2, n // 2):
                 signature_ok = False
         except SingularMetricError:
             signature_ok = False
-        if _numeric_corroboration(algebra, g_num, bundle, point):
+        if _numeric_corroboration(algebra, (g_at, d), bundle, at):
             agree += 1
     metric_info["signature_samples"] = config.samples
     metric_info["signature_ok"] = signature_ok

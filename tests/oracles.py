@@ -1,22 +1,171 @@
 """Checks that only the tests run: connection and curvature identities, a
-Fraction Nijenhuis tensor, a Fraction matrix product, readers for nested
-tensors and three-forms, the packing of an exponent tuple into the ``int``
-monomial of a ``Polynomial`` and back, polynomial product and exact division
-over exponent tuples, and the Fraction loop that evaluates a polynomial term
-by term.
+Fraction Nijenhuis tensor, a Fraction matrix product, the Fraction signature
+that the integer ``signature_at`` replaced, the one adapter through which the
+tests call the integer oracle on ``Fraction`` tensors, planted errors in
+cleared curvature tensors, readers for nested tensors and three-forms, the
+packing of an exponent tuple into the ``int`` monomial of a ``Polynomial`` and
+back, polynomial product and exact division over exponent tuples, and the
+Fraction loop that evaluates a polynomial term by term.
 
 The residual functions return every nonzero component of an identity that
 must vanish, 1-based with the residual last; an empty list means it holds.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import List, Sequence
 
+from parakahler import numeric
 from parakahler.curvature import Christoffel, CurvatureTensor
-from parakahler.expressions import EXPR_ZERO, PARAMS, Polynomial, RationalExpr
+from parakahler.expressions import (
+    EXPR_ZERO,
+    PARAMS,
+    ExprMatrix,
+    Polynomial,
+    RationalExpr,
+    SamplePoint,
+    common_denominator,
+    expr,
+)
 from parakahler.liealgebra import LieAlgebra
-from parakahler.numeric import Mat
-from parakahler.structures import Metric
+from parakahler.structures import Metric, SingularMetricError, signature_at
+
+Mat = List[List[Fraction]]
+
+
+def from_rows(rows) -> ExprMatrix:
+    """The matrix of ``rows``, each entry anything ``expr`` reads."""
+    return ExprMatrix([[expr(v) for v in row] for row in rows])
+
+
+def eval_matrix(m: ExprMatrix, point) -> Mat:
+    """The entries of ``m`` at ``point`` as Fractions."""
+    return [[x.eval(point) for x in row] for row in m.entries]
+
+
+def _leaves(tensor):
+    if isinstance(tensor, list):
+        return [x for part in tensor for x in _leaves(part)]
+    return [tensor]
+
+
+def _nested(tensor, leaf):
+    if isinstance(tensor, list):
+        return [_nested(part, leaf) for part in tensor]
+    return leaf(tensor)
+
+
+def cleared(tensor) -> tuple:
+    """(numerators, den): a nested list of Fractions as integer numerators,
+    nested alike, over the lcm of their denominators."""
+    den = lcm(*(Fraction(x).denominator for x in _leaves(tensor)))
+    return _nested(tensor, lambda x: int(x * den)), den
+
+
+def fractions(pair) -> list:
+    """The nested Fractions of a (numerators, den) pair."""
+    nums, den = pair
+    return _nested(nums, lambda x: Fraction(x, den))
+
+
+class fraction_oracle:
+    """``numeric`` and ``signature_at`` on nested lists of Fractions: each
+    argument is cleared to integer numerators over one positive denominator,
+    and each (numerators, den) result is turned back into Fractions."""
+
+    @staticmethod
+    def invert(g: Mat) -> Mat:
+        return fractions(numeric.invert(cleared(g)))
+
+    @staticmethod
+    def christoffel(c, g: Mat, ginv: Mat) -> list:
+        return fractions(numeric.christoffel(cleared(c), cleared(g), cleared(ginv)))
+
+    @staticmethod
+    def curvature(c, gamma) -> list:
+        return fractions(numeric.curvature(cleared(c), cleared(gamma)))
+
+    @staticmethod
+    def ricci(riem, ginv: Mat) -> tuple:
+        return tuple(map(fractions, numeric.ricci(cleared(riem), cleared(ginv))))
+
+    @staticmethod
+    def signature(g: Mat) -> tuple:
+        return signature_at(cleared(g)[0])
+
+
+def structure_fractions(algebra: LieAlgebra, point) -> list:
+    """The structure constants at ``point`` as nested Fractions."""
+    return fractions(algebra.structure_at(SamplePoint(point)))
+
+
+def signature_reference(g: Mat) -> tuple:
+    """Exact signature (p, q) of g by symmetric Gaussian reduction in Fractions."""
+    m = [list(row) for row in g]
+    n = len(m)
+    active = list(range(n))
+    plus = minus = 0
+    while active:
+        pivot = next((k for k in active if m[k][k] != 0), None)
+        if pivot is None:
+            pair = next(
+                ((i, j) for i in active for j in active if i < j and m[i][j] != 0), None
+            )
+            if pair is None:
+                raise SingularMetricError("metric is singular at this sample")
+            i, j = pair
+            for col in range(n):
+                m[i][col] += m[j][col]
+            for row in range(n):
+                m[row][i] += m[row][j]
+            pivot = i
+        d = m[pivot][pivot]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        active.remove(pivot)
+        for i in active:
+            if m[i][pivot] != 0:
+                factor = Fraction(m[i][pivot]) / d
+                for col in range(n):
+                    m[i][col] -= factor * m[pivot][col]
+                for row in range(n):
+                    m[row][i] -= factor * m[row][pivot]
+    return plus, minus
+
+
+def agrees(point: SamplePoint, e: RationalExpr, v: Fraction) -> bool:
+    """Whether e at ``point`` equals the rational v, by cross-multiplication
+    of ``SamplePoint.cleared``'s integers."""
+    [n], d = point.cleared(e.den, [e.num])
+    return n * v.denominator == v.numerator * d
+
+
+def christoffel_with(christ: Christoffel, changes) -> Christoffel:
+    """``christ`` with ``change(Gamma^m_ij)`` for each (i, j, m) in ``changes``,
+    cleared afresh to numerators over one denominator."""
+    gamma = [[list(row) for row in plane] for plane in christ.gamma]
+    for (i, j, m), change in changes.items():
+        gamma[i][j][m] = change(gamma[i][j][m])
+    den, nums = common_denominator([x for plane in gamma for row in plane for x in row])
+    return Christoffel(christ.dim, tuple(tuple(map(tuple, plane)) for plane in gamma), den,
+                       tuple(nums))
+
+
+def riemann_with(riem: CurvatureTensor, changes) -> CurvatureTensor:
+    """``riem`` with ``change(R^s_ijk)`` for each (i, j, k, s) in ``changes``,
+    cleared afresh.  The tensor holds R^s_ijk for i < j only, so a change at
+    j < i changes R^s_jik to the negation of the changed value."""
+    values = riem.normalized()
+    for (i, j, k, s), change in changes.items():
+        if i < j:
+            values[i, j, k, s] = change(values.get((i, j, k, s), EXPR_ZERO))
+        else:
+            values[j, i, k, s] = -change(-values.get((j, i, k, s), EXPR_ZERO))
+    keys = sorted(key for key, value in values.items() if not value.is_zero)
+    den, nums = common_denominator([values[key] for key in keys])
+    return CurvatureTensor(riem.dim, den, tuple(zip(keys, nums)))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

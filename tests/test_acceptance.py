@@ -123,7 +123,7 @@ def test_criterion_2_axiom_suite(catalog):
             failures.append(f"{entry.entry_id}:involution")
         if not check_omega_compat(form, entry.j_matrix).ok:
             failures.append(f"{entry.entry_id}:omega_compat")
-        if not nijenhuis(algebra, entry.j_matrix).is_zero:
+        if not nijenhuis(algebra, entry.j_matrix).as_check().ok:
             failures.append(f"{entry.entry_id}:nijenhuis")
     elapsed = time.perf_counter() - started
     assert len(catalog.entries) == 57

@@ -6,7 +6,6 @@ from itertools import product
 
 import pytest
 
-from parakahler import numeric
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.contact import (
@@ -35,9 +34,17 @@ from parakahler.sampling import DeterministicRng, sample_point
 from parakahler.structures import Metric, metric_from
 
 from conftest import make_algebra, make_form
+from oracles import (
+    agrees,
+    eval_matrix,
+    fraction_oracle,
+    from_rows,
+    riemann_with,
+    structure_fractions,
+)
 
 STD_OMEGA = [(1, 2, 1), (3, 4, 1)]
-RN4_J = ExprMatrix.from_rows(
+RN4_J = from_rows(
     [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 )
 
@@ -167,7 +174,7 @@ def test_lifted_curvature_flat_base(rn4):
 
 def test_lifted_curvature_einstein_base(r2p):
     omega = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    j2 = ExprMatrix.from_rows(
+    j2 = from_rows(
         [
             ["-(a*b+c^2+2)/2", "-c", 0, "b"],
             [0, -1, 0, 0],
@@ -192,7 +199,7 @@ def test_lifted_ricci_einstein_shift_d4lam(d4lam):
     # Einstein base with Ric_g = -(3b/2) g lifts to Ric = (-3b/2 + 1/2) g on
     # the distribution, Ric(Y, xi) = 0, Ric(xi, xi) = -1.
     omega = make_form(4, [(1, 2, 1), (3, 4, -1)])
-    j3 = ExprMatrix.from_rows(
+    j3 = from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, "a", "-(a^2-1)/b"], [0, 0, "b", "-a"]]
     )
     g = metric_from(omega, j3)
@@ -288,11 +295,15 @@ def test_lifted_riemann_fill_agrees_with_the_oracle():
         avoid = list(ext.denominators()) + [v.den for v in values if not v.den.is_const]
         rng = DeterministicRng(len(entry.entry_id))
         point = sample_point(rng, catalog.domains_of(entry), avoid)
-        h = ps.h.matrix.eval_at(point)
-        c = ext.structure_eval(point)
-        oracle = numeric.curvature(c, numeric.christoffel(c, h, numeric.invert(h)))
+        h = eval_matrix(ps.h.matrix, point)
+        c = structure_fractions(ext, point)
+        oracle = fraction_oracle.curvature(
+            c, fraction_oracle.christoffel(c, h, fraction_oracle.invert(h))
+        )
         for i, j, k, s in product(range(5), repeat=4):
-            assert point.agrees(riem[i][j][k][s], oracle[i][j][k][s]), (entry.entry_id, i, j, k, s)
+            assert agrees(point, riem[i][j][k][s], oracle[i][j][k][s]), (
+                entry.entry_id, i, j, k, s
+            )
 
 
 FACTOR = expr("(a+2)/(a+1)")  # != 1: moves a value through its denominator
@@ -327,11 +338,9 @@ def d42_lift():
 
 
 def _with_riemann(bundle, changes):
-    """``bundle`` with ``change(R^s_ijk)`` for each (i, j, k, s) in ``changes``."""
-    comps = [[[list(r) for r in plane] for plane in block] for block in bundle.riemann.comps]
-    for (i, j, k, s), change in changes.items():
-        comps[i][j][k][s] = change(comps[i][j][k][s])
-    return replace(bundle, riemann=replace(bundle.riemann, comps=comps))
+    """``bundle`` with ``change(R^s_ijk)`` for each (i, j, k, s) in ``changes``,
+    planted into the cleared tensor: R^s_jik changes with R^s_ijk."""
+    return replace(bundle, riemann=riemann_with(bundle.riemann, changes))
 
 
 def _with_ricci(bundle, changes):
@@ -354,10 +363,24 @@ def _ricci_identities(*failed):
     "changes, failed, residuals",
     [
         # R(1,2)2|3 = 3a/2, nonzero, times the factor
-        ({(0, 1, 1, 2): _times_factor}, ("base_formula",), (("R(1,2)2|3", "3/2*a/(a + 1)"),)),
-        ({(0, 1, 2, XI): _plus_one}, ("base_formula",), (("R(1,2)3|xi", "1"),)),
+        # R is held for i < j only, so R(2,1) = -R(1,2) changes with it and
+        # shows the negated residual, after the components with i = 1
+        (
+            {(0, 1, 1, 2): _times_factor},
+            ("base_formula",),
+            (("R(1,2)2|3", "3/2*a/(a + 1)"), ("R(2,1)2|3", "-3/2*a/(a + 1)")),
+        ),
+        (
+            {(0, 1, 2, XI): _plus_one},
+            ("base_formula",),
+            (("R(1,2)3|xi", "1"), ("R(2,1)3|xi", "-1")),
+        ),
         # R(1,2)1|4 = 0, every index on the base
-        ({(0, 1, 0, 3): _plus_one}, ("base_formula",), (("R(1,2)1|4", "1"),)),
+        (
+            {(0, 1, 0, 3): _plus_one},
+            ("base_formula",),
+            (("R(1,2)1|4", "1"), ("R(2,1)1|4", "-1")),
+        ),
         # R(1,4)4|1 = (a^3 - 8a^2 + 3ab/2 - 3b)/a
         (
             {(0, 3, 3, 0): _times_non_monomial},
@@ -367,9 +390,17 @@ def _ricci_identities(*failed):
                     "R(1,4)4|1",
                     "(-a^4 + 9*a^3 - 3/2*a^2*b - 8*a^2 + 9/2*a*b - 3*b)/(a^2 + b)",
                 ),
+                (
+                    "R(4,1)4|1",
+                    "(a^4 - 9*a^3 + 3/2*a^2*b + 8*a^2 - 9/2*a*b + 3*b)/(a^2 + b)",
+                ),
             ),
         ),
-        ({(0, 1, XI, 3): _plus_one}, ("r_xy_xi",), (("R(1,2)xi|4", "1"),)),
+        (
+            {(0, 1, XI, 3): _plus_one},
+            ("r_xy_xi",),
+            (("R(1,2)xi|4", "1"), ("R(2,1)xi|4", "-1")),
+        ),
         # R(1,xi)2|xi = g(1,2)/4 = a/8
         ({(0, XI, 1, XI): _times_factor}, ("r_x_xi_z",), (("R(1,xi)2|xi", "1/8*a/(a + 1)"),)),
         ({(2, XI, 0, 1): _plus_one}, ("r_x_xi_z",), (("R(3,xi)1|2", "1"),)),
@@ -380,6 +411,7 @@ def _ricci_identities(*failed):
             ("base_formula", "r_x_xi_xi"),
             (
                 ("R(1,2)2|3", "3/2*a/(a + 1)"),
+                ("R(2,1)2|3", "-3/2*a/(a + 1)"),
                 ("R(2,xi)xi|2", "1"),
                 ("R(4,xi)xi|xi", "1"),
             ),
@@ -399,10 +431,11 @@ def test_lifted_curvature_pins_single_perturbations(d42_lift, changes, failed, r
 
 def test_lifted_curvature_keeps_sixteen_residuals(d42_lift):
     ps, base, j_matrix, ext_bundle = d42_lift
-    # 17 zero components R(i,j)xi|s in check order, then the last component
+    # 13 zero components R(i,j)xi|s, whose negations R(j,i)xi|s change with
+    # them, give 17 residuals in check order before the last component
     # R(4,xi)xi|xi: its identity is cleared past the cut, its text is not kept
     slots = [(0, j, XI, s) for j in (1, 2, 3) for s in range(4)]
-    slots += [(1, 0, XI, s) for s in range(4)] + [(1, 2, XI, 0), (3, XI, XI, XI)]
+    slots += [(1, 2, XI, 0), (3, XI, XI, XI)]
     changes = {slot: _plus_one for slot in slots}
     report = verify_lifted_curvature(ps, base, j_matrix, _with_riemann(ext_bundle, changes))
     assert report.identities == _curvature_identities("r_xy_xi", "r_x_xi_xi")
@@ -410,7 +443,7 @@ def test_lifted_curvature_keeps_sixteen_residuals(d42_lift):
         ("R(1,2)xi|1", "1"), ("R(1,2)xi|2", "1"), ("R(1,2)xi|3", "1"), ("R(1,2)xi|4", "1"),
         ("R(1,3)xi|1", "1"), ("R(1,3)xi|2", "1"), ("R(1,3)xi|3", "1"), ("R(1,3)xi|4", "1"),
         ("R(1,4)xi|1", "1"), ("R(1,4)xi|2", "1"), ("R(1,4)xi|3", "1"), ("R(1,4)xi|4", "1"),
-        ("R(2,1)xi|1", "1"), ("R(2,1)xi|2", "1"), ("R(2,1)xi|3", "1"), ("R(2,1)xi|4", "1"),
+        ("R(2,1)xi|1", "-1"), ("R(2,1)xi|2", "-1"), ("R(2,1)xi|3", "-1"), ("R(2,1)xi|4", "-1"),
     )
 
 
@@ -446,4 +479,6 @@ def test_lift_tags_name_xi_in_every_slot(d42_lift):
     ps, base, j_matrix, ext_bundle = d42_lift
     changes = {(0, 1, XI, XI): _plus_one, (0, XI, 2, XI): _plus_one}
     report = verify_lifted_curvature(ps, base, j_matrix, _with_riemann(ext_bundle, changes))
-    assert report.residuals == (("R(1,2)xi|xi", "1"), ("R(1,xi)3|xi", "1"))
+    assert report.residuals == (
+        ("R(1,2)xi|xi", "1"), ("R(1,xi)3|xi", "1"), ("R(2,1)xi|xi", "-1")
+    )

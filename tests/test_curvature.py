@@ -20,7 +20,7 @@ from parakahler.curvature import (
     hermitian_residual,
     label_holds,
 )
-from parakahler.expressions import ExprMatrix, SingularMatrixError, expr
+from parakahler.expressions import ExprMatrix, SamplePoint, SingularMatrixError, expr
 from parakahler.structures import Metric, metric_from
 from parakahler.verify import _numeric_corroboration
 
@@ -28,9 +28,16 @@ from conftest import make_algebra, make_form
 from oracles import (
     antisymmetry_residuals,
     bianchi_residuals,
+    christoffel_with,
+    cleared,
     connection_metric_residuals,
+    eval_matrix,
     first_nonzero,
+    fraction_oracle,
+    from_rows,
     mat_mul,
+    riemann_with,
+    structure_fractions,
     torsion_residuals,
 )
 
@@ -49,7 +56,7 @@ OMEGA_14_23 = [(1, 4, 1), (2, 3, 1)]
 
 def test_abelian_connection_vanishes():
     rn4 = make_algebra("rn4")
-    g = Metric(ExprMatrix.from_rows(
+    g = Metric(from_rows(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "a", 0], [0, 0, 0, -1]]
     ))
     gam = christoffel(rn4, g, g.matrix.inverse())
@@ -61,14 +68,16 @@ def test_abelian_connection_vanishes():
 def test_christoffel_against_numeric_oracle():
     rr3m1 = make_algebra("rr3m1")
     omega = make_form(4, OMEGA_14_23)
-    j1 = ExprMatrix.from_rows(
+    j1 = from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, "a", 1, 0], ["b", 0, 0, -1]]
     )
     g = metric_from(omega, j1)
     gam = christoffel(rr3m1, g, g.matrix.inverse())
     point = dict(FULL_POINT, a=Fraction(0), b=Fraction(0))
-    g_num = g.matrix.eval_at(point)
-    oracle = numeric.christoffel(rr3m1.structure_eval(point), g_num, numeric.invert(g_num))
+    g_num = eval_matrix(g.matrix, point)
+    oracle = fraction_oracle.christoffel(
+        structure_fractions(rr3m1, point), g_num, fraction_oracle.invert(g_num)
+    )
     for i in range(4):
         for j in range(4):
             for m in range(4):
@@ -88,7 +97,7 @@ def test_christoffel_singular_metric_raises():
 def test_torsion_identity_parametric():
     d4lam = make_algebra("d4lam")
     omega = make_form(4, [(1, 2, 1), (3, 4, -1)])
-    j3 = ExprMatrix.from_rows(
+    j3 = from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, "a", "-(a^2-1)/b"], [0, 0, "b", "-a"]]
     )
     g = metric_from(omega, j3)
@@ -104,7 +113,7 @@ def test_r2r2_lambda_family_ricci_flat_but_curved():
     # lam = 0.  See the verifier's discrepancy report.
     r2r2 = make_algebra("r2r2")
     omega = make_form(4, [(1, 2, 1), (1, 3, "lam"), (3, 4, 1)])
-    j11 = ExprMatrix.from_rows(
+    j11 = from_rows(
         [[-1, 0, 0, 0], ["a", 1, 0, 0], [0, 0, 1, 0], [0, 0, "b", -1]]
     )
     g = metric_from(omega, j11)
@@ -128,7 +137,7 @@ def test_r2r2_lambda_family_ricci_flat_but_curved():
 def test_flat_rh3_j1():
     rh3 = make_algebra("rh3")
     omega = make_form(4, OMEGA_14_23)
-    j1 = ExprMatrix.from_rows(
+    j1 = from_rows(
         [
             ["a", "-b", 0, 0],
             ["(a^2-1)/b", "-a", 0, 0],
@@ -144,7 +153,7 @@ def test_flat_rh3_j1():
 def test_flat_abelian():
     rn4 = make_algebra("rn4")
     omega = make_form(4, [(1, 2, 1), (3, 4, 1)])
-    j = ExprMatrix.from_rows(
+    j = from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
     )
     g = metric_from(omega, j)
@@ -155,7 +164,7 @@ def test_flat_abelian():
 def test_ricci_zero_rr3m1_j1():
     rr3m1 = make_algebra("rr3m1")
     omega = make_form(4, OMEGA_14_23)
-    j1 = ExprMatrix.from_rows(
+    j1 = from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, "a", 1, 0], ["b", 0, 0, -1]]
     )
     bundle = curvature_bundle(rr3m1, metric_from(omega, j1))
@@ -163,7 +172,7 @@ def test_ricci_zero_rr3m1_j1():
     assert not bundle.riemann.is_zero
 
 
-R2P_J2 = ExprMatrix.from_rows(
+R2P_J2 = from_rows(
     [
         ["-(a*b+c^2+2)/2", "-c", 0, "b"],
         [0, -1, 0, 0],
@@ -190,7 +199,7 @@ def test_ricci_operator_einstein_r2p():
 def test_ricci_operator_d42_omega2():
     d42 = make_algebra("d42")
     omega2 = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    j21 = ExprMatrix.from_rows(
+    j21 = from_rows(
         [
             ["a", 0, 0, "2*(a^2-1)/b"],
             [0, "-a", "b", 0],
@@ -199,7 +208,7 @@ def test_ricci_operator_d42_omega2():
         ]
     )
     bundle = curvature_bundle(d42, metric_from(omega2, j21))
-    expected = ExprMatrix.from_rows(
+    expected = from_rows(
         [["-3*b", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, "-3*b"]]
     )
     assert compare_ric_operator(bundle.ricci.operator, expected) == []
@@ -208,7 +217,7 @@ def test_ricci_operator_d42_omega2():
 def test_scalar_curvature_d42_omega2_j22():
     d42 = make_algebra("d42")
     omega2 = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    j22 = ExprMatrix.from_rows(
+    j22 = from_rows(
         [
             ["-a", 0, 0, "-b*(a+1)"],
             [0, 1, 0, 0],
@@ -223,7 +232,7 @@ def test_scalar_curvature_d42_omega2_j22():
 def test_classify_einstein_d4lam_j3():
     d4lam = make_algebra("d4lam")
     omega = make_form(4, [(1, 2, 1), (3, 4, -1)])
-    j3 = ExprMatrix.from_rows(
+    j3 = from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, "a", "-(a^2-1)/b"], [0, 0, "b", "-a"]]
     )
     g = metric_from(omega, j3)
@@ -243,7 +252,7 @@ def test_classify_einstein_d4lam_j3():
 def test_classify_ricci_flat_h4():
     h4 = make_algebra("h4")
     omega = make_form(4, [(1, 2, 1), (3, 4, -1)])
-    j = ExprMatrix.from_rows(
+    j = from_rows(
         [[-1, "a", 0, 0], [0, 1, 0, 0], [0, 0, 1, "b"], [0, 0, 0, -1]]
     )
     bundle = curvature_bundle(h4, metric_from(omega, j))
@@ -259,7 +268,7 @@ def test_classify_ricci_flat_h4():
 def test_classify_einstein_d42_omega1():
     d42 = make_algebra("d42")
     omega1 = make_form(4, [(1, 2, 1), (3, 4, -1)])
-    j11 = ExprMatrix.from_rows(
+    j11 = from_rows(
         [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "a", "b"], [0, 0, "-(a^2-1)/b", "-a"]]
     )
     g = metric_from(omega1, j11)
@@ -272,7 +281,7 @@ def test_classify_einstein_d42_omega1():
 def test_classify_hermitian_r2r2_j21():
     r2r2 = make_algebra("r2r2")
     omega0 = make_form(4, [(1, 2, 1), (3, 4, 1)])
-    j21 = ExprMatrix.from_rows(
+    j21 = from_rows(
         [
             ["-a", "b", 0, 0],
             ["-(a^2-1)/b", "a", 0, 0],
@@ -281,7 +290,7 @@ def test_classify_hermitian_r2r2_j21():
         ]
     )
     bundle = curvature_bundle(r2r2, metric_from(omega0, j21))
-    expected = ExprMatrix.from_rows(
+    expected = from_rows(
         [
             ["-b", 0, 0, 0],
             [0, "-b", 0, 0],
@@ -300,13 +309,13 @@ def test_classify_hermitian_r2r2_j21():
 
 
 def test_compare_identical_matrices():
-    m = ExprMatrix.from_rows([["a", 1], [0, "b"]])
+    m = from_rows([["a", 1], [0, "b"]])
     assert compare_ric_operator(m, m) == []
 
 
 def test_compare_reports_residuals():
-    m = ExprMatrix.from_rows([["a", 1], [0, "b"]])
-    other = ExprMatrix.from_rows([["a", 1], [0, "b+1"]])
+    m = from_rows([["a", 1], [0, "b"]])
+    other = from_rows([["a", 1], [0, "b+1"]])
     residuals = compare_ric_operator(m, other)
     assert len(residuals) == 1
     assert residuals[0][:2] == (2, 2)
@@ -343,7 +352,7 @@ def test_connection_and_curvature_identities_across_catalog():
         assert anti_invariance_residual(bundle.ricci.ricci, entry.j_matrix).is_zero
 
 
-D42_OMEGA2_J22 = ExprMatrix.from_rows(
+D42_OMEGA2_J22 = from_rows(
     [
         ["-a", 0, 0, "-b*(a+1)"],
         [0, 1, 0, 0],
@@ -361,7 +370,8 @@ def _d42_bundle():
 
 def test_full_pipeline_matches_numeric_oracle():
     d42, g, bundle = _d42_bundle()
-    assert _numeric_corroboration(d42, g.matrix.eval_at(FULL_POINT), bundle, FULL_POINT) is True
+    at = SamplePoint(FULL_POINT)
+    assert _numeric_corroboration(d42, cleared(eval_matrix(g.matrix, at)), bundle, at) is True
 
 
 # -- the sparse Fraction oracle against the dense loops it replaced ----------
@@ -369,7 +379,7 @@ def test_full_pipeline_matches_numeric_oracle():
 
 def dense_christoffel(c, g):
     n = len(g)
-    ginv = numeric.invert(g)
+    ginv = fraction_oracle.invert(g)
     gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     half = Fraction(1, 2)
     for i in range(n):
@@ -420,7 +430,7 @@ def _random_invertible(rng, n, density):
     while True:
         g = [[_random_fraction(rng, density) for _ in range(n)] for _ in range(n)]
         try:
-            numeric.invert(g)
+            fraction_oracle.invert(g)
         except ZeroDivisionError:
             continue
         return g
@@ -435,9 +445,9 @@ def test_sparse_oracle_equals_dense_loops(n, cases):
         density = (0.1, 0.3, 0.6, 1.0)[case % 4]
         c = _random_tensor(rng, n, density)
         g = _random_invertible(rng, n, max(density, 0.3))
-        gamma = numeric.christoffel(c, g, numeric.invert(g))
+        gamma = fraction_oracle.christoffel(c, g, fraction_oracle.invert(g))
         assert gamma == dense_christoffel(c, g), (n, case)
-        assert numeric.curvature(c, gamma) == dense_curvature(c, gamma), (n, case)
+        assert fraction_oracle.curvature(c, gamma) == dense_curvature(c, gamma), (n, case)
 
 
 def dense_det(m):
@@ -473,10 +483,10 @@ def test_fraction_free_invert_is_an_inverse(n):
         if dense_det(g) == 0:
             singular_cases += 1
             with pytest.raises(ZeroDivisionError):
-                numeric.invert(g)
+                fraction_oracle.invert(g)
         else:
             regular_cases += 1
-            assert mat_mul(g, numeric.invert(g)) == _identity(n), (n, case)
+            assert mat_mul(g, fraction_oracle.invert(g)) == _identity(n), (n, case)
     assert singular_cases > 0 and regular_cases > 0
 
 
@@ -490,7 +500,7 @@ def test_fraction_free_invert_swaps_rows_and_rejects_singular_input():
     late_swap = [[Fraction(v) for v in row]
                  for row in ([1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 1, 1], [1, 0, 0, Fraction(1, 3)])]
     for g in (antidiagonal, cyclic, late_swap):
-        assert mat_mul(g, numeric.invert(g)) == _identity(4)
+        assert mat_mul(g, fraction_oracle.invert(g)) == _identity(4)
     zero_column = [[Fraction(0) if j == 2 else Fraction(i + j + 1, 3) for j in range(4)]
                    for i in range(4)]
     dependent_row = [list(row) for row in late_swap[:3]]
@@ -500,7 +510,7 @@ def test_fraction_free_invert_swaps_rows_and_rejects_singular_input():
                   for row in ([1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1], [1, 1, 2, 0])]
     for g in (zero_column, dependent_row, rank_three, [[Fraction(0)] * 4 for _ in range(4)]):
         with pytest.raises(ZeroDivisionError):
-            numeric.invert(g)
+            fraction_oracle.invert(g)
 
 
 def dense_ricci(riem, ginv):
@@ -528,8 +538,8 @@ def test_numeric_ricci_equals_dense_loops(n, cases):
     for case in range(cases):
         density = (0.1, 0.3, 0.6, 1.0)[case % 4]
         riem = [_random_tensor(rng, n, density) for _ in range(n)]
-        ginv = numeric.invert(_random_invertible(rng, n, max(density, 0.3)))
-        assert numeric.ricci(riem, ginv) == dense_ricci(riem, ginv), (n, case)
+        ginv = fraction_oracle.invert(_random_invertible(rng, n, max(density, 0.3)))
+        assert fraction_oracle.ricci(riem, ginv) == dense_ricci(riem, ginv), (n, case)
 
 
 def test_oracle_imports_only_the_standard_library():
@@ -550,25 +560,23 @@ def test_oracle_imports_only_the_standard_library():
 
 def test_corroboration_detects_single_perturbations():
     d42, g, bundle = _d42_bundle()
-    point = FULL_POINT
-    g_num = g.matrix.eval_at(point)
-    gamma_num = numeric.christoffel(d42.structure_eval(point), g_num, numeric.invert(g_num))
+    at = SamplePoint(FULL_POINT)
+    g_num = eval_matrix(g.matrix, at)
+    gamma_num = fraction_oracle.christoffel(
+        structure_fractions(d42, at), g_num, fraction_oracle.invert(g_num)
+    )
     comps = [(i, j, m) for i in range(4) for j in range(4) for m in range(4)]
     nonzero = next(x for x in comps if gamma_num[x[0]][x[1]][x[2]] != 0)
     zero = next(x for x in comps if gamma_num[x[0]][x[1]][x[2]] == 0)
 
-    def with_gamma(i, j, m):
-        gamma = [[list(row) for row in plane] for plane in bundle.christoffel.gamma]
-        gamma[i][j][m] = gamma[i][j][m] + expr(1)
-        christ = dataclasses.replace(bundle.christoffel, gamma=gamma)
+    # each error is planted into the cleared tensor that the corroboration reads
+    def with_gamma(i, j, m, change=lambda x: x + expr(1)):
+        christ = christoffel_with(bundle.christoffel, {(i, j, m): change})
         return dataclasses.replace(bundle, christoffel=christ)
 
     def with_riemann(i, j, k, s):
-        comps = [[[list(r) for r in plane] for plane in block] for block in bundle.riemann.comps]
-        comps[i][j][k][s] = comps[i][j][k][s] + expr(1)
-        return dataclasses.replace(
-            bundle, riemann=dataclasses.replace(bundle.riemann, comps=comps)
-        )
+        riem = riemann_with(bundle.riemann, {(i, j, k, s): lambda x: x + expr(1)})
+        return dataclasses.replace(bundle, riemann=riem)
 
     def with_scalar():
         ricci = dataclasses.replace(bundle.ricci, scalar=bundle.ricci.scalar + expr(1))
@@ -583,13 +591,10 @@ def test_corroboration_detects_single_perturbations():
     def with_gamma_factor(i, j, m):
         # (a+2)/(a+1) != 1 moves the value through the denominator: a
         # comparison that dropped D or the power of L would not see it
-        gamma = [[list(row) for row in plane] for plane in bundle.christoffel.gamma]
-        gamma[i][j][m] = gamma[i][j][m] * expr("(a+2)/(a+1)")
-        christ = dataclasses.replace(bundle.christoffel, gamma=gamma)
-        return dataclasses.replace(bundle, christoffel=christ)
+        return with_gamma(i, j, m, lambda x: x * expr("(a+2)/(a+1)"))
 
-    g_num = g.matrix.eval_at(point)
-    assert _numeric_corroboration(d42, g_num, bundle, point) is True
+    g_at = cleared(g_num)
+    assert _numeric_corroboration(d42, g_at, bundle, at) is True
     for perturbed in (
         with_gamma(*nonzero),
         with_gamma(*zero),
@@ -599,4 +604,4 @@ def test_corroboration_detects_single_perturbations():
         with_matrix_entry("operator", 3, 3),
         with_gamma_factor(*nonzero),
     ):
-        assert _numeric_corroboration(d42, g_num, perturbed, point) is False
+        assert _numeric_corroboration(d42, g_at, perturbed, at) is False

@@ -29,7 +29,16 @@ from parakahler.expressions import (
     variable,
 )
 
-from oracles import grlex, pack, poly_eval, polynomial, tuple_exact_div, tuple_mul
+from oracles import (
+    agrees,
+    from_rows,
+    grlex,
+    pack,
+    poly_eval,
+    polynomial,
+    tuple_exact_div,
+    tuple_mul,
+)
 
 
 def test_add_shares_denominator():
@@ -84,7 +93,7 @@ def test_eval_denominator_vanishes():
     point = {"b": Fraction(-1), "a": 1, "c": Fraction(1, 2)}
     for evaluate in (
         lambda: expr("(a^2-1)/(2*a+2*b)").eval(point),
-        lambda: SamplePoint(point).agrees(expr("1/(a+b)"), Fraction(0)),
+        lambda: agrees(SamplePoint(point), expr("1/(a+b)"), Fraction(0)),
     ):
         with pytest.raises(DenominatorVanishesError) as info:
             evaluate()
@@ -98,13 +107,13 @@ def test_eval_partial_point():
     assert dict(point) == {"b": Fraction(1, 3), "lam": Fraction(-2, 5)}
     e = expr("(b^2 - lam)/(3*b)")
     assert e.eval(point) == Fraction(23, 45)
-    assert point.agrees(e, Fraction(23, 45))
-    assert not point.agrees(e, Fraction(23, 44))
+    assert agrees(point, e, Fraction(23, 45))
+    assert not agrees(point, e, Fraction(23, 44))
     for missing in (expr("a + b"), expr("b/c"), expr("c/b")):
         with pytest.raises(ValueError, match="no value assigned to parameter"):
             missing.eval(point)
         with pytest.raises(ValueError, match="no value assigned to parameter"):
-            point.agrees(missing, Fraction(1))
+            agrees(point, missing, Fraction(1))
     with pytest.raises(ValueError, match="no value assigned to parameter 'a'"):
         Polynomial.var("a").eval({"b": Fraction(2)})
 
@@ -143,14 +152,31 @@ def test_agrees_is_equality_of_values(f, h, point, other):
     at = SamplePoint(point)
     den = poly_eval(e.den, point)
     if den == 0:
-        for evaluate in (lambda: e.eval(point), lambda: at.agrees(e, other)):
+        for evaluate in (lambda: e.eval(point), lambda: agrees(at, e, other)):
             with pytest.raises(DenominatorVanishesError):
                 evaluate()
         return
     value = poly_eval(e.num, point) / den
     assert e.eval(point) == value
     for v in (value, other, value + 1, 2 * value, -value):
-        assert at.agrees(e, v) == (e.eval(point) == v)
+        assert agrees(at, e, v) == (e.eval(point) == v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(_polynomials(3, 3, 4), max_size=5), _polynomials(3, 2, 4), _POINTS)
+def test_cleared_puts_numerators_over_one_positive_denominator(nums, den, point):
+    # numerators of different degrees, zeros among them, over a denominator
+    # of either sign: the signature reads the integers as g times d > 0
+    assume(not den.is_zero)
+    at = SamplePoint(point)
+    d_value = poly_eval(den, point)
+    if d_value == 0:
+        with pytest.raises(DenominatorVanishesError):
+            at.cleared(den, nums)
+        return
+    values, d = at.cleared(den, nums + [Polynomial({})])
+    assert d > 0 and values[-1] == 0
+    assert [Fraction(v, d) for v in values[:-1]] == [poly_eval(f, point) / d_value for f in nums]
 
 
 def _printed(terms: dict) -> str:
@@ -388,14 +414,14 @@ def test_identity_inverse():
 
 
 def test_det_matches_cofactor_oracle():
-    m = ExprMatrix.from_rows(G3_ROWS)
+    m = from_rows(G3_ROWS)
     oracle = _oracle_det([[expr(v) for v in row] for row in G3_ROWS])
     assert m.det() == oracle
     assert m.det() == expr(1)
 
 
 def test_inverse_times_matrix_is_identity():
-    m = ExprMatrix.from_rows(G3_ROWS)
+    m = from_rows(G3_ROWS)
     assert m @ m.inverse() == ExprMatrix.identity(4)
     assert m.inverse() @ m == ExprMatrix.identity(4)
 
@@ -406,7 +432,7 @@ def test_singular_inverse_raises():
 
 
 def test_parametric_inverse_round_trip():
-    m = ExprMatrix.from_rows(
+    m = from_rows(
         [
             ["a+1", "b", 0, "c"],
             [0, 1, "d", 0],
@@ -530,11 +556,11 @@ def _cleared_afresh(m):
 
 
 def test_cleared_is_cached_per_matrix_and_never_inherited():
-    m = ExprMatrix.from_rows([["a/(b+1)", "1/b"], ["c", "(a+1)/(b^2+b)"]])
+    m = from_rows([["a/(b+1)", "1/b"], ["c", "(a+1)/(b^2+b)"]])
     first = m._cleared()
     assert m._cleared() is first
     assert first == _cleared_afresh(m)
-    other = ExprMatrix.from_rows([["b", "1/a"], ["1/(a+1)", "2"]])
+    other = from_rows([["b", "1/a"], ["1/(a+1)", "2"]])
     other._cleared()
     results = (m @ other, m + other, m - other, m.transpose(), m.scale("1/(c+1)"), m.inverse())
     for result in results:

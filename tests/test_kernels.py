@@ -22,6 +22,8 @@ from parakahler.expressions import (
 from parakahler.liealgebra import LieAlgebra
 from parakahler.structures import Metric, metric_from, nijenhuis
 
+from oracles import from_rows
+
 HALF = expr("1/2")
 
 
@@ -316,11 +318,11 @@ def test_non_monomial_structure_constant_denominator():
     algebra = LieAlgebra.from_brackets(
         "cd", 4, [(1, 2, 2, "1/(c^2+d^2)"), (1, 3, 3, "c/(c^2+d^2)"), (2, 4, 1, 1)]
     )
-    g = Metric(ExprMatrix.from_rows(
+    g = Metric(from_rows(
         [[1, 0, 0, 1], [0, "a", 0, 0], [0, 0, -1, 0], [1, 0, 0, "b"]]
     ))
     _assert_bundle_matches_entrywise(algebra, g, "cd")
-    j_matrix = ExprMatrix.from_rows(
+    j_matrix = from_rows(
         [[1, 0, "c", 0], [0, -1, 0, 0], [0, "1/b", 1, 0], [0, 0, 0, -1]]
     )
     assert _texts(_flat(nijenhuis(algebra, j_matrix).comps)) == _texts(

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parakahler.expressions import ExprMatrix, expr
 from parakahler.structures import (
@@ -22,17 +23,17 @@ from parakahler.structures import (
 from conftest import make_algebra, make_form
 import oracles
 
-DIAG_PP_MM = ExprMatrix.from_rows(
+DIAG_PP_MM = oracles.from_rows(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 )
-DIAG_PM_PM = ExprMatrix.from_rows(
+DIAG_PM_PM = oracles.from_rows(
     [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 )
 # Darboux pairing e1<->e3, e2<->e4; makes the two diagonal J's above
 # compatible/incompatible respectively.
 OMEGA_13_24 = [(1, 3, 1), (2, 4, 1)]
 
-J22_R2R2 = ExprMatrix.from_rows(
+J22_R2R2 = oracles.from_rows(
     [
         ["a+1", "b", "c-1", "b"],
         ["-a*(a+2)/b", "-a-1", "-(c-1)*a/b", "-a"],
@@ -41,7 +42,7 @@ J22_R2R2 = ExprMatrix.from_rows(
     ]
 )
 
-J3_RR3M1 = ExprMatrix.from_rows(
+J3_RR3M1 = oracles.from_rows(
     [
         ["-a", 0, 0, "-(a^2-1)/b"],
         [0, -1, 0, 0],
@@ -49,7 +50,7 @@ J3_RR3M1 = ExprMatrix.from_rows(
         ["b", 0, 0, "a"],
     ]
 )
-G3_RR3M1 = ExprMatrix.from_rows(
+G3_RR3M1 = oracles.from_rows(
     [
         ["b", 0, 0, "a"],
         [0, 0, 1, 0],
@@ -94,7 +95,7 @@ def test_omega_compat_pins_the_cross_check_residuals():
     # J = a*diag(1, 1, -1, -1) passes the primary block for every a, but
     # omega(JX, JY) = a^2 omega(X, Y), so only the cross-check fails
     omega = make_form(4, OMEGA_13_24)
-    j = ExprMatrix.from_rows([["a", 0, 0, 0], [0, "a", 0, 0], [0, 0, "-a", 0], [0, 0, 0, "-a"]])
+    j = oracles.from_rows([["a", 0, 0, 0], [0, "a", 0, 0], [0, 0, "-a", 0], [0, 0, 0, "-a"]])
     report = check_omega_compat(omega, j)
     assert not report.ok
     assert _issues(report) == (
@@ -136,21 +137,21 @@ def test_omega_compat_rr3m1_j3():
 
 def test_nijenhuis_abelian_always_zero():
     rn4 = make_algebra("rn4")
-    j = ExprMatrix.from_rows(
+    j = oracles.from_rows(
         [[1, "a", 0, 0], [0, -1, "b", 0], [0, 0, 1, "c"], [0, 0, 0, -1]]
     )
-    assert nijenhuis(rn4, j).is_zero
+    assert nijenhuis(rn4, j).as_check().ok
 
 
 def test_nijenhuis_r2r2_family_integrable():
     r2r2 = make_algebra("r2r2")
-    j11 = ExprMatrix.from_rows(
+    j11 = oracles.from_rows(
         [[-1, 0, 0, 0], ["a", 1, 0, 0], [0, 0, 1, 0], [0, 0, "b", -1]]
     )
-    assert nijenhuis(r2r2, j11).is_zero
+    assert nijenhuis(r2r2, j11).as_check().ok
 
 
-NON_INTEGRABLE_J = ExprMatrix.from_rows(
+NON_INTEGRABLE_J = oracles.from_rows(
     # J^2 = Id, trace 0, but the +1 eigenspace span(e1, e2+e4) is not a
     # subalgebra of r2r2, so the Nijenhuis tensor cannot vanish.
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]]
@@ -161,10 +162,10 @@ def test_nijenhuis_detects_non_integrable():
     r2r2 = make_algebra("r2r2")
     assert check_involution(NON_INTEGRABLE_J).ok
     tensor = nijenhuis(r2r2, NON_INTEGRABLE_J)
-    assert not tensor.is_zero
+    assert not tensor.as_check().ok
     point = {name: Fraction(0) for name in ("a", "b", "c", "d", "lam", "alpha", "beta")}
     oracle = oracles.nijenhuis(
-        r2r2.structure_eval(point), NON_INTEGRABLE_J.eval_at(point)
+        oracles.structure_fractions(r2r2, point), oracles.eval_matrix(NON_INTEGRABLE_J, point)
     )
     i, j, k, value = oracles.first_nonzero(tensor.comps)
     assert oracle[i - 1][j - 1][k - 1] == value.eval(point)
@@ -176,7 +177,7 @@ def test_nijenhuis_detects_non_integrable():
 def test_nijenhuis_pins_parametric_residuals():
     # N^k_ji = -N^k_ij: each residual is listed with its negation
     r2r2 = make_algebra("r2r2")
-    j = ExprMatrix.from_rows(
+    j = oracles.from_rows(
         [[1, 0, 0, 0], [0, 0, 0, "1/(b+1)"], [0, 0, -1, 0], [0, "b+1", 0, 0]]
     )
     assert check_involution(j).ok
@@ -199,7 +200,7 @@ def test_nijenhuis_pins_parametric_residuals():
         ("N[4,3;4]", "-1"),
     )
     d4lam = make_algebra("d4lam")
-    j = ExprMatrix.from_rows([[1, "a", 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    j = oracles.from_rows([[1, "a", 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     assert check_involution(j).ok
     assert _issues(nijenhuis(d4lam, j).as_check()) == (
         ("N[2,4;1]", "4*a*lam - 2*a"),
@@ -209,7 +210,7 @@ def test_nijenhuis_pins_parametric_residuals():
 
 def test_nijenhuis_matches_numeric_oracle_on_parametric_j():
     rh3 = make_algebra("rh3")
-    j1 = ExprMatrix.from_rows(
+    j1 = oracles.from_rows(
         [
             ["a", "-b", 0, 0],
             ["(a^2-1)/b", "-a", 0, 0],
@@ -227,12 +228,12 @@ def test_nijenhuis_matches_numeric_oracle_on_parametric_j():
         "alpha": Fraction(0),
         "beta": Fraction(0),
     }
-    oracle = oracles.nijenhuis(rh3.structure_eval(point), j1.eval_at(point))
+    oracle = oracles.nijenhuis(oracles.structure_fractions(rh3, point), oracles.eval_matrix(j1, point))
     for x in range(4):
         for y in range(4):
             for z in range(4):
                 assert tensor.comps[x][y][z].eval(point) == oracle[x][y][z]
-    assert tensor.is_zero
+    assert tensor.as_check().ok
 
 
 def test_metric_from_reproduces_rr3m1_g3():
@@ -242,10 +243,10 @@ def test_metric_from_reproduces_rr3m1_g3():
 
 def test_metric_from_reproduces_r2p_g3():
     omega = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    j3 = ExprMatrix.from_rows(
+    j3 = oracles.from_rows(
         [[-1, 0, 0, 0], [0, -1, 0, 0], ["a", "b", 1, 0], ["-b", "a", 0, 1]]
     )
-    g3 = ExprMatrix.from_rows(
+    g3 = oracles.from_rows(
         [["-b", "a", 0, 1], ["a", "b", 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     )
     assert metric_from(omega, j3).matrix == g3
@@ -255,7 +256,7 @@ def test_metric_from_diagonal_j_oracle():
     # oracle: g_ij = omega(e_i, J e_j) expanded by hand for the Darboux pairing
     omega = make_form(4, OMEGA_13_24)
     g = metric_from(omega, DIAG_PP_MM)
-    expected = ExprMatrix.from_rows(
+    expected = oracles.from_rows(
         [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]
     )
     assert g.matrix == expected
@@ -287,7 +288,7 @@ def test_metric_compat_failure():
 
 def test_metric_compat_rh3_j2():
     omega = make_form(4, [(1, 4, 1), (2, 3, 1)])
-    j2 = ExprMatrix.from_rows(
+    j2 = oracles.from_rows(
         [
             [1, "-b", 0, 0],
             [0, -1, 0, 0],
@@ -308,13 +309,13 @@ def test_omega_round_trip():
 def test_sign_flip_preserves_axioms():
     r2r2 = make_algebra("r2r2")
     omega = make_form(4, [(1, 2, 1), (1, 3, "lam"), (3, 4, 1)])
-    j11 = ExprMatrix.from_rows(
+    j11 = oracles.from_rows(
         [[-1, 0, 0, 0], ["a", 1, 0, 0], [0, 0, 1, 0], [0, 0, "b", -1]]
     )
     for j in (j11, -j11):
         assert check_involution(j).ok
         assert check_omega_compat(omega, j).ok
-        assert nijenhuis(r2r2, j).is_zero
+        assert nijenhuis(r2r2, j).as_check().ok
 
 
 @pytest.mark.parametrize("j", [DIAG_PP_MM, DIAG_PM_PM], ids=["passing", "failing"])
@@ -334,18 +335,75 @@ def test_each_axiom_check_is_an_identity_report_of_its_one_axiom(j):
 
 def test_signature_diagonal():
     g = Metric(DIAG_PP_MM)
-    assert signature_at(g.matrix.eval_at({})) == (2, 2)
+    assert oracles.fraction_oracle.signature(oracles.eval_matrix(g.matrix, {})) == (2, 2)
 
 
 def test_signature_g3_sample():
     g = Metric(G3_RR3M1)
-    assert signature_at(g.matrix.eval_at({"a": Fraction(0), "b": Fraction(1)})) == (2, 2)
+    point = {"a": Fraction(0), "b": Fraction(1)}
+    assert oracles.fraction_oracle.signature(oracles.eval_matrix(g.matrix, point)) == (2, 2)
 
 
 def test_signature_singular():
     g = Metric(ExprMatrix.zero(4, 4))
     with pytest.raises(SingularMetricError):
-        signature_at(g.matrix.eval_at({}))
+        oracles.fraction_oracle.signature(oracles.eval_matrix(g.matrix, {}))
+
+
+def _symmetric(size):
+    """Symmetric integer matrices of ``size``, drawn as their upper triangles,
+    often with zeros (on the diagonal too) and often singular."""
+    entries = st.lists(
+        st.one_of(st.just(0), st.integers(-4, 4), st.integers(-10**30, 10**30)),
+        min_size=size * (size + 1) // 2,
+        max_size=size * (size + 1) // 2,
+    )
+
+    def fill(upper):
+        m = [[0] * size for _ in range(size)]
+        cells = [(i, j) for i in range(size) for j in range(i, size)]
+        for (i, j), v in zip(cells, upper):
+            m[i][j] = m[j][i] = v
+        return m
+
+    return entries.map(fill)
+
+
+def _zero_diagonal(m):
+    return [[0 if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _rank_deficient(m):
+    """``m`` with its last row and column replaced by the sum of the first two."""
+    m = [list(row) for row in m]
+    n = len(m)
+    for i in range(n - 1):
+        m[i][n - 1] = m[i][0] + m[i][1]
+    for j in range(n):
+        m[n - 1][j] = m[0][j] + m[1][j]
+    m[n - 1][n - 1] = m[0][0] + 2 * m[0][1] + m[1][1]
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(_symmetric),
+    st.sampled_from([lambda m: m, _zero_diagonal, _rank_deficient]),
+)
+def test_integer_signature_equals_fraction_reference(m, shape):
+    # the fraction-free elimination counts the same pivot signs as the
+    # Fraction reduction, and finds the same matrices singular
+    if len(m) < 3:
+        shape = {_rank_deficient: _zero_diagonal}.get(shape, shape)
+    m = shape(m)
+    try:
+        expected = oracles.signature_reference(m)
+    except SingularMetricError:
+        with pytest.raises(SingularMetricError):
+            signature_at(m)
+        return
+    assert signature_at(m) == expected
+    assert sum(expected) == len(m)
 
 
 def _eigenprojectors(j_matrix):
@@ -368,7 +426,7 @@ def _image_closed(algebra, p, q):
 def test_eigen_split_diagonal():
     rn4 = make_algebra("rn4")
     plus, minus = _eigenprojectors(DIAG_PP_MM)
-    assert plus == ExprMatrix.from_rows(
+    assert plus == oracles.from_rows(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
     assert plus.trace() == expr(2) and minus.trace() == expr(2)
@@ -382,14 +440,14 @@ def test_eigen_split_diagonal():
 
 def test_eigen_split_r2r2_at_origin():
     r2r2 = make_algebra("r2r2")
-    j11 = ExprMatrix.from_rows(
+    j11 = oracles.from_rows(
         [[-1, 0, 0, 0], ["a", 1, 0, 0], [0, 0, 1, 0], [0, 0, "b", -1]]
     )
     plus, minus = _eigenprojectors(j11)
     # at the origin the eigenspaces are span(e2, e3) and span(e1, e4)
     point = {"a": Fraction(0), "b": Fraction(0)}
-    assert plus.eval_at(point) == [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
-    assert minus.eval_at(point) == [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+    assert oracles.eval_matrix(plus, point) == [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+    assert oracles.eval_matrix(minus, point) == [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
     # closed for every a, b, not only at the origin
     assert _image_closed(r2r2, plus, minus) and _image_closed(r2r2, minus, plus)
 
@@ -433,7 +491,7 @@ def test_sign_flip_invariance_across_catalog():
         for j in (entry.j_matrix, -entry.j_matrix):
             assert check_involution(j).ok, entry.entry_id
             assert check_omega_compat(form, j).ok, entry.entry_id
-            assert nijenhuis(algebra, j).is_zero, entry.entry_id
+            assert nijenhuis(algebra, j).as_check().ok, entry.entry_id
 
 
 def test_stored_sign_pair_consistency():

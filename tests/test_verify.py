@@ -4,10 +4,18 @@ import copy
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 
 from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
-from parakahler.expressions import ExprMatrix, expr, parse_expr
+from parakahler.expressions import (
+    ExprMatrix,
+    Polynomial,
+    exact_div,
+    expr,
+    parse_expr,
+    poly_gcd,
+)
 from parakahler.liealgebra import TwoForm, is_symplectic
 from parakahler import contact, liealgebra, verify
 from parakahler.cli import main
@@ -196,6 +204,72 @@ def test_one_lift_per_form(monkeypatch):
         "ExprMatrix.det": 20,
         "ExprMatrix.__matmul__": 972,
     }
+
+
+def test_work_counters(monkeypatch):
+    # deterministic work of two builtin passes on a fresh catalog, counted
+    # after its load: the polynomial products of a `report --samples 1
+    # --seed 7` pass are pinned, and the Fractions of a `verify --samples 20
+    # --seed 0` pass stay under a fifth of the 200,125 that the oracle built
+    # while it passed Fractions between its stages
+    counts = {"mul": 0, "fraction": 0}
+    mul, new = Polynomial.__mul__, Fraction.__new__
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    catalog = builtin_catalog.__wrapped__()  # not the cached one: no matrix cleared yet
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    render_report(verify_all(catalog, RunConfig(seed=7, samples=1), include_extensions=True))
+    assert counts["mul"] == 82_437
+    catalog = builtin_catalog.__wrapped__()
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    render_report(verify_all(catalog, RunConfig(seed=0, samples=20)))
+    assert counts["fraction"] <= 200_125 // 5
+
+
+def _factors_among(den, avoid):
+    """Whether every irreducible factor of ``den`` divides a polynomial in ``avoid``:
+    the common factors with each are divided out until none is left."""
+    for p in avoid:
+        while True:
+            common = poly_gcd(den, p)
+            if common.is_const:
+                break
+            den = exact_div(den, common)
+    return den.is_const
+
+
+def test_shared_denominators_vanish_only_where_the_sampler_looks():
+    # The corroboration evaluates each tensor's shared denominator, not each
+    # component's; every irreducible factor of each of them divides a
+    # polynomial whose zeros the sampler avoids, so no sample makes one vanish
+    catalog = builtin_catalog()
+    for entry in catalog.entries:
+        algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
+        report = is_symplectic(algebra, form)
+        bundle = verify_entry(catalog, entry, report, RunConfig(samples=0)).bundle
+        if bundle is None:
+            continue
+        avoid = verify._avoid(algebra, form, entry.j_matrix, entry.expected.ric)
+        avoid += [] if report.det.is_const else [report.det.num]
+        ric = bundle.ricci
+        shared = {
+            "C": algebra.cleared_constants()[0],
+            "g": bundle.metric.matrix._cleared()[0],
+            "Gamma": bundle.christoffel.den,
+            "R": bundle.riemann.den,
+            "Ric": ric.ricci._cleared()[0],
+            "RIC": ric.operator._cleared()[0],
+            "S": ric.scalar.den,
+        }
+        for name, den in shared.items():
+            assert _factors_among(den, avoid), (entry.entry_id, name, str(den))
 
 
 def test_lift_whose_xi_is_not_the_reeb_vector_is_a_failure(monkeypatch):
