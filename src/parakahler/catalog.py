@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .builtin_data import BUILTIN_DOCUMENT
+from .curvature import LABELS
 from .expressions import (
     DIGIT_LIMIT,
     PARAMS,
@@ -40,8 +41,6 @@ from .expressions import (
     quoted,
 )
 from .liealgebra import LieAlgebra, ParamDomain, TwoForm
-
-KNOWN_LABELS = ("flat", "ricci_flat", "einstein", "hermitian_ricci", "generic")
 
 
 class CatalogFormatError(ValueError):
@@ -295,10 +294,10 @@ def load_catalog(document: dict) -> Catalog:
             j_matrix = _matrix(f"{spath}.J", s_raw["J"], dim)
             exp_raw = _object(f"{spath}.expected", s_raw.get("expected", {}), "expected")
             label = exp_raw.get("label")
-            if label is not None and label not in KNOWN_LABELS:
+            if label is not None and label not in LABELS:
                 raise CatalogFormatError(
                     f"{spath}.expected.label",
-                    f"unknown label {_shown(label)}; known: {', '.join(KNOWN_LABELS)}",
+                    f"unknown label {_shown(label)}; known: {', '.join(LABELS)}",
                 )
             factor = exp_raw.get("einstein_factor")
             ric_raw = exp_raw.get("ric")

@@ -175,13 +175,17 @@ def _exit_code(report, strict: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, with_extensions: bool) -> int:
+def _cmd_run(args) -> int:
+    """``verify``, ``extend`` and ``report``: a report is the rendered document;
+    the other two print one line per finding and write it only with ``--out``."""
     _check_out(args)
     catalog = _load(args.catalog)
     config = _config(args)
-    report = verify_all(catalog, config, include_extensions=with_extensions)
-    if args.out:
+    report = verify_all(catalog, config, include_extensions=args.command != "verify")
+    if args.out or args.command == "report":
         _emit(args, render_report(report, args.fmt))
+    if args.command == "report":
+        return _exit_code(report, config.strict)
     for f in report.findings:
         marker = {"ok": "ok", "discrepancy": "DISCREPANCY", "failure": "FAILURE"}[f.status]
         detail = ""
@@ -212,15 +216,6 @@ def _cmd_verify(args, with_extensions: bool) -> int:
     return _exit_code(report, config.strict)
 
 
-def _cmd_report(args) -> int:
-    _check_out(args)
-    catalog = _load(args.catalog)
-    config = _config(args)
-    report = verify_all(catalog, config, include_extensions=True)
-    _emit(args, render_report(report, args.fmt))
-    return _exit_code(report, config.strict)
-
-
 def _cmd_check_file(args) -> int:
     catalog = _load(args.path)
     print(
@@ -240,12 +235,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if args.command == "list":
             return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args, with_extensions=False)
-        if args.command == "extend":
-            return _cmd_verify(args, with_extensions=True)
-        if args.command == "report":
-            return _cmd_report(args)
+        if args.command in ("verify", "extend", "report"):
+            return _cmd_run(args)
         if args.command == "check-file":
             return _cmd_check_file(args)
         return EXIT_USAGE

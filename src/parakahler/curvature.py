@@ -14,8 +14,9 @@ alone with polynomial ring operations.  Gamma, Ric and RIC are normalized once
 per entry.  R^s_ijk is formed only for i < j (R^s_jik = -R^s_ijk, R^s_iik = 0)
 and only where a term is nonzero; ``CurvatureTensor`` keeps those numerators
 over one denominator for ``ricci``, the 5D lift check and the corroboration.
-Everything is exact; classification labels are decided by symbolic zero
-tests, never by sampling.
+Everything is exact; labels are decided by symbolic zero tests, never by
+sampling.  ``classify`` forms Jt Ric J and RIC J - J RIC once per entry, and
+``label_holds`` reads only the ``Classification`` it returns.
 """
 
 from __future__ import annotations
@@ -180,53 +181,52 @@ def curvature_bundle(algebra: LieAlgebra, g: Metric) -> CurvatureBundle:
     return CurvatureBundle(gam, riem, ric, g, ginv)
 
 
+LABELS = ("flat", "ricci_flat", "einstein", "hermitian_ricci", "generic")  # most specific first
+
+
 @dataclass(frozen=True)
-class Classification:
+class Classification:  # what classify found and read; the factor is 0 if Ric = 0
     label: str
     einstein_factor: Optional[RationalExpr]
+    anti_invariant: bool
+    operator_commutes: bool
+    ric: ExprMatrix
+    jric: ExprMatrix  # Jt Ric J
 
 
-def hermitian_residual(ric: ExprMatrix, j_matrix: ExprMatrix, jric=None) -> ExprMatrix:
-    """Ric(JX, JY) - Ric(X, Y) as a matrix: Jt . Ric . J - Ric; ``jric`` is
-    Jt . Ric . J when the caller has formed it."""
-    return (j_matrix.transpose() @ ric @ j_matrix if jric is None else jric) - ric
+def anti_invariance_residual(ric: ExprMatrix, jric: ExprMatrix) -> ExprMatrix:
+    """Ric(JX, JY) + Ric(X, Y) for ``jric`` = Jt Ric J; zero for a para-Kahler metric."""
+    return jric + ric
 
 
-def anti_invariance_residual(ric: ExprMatrix, j_matrix: ExprMatrix, jric=None) -> ExprMatrix:
-    """Ric(JX, JY) + Ric(X, Y); identically zero for any para-Kahler metric.
-    ``jric`` is Jt . Ric . J when the caller has formed it."""
-    return (j_matrix.transpose() @ ric @ j_matrix if jric is None else jric) + ric
-
-
-def classify(bundle: CurvatureBundle, j_matrix: ExprMatrix, jric=None) -> Classification:
-    """Most specific label wins: flat > ricci_flat > einstein > hermitian > generic.
-    ``jric`` is Jt . Ric . J when the caller has formed it."""
-    ric = bundle.ricci.ricci
+def classify(bundle: CurvatureBundle, j_matrix: ExprMatrix) -> Classification:
+    """The first of ``LABELS`` that holds; the one place forming Jt Ric J and RIC J - J RIC."""
+    ric, op = bundle.ricci.ricci, bundle.ricci.operator
+    jric = j_matrix.transpose() @ ric @ j_matrix  # Ric(JX, JY)
+    label, factor = "generic", None
     if bundle.riemann.is_zero:
-        return Classification("flat", EXPR_ZERO)
-    if ric.is_zero:
-        return Classification("ricci_flat", EXPR_ZERO)
-    factor = bundle.ricci.scalar / expr(bundle.metric.dim)
-    if (ric - bundle.metric.matrix.scale(factor)).is_zero:
-        return Classification("einstein", factor)
-    if hermitian_residual(ric, j_matrix, jric).is_zero:
-        return Classification("hermitian_ricci", None)
-    return Classification("generic", None)
+        label, factor = "flat", EXPR_ZERO
+    elif ric.is_zero:
+        label, factor = "ricci_flat", EXPR_ZERO
+    else:
+        scalar = bundle.ricci.scalar / expr(bundle.metric.dim)
+        if (ric - bundle.metric.matrix.scale(scalar)).is_zero:
+            label, factor = "einstein", scalar
+        elif (jric - ric).is_zero:
+            label = "hermitian_ricci"
+    anti = anti_invariance_residual(ric, jric).is_zero
+    commutes = (op @ j_matrix - j_matrix @ op).is_zero
+    return Classification(label, factor, anti, commutes, ric, jric)
 
 
 def label_holds(
-    label: str,
-    classification: Classification,
-    bundle: CurvatureBundle,
-    j_matrix: ExprMatrix,
-    factor: Optional[RationalExpr] = None,
+    label: str, classification: Classification, factor: Optional[RationalExpr] = None
 ) -> bool:
     """Whether the property named by ``label`` holds, read off ``classify``.
 
     The labels nest: flat < ricci_flat < einstein (factor 0) and ricci_flat <
-    hermitian_ricci; generic holds only where nothing more specific does.  Only
-    a hermitian_ricci label against a computed einstein one is left open by the
-    classification, and forms its residual.
+    hermitian_ricci; generic holds only where nothing more specific does.  A
+    hermitian_ricci label against a computed einstein one subtracts Ric from Jt Ric J.
     """
     computed = classification.label
     if label == "flat":
@@ -238,7 +238,7 @@ def label_holds(
         return found is not None and (factor is None or (found - factor).is_zero)
     if label == "hermitian_ricci":
         if computed == "einstein":
-            return hermitian_residual(bundle.ricci.ricci, j_matrix).is_zero
+            return (classification.jric - classification.ric).is_zero
         return computed != "generic"
     if label == "generic":
         return computed == "generic"

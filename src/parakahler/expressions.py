@@ -978,22 +978,15 @@ class ExprMatrix:
         return hash(self.entries)
 
     def __add__(self, other: "ExprMatrix") -> "ExprMatrix":
-        self._same_shape(other)
-        return ExprMatrix(
-            [
-                [x + y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self._entrywise(RationalExpr.__add__, other)
 
     def __sub__(self, other: "ExprMatrix") -> "ExprMatrix":
-        self._same_shape(other)
-        return ExprMatrix(
-            [
-                [x - y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self._entrywise(RationalExpr.__sub__, other)
+
+    def _entrywise(self, op, other: "ExprMatrix") -> "ExprMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shape mismatch")
+        return ExprMatrix([list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "ExprMatrix":
         return ExprMatrix([[-x for x in row] for row in self.entries])
@@ -1063,10 +1056,6 @@ class ExprMatrix:
     def _square(self):
         if self.rows != self.cols:
             raise ValueError(f"matrix is {self.rows}x{self.cols}, not square")
-
-    def _same_shape(self, other: "ExprMatrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape mismatch")
 
     def __str__(self) -> str:
         return "[" + "; ".join(

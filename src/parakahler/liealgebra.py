@@ -1,8 +1,8 @@
 """Lie algebras with symbolic structure constants.
 
-Structure constants C^k_ij are stored densely (dimensions here are 4 or 5),
-skew-symmetrized from a sparse bracket table.  The Chevalley-Eilenberg
-differential on invariant forms uses the sign convention
+Structure constants C^k_ij are stored sparsely, as a dict of the entries that
+a bracket table skew-symmetrizes to, listed once in index order.  The
+Chevalley-Eilenberg differential on invariant forms uses the sign convention
 
     d(alpha)(X, Y)    = -alpha([X, Y])
     d(omega)(X, Y, Z) = -omega([X,Y], Z) - omega([Y,Z], X) - omega([Z,X], Y)
@@ -141,13 +141,8 @@ class LieAlgebra:
         self.name = name
         self.dim = dim
         self.params = tuple(params)
-        self._c = structure
-        nz = []
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if not structure[i][j][k].is_zero:
-                        nz.append((i, j, k, structure[i][j][k]))
+        self._c = structure  # {(i, j, k): C^k_ij}, 0-based; a missing key is zero
+        nz = [(i, j, k, v) for (i, j, k), v in sorted(structure.items()) if not v.is_zero]
         self._nonzero = tuple(nz)
         den, nums = common_denominator([v for (_, _, _, v) in nz])
         self._cleared = den, tuple((i, j, k, x) for (i, j, k, _), x in zip(nz, nums))
@@ -161,21 +156,20 @@ class LieAlgebra:
         params: Iterable[Tuple[str, ParamDomain]] = (),
     ) -> "LieAlgebra":
         """Build from 1-based sparse entries (i, j, k, C^k_ij) with i < j."""
-        c = [[[EXPR_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        c = {}
         for i, j, k, value in brackets:
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise DimensionMismatchError(
                     f"bracket indices ({i}, {j}, {k}) out of range for dim {dim}"
                 )
             v = expr(value)
-            c[i - 1][j - 1][k - 1] = c[i - 1][j - 1][k - 1] + v
-            c[j - 1][i - 1][k - 1] = c[j - 1][i - 1][k - 1] - v
-        frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
-        return cls(name, dim, frozen, params)
+            c[i - 1, j - 1, k - 1] = c.get((i - 1, j - 1, k - 1), EXPR_ZERO) + v
+            c[j - 1, i - 1, k - 1] = c.get((j - 1, i - 1, k - 1), EXPR_ZERO) - v
+        return cls(name, dim, c, params)
 
     def c(self, i: int, j: int, k: int) -> RationalExpr:
         """Structure constant C^k_ij, 0-based."""
-        return self._c[i][j][k]
+        return self._c.get((i, j, k), EXPR_ZERO)
 
     def sparse_brackets(self) -> Tuple[Tuple[int, int, int, RationalExpr], ...]:
         """Nonzero entries with i < j only, 1-based (serialization order)."""

@@ -2,13 +2,14 @@
 
 ``verify_entry`` runs the whole chain for one catalog entry on the symplectic
 report that its form's gate computed: the three para-complex axioms, metric
-properties with sampled signatures, the curvature pipeline with label
-classification, entrywise comparison against the published Ricci operator, and
-an integer re-run of the pipeline at sampled parameter points.  These are
-stages on one finding, built first as the failure of an entry whose axioms
-fail: each stage that passes fills in its part, and the first that fails (an
-axiom, a degenerate form, a metric, signature or corroboration check) returns
-the finding as it stands; g = omega J is symmetric once the omega axiom holds.
+properties with sampled signatures, the curvature pipeline with the label
+facts that ``classify`` forms and ``label_holds`` reads, entrywise comparison
+against the published Ricci operator, and an integer re-run of the pipeline
+at sampled parameter points.  These are stages on one finding, built first as
+the failure of an entry whose axioms fail: each stage that passes fills in its
+part, and the first that fails (an axiom, a degenerate form, a metric,
+signature or corroboration check) returns the finding as it stands;
+g = omega J is symmetric once the omega axiom holds.
 Only an entry that passes every stage is ``ok`` or a ``discrepancy``.  Each
 sample point is one ``SamplePoint``, which evaluates in integers: the avoid
 test, g once over one positive denominator for the signature and the oracle,
@@ -54,7 +55,6 @@ from .contact import (
 )
 from .curvature import (
     CurvatureBundle,
-    anti_invariance_residual,
     classify,
     compare_ric_operator,
     curvature_bundle,
@@ -232,25 +232,17 @@ def verify_entry(
         return finding
 
     bundle = finding.bundle = curvature_bundle(algebra, g)
-    ric = bundle.ricci.ricci
-    jric = entry.j_matrix.transpose() @ ric @ entry.j_matrix  # Ric(JX, JY)
-    classification = classify(bundle, entry.j_matrix, jric)
+    classification = classify(bundle, entry.j_matrix)
     label_info["computed"] = classification.label
     if classification.einstein_factor is not None:
         label_info["einstein_factor"] = format_expr(classification.einstein_factor)
-    label_info["anti_invariant"] = anti_invariance_residual(ric, entry.j_matrix, jric).is_zero
-    op = bundle.ricci.operator
-    label_info["operator_commutes"] = (
-        op @ entry.j_matrix - entry.j_matrix @ op
-    ).is_zero
+    label_info["anti_invariant"] = classification.anti_invariant
+    label_info["operator_commutes"] = classification.operator_commutes
     if entry.expected.label is not None:
         label_info["match"] = label_holds(
-            entry.expected.label,
-            classification,
-            bundle,
-            entry.j_matrix,
-            factor=entry.expected.einstein_factor,
+            entry.expected.label, classification, factor=entry.expected.einstein_factor
         )
+    op = bundle.ricci.operator
     if entry.expected.ric is not None:
         residuals = compare_ric_operator(op, entry.expected.ric)
         ric_info["residuals"] = [

@@ -17,6 +17,7 @@ three as documented label discrepancies.
 
 import hashlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -32,12 +33,13 @@ from parakahler.contact import (
     verify_lifted_ricci,
 )
 from parakahler.curvature import (
+    LABELS,
     classify,
     compare_ric_operator,
     curvature_bundle,
     label_holds,
 )
-from parakahler.expressions import EXPR_ZERO, RationalExpr, expr, format_expr
+from parakahler.expressions import EXPR_ZERO, ExprMatrix, RationalExpr, expr, format_expr
 from parakahler.liealgebra import is_symplectic, jacobi_check
 from parakahler.sampling import DeterministicRng, sample_point
 from parakahler.structures import (
@@ -186,12 +188,53 @@ def test_criterion_4_einstein_factors(bundles):
         entry, g, bundle = bundles[entry_id]
         factor = expr(factor_text)
         classification = classify(bundle, entry.j_matrix)
-        if not label_holds("einstein", classification, bundle, entry.j_matrix, factor=factor):
+        if not label_holds("einstein", classification, factor=factor):
             violations.append(entry_id)
         if not (bundle.ricci.ricci - g.matrix.scale(factor)).is_zero:
             violations.append(f"{entry_id}:tensor-form")
     _line(4, not violations, "five published Einstein factors reproduced exactly")
     assert not violations, violations
+
+
+def test_label_holds_reads_only_the_classification(bundles, monkeypatch):
+    # every label against every builtin entry: label_holds on the record that
+    # classify returns equals the property computed here from R, Ric, S, g and
+    # J, and forms no matrix product, the einstein-vs-hermitian case included
+    records, holds, pairs = {}, {}, Counter()
+    for entry_id, (entry, g, bundle) in bundles.items():
+        j, ric = entry.j_matrix, bundle.ricci.ricci
+        einstein = (ric - g.matrix.scale(bundle.ricci.scalar / expr(g.dim))).is_zero
+        hermitian = (j.transpose() @ ric @ j - ric).is_zero
+        holds[entry_id] = {
+            "flat": bundle.riemann.is_zero,
+            "ricci_flat": ric.is_zero,
+            "einstein": einstein,
+            "hermitian_ricci": hermitian,
+            "generic": not (einstein or hermitian),
+        }
+        records[entry_id] = classify(bundle, j)
+        pairs[entry.expected.label, records[entry_id].label] += 1
+    products = []
+    matmul = ExprMatrix.__matmul__
+    monkeypatch.setattr(
+        ExprMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b)
+    )
+    wrong = [
+        (entry_id, label)
+        for entry_id, record in records.items()
+        for label in LABELS
+        if label_holds(label, record) != holds[entry_id][label]
+    ]
+    assert not wrong, wrong
+    assert not products
+    assert pairs == {
+        ("ricci_flat", "ricci_flat"): 19,
+        ("hermitian_ricci", "generic"): 17,
+        ("flat", "flat"): 11,
+        ("einstein", "einstein"): 5,
+        ("flat", "ricci_flat"): 3,  # the errata
+        (None, "generic"): 2,
+    }
 
 
 def _is_diagonal(matrix):
@@ -261,9 +304,7 @@ def test_criterion_5_label_mismatch_count(bundles):
         if label not in ("flat", "ricci_flat", "einstein"):
             continue
         classification = classify(bundle, entry.j_matrix)
-        if not label_holds(
-            label, classification, bundle, entry.j_matrix, factor=entry.expected.einstein_factor
-        ):
+        if not label_holds(label, classification, factor=entry.expected.einstein_factor):
             mismatches.append(entry_id)
     _line(
         5,

@@ -163,7 +163,10 @@ def test_unknown_label_rejected():
     )
     with pytest.raises(CatalogFormatError) as info:
         load_catalog(doc)
-    assert "unknown label" in str(info.value)
+    assert str(info.value) == (
+        "algebras[0].structures[0].expected.label: unknown label 'shiny'; "
+        "known: flat, ricci_flat, einstein, hermitian_ricci, generic"
+    )
 
 
 def test_unknown_form_reference_rejected():

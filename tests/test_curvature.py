@@ -17,7 +17,6 @@ from parakahler.curvature import (
     compare_ric_operator,
     curvature,
     curvature_bundle,
-    hermitian_residual,
     label_holds,
 )
 from parakahler.expressions import ExprMatrix, SamplePoint, SingularMatrixError, expr
@@ -241,12 +240,12 @@ def test_classify_einstein_d4lam_j3():
     assert label.label == "einstein"
     assert label.einstein_factor == expr("-3*b/2")
     assert (bundle.ricci.ricci - g.matrix.scale("-3*b/2")).is_zero
-    assert label_holds("einstein", label, bundle, j3, factor=expr("-3*b/2"))
+    assert label_holds("einstein", label, factor=expr("-3*b/2"))
     # Ric != 0: a wrong factor, the stronger labels and the Hermitian
-    # identity (which forms its residual here) all fail
-    assert not label_holds("einstein", label, bundle, j3, factor=expr("b"))
+    # identity (which subtracts the stored Ric from Jt Ric J here) all fail
+    assert not label_holds("einstein", label, factor=expr("b"))
     for other in ("flat", "ricci_flat", "hermitian_ricci"):
-        assert not label_holds(other, label, bundle, j3)
+        assert not label_holds(other, label)
 
 
 def test_classify_ricci_flat_h4():
@@ -259,10 +258,10 @@ def test_classify_ricci_flat_h4():
     label = classify(bundle, j)
     assert label.label == "ricci_flat"
     # the labels nest: Ricci-flat is Einstein with factor 0 and Hermitian
-    assert not label_holds("flat", label, bundle, j)
-    assert label_holds("einstein", label, bundle, j, factor=expr(0))
-    assert not label_holds("einstein", label, bundle, j, factor=expr(1))
-    assert label_holds("hermitian_ricci", label, bundle, j)
+    assert not label_holds("flat", label)
+    assert label_holds("einstein", label, factor=expr(0))
+    assert not label_holds("einstein", label, factor=expr(1))
+    assert label_holds("hermitian_ricci", label)
 
 
 def test_classify_einstein_d42_omega1():
@@ -303,8 +302,9 @@ def test_classify_hermitian_r2r2_j21():
     # but for a para-Kahler metric the Ricci tensor is automatically
     # J-ANTI-invariant, so the literal identity can only hold when Ric = 0.
     ric = bundle.ricci.ricci
-    assert anti_invariance_residual(ric, j21).is_zero
-    assert not hermitian_residual(ric, j21).is_zero
+    jric = j21.transpose() @ ric @ j21
+    assert anti_invariance_residual(ric, jric).is_zero
+    assert not (jric - ric).is_zero
     assert classify(bundle, j21).label == "generic"
 
 
@@ -349,7 +349,8 @@ def test_connection_and_curvature_identities_across_catalog():
         assert (bundle.ricci.operator @ g.matrix) == bundle.ricci.ricci, entry.entry_id
         assert (bundle.ricci.operator.trace() - bundle.ricci.scalar).is_zero
         # the Ricci tensor of any para-Kahler metric is J-anti-invariant
-        assert anti_invariance_residual(bundle.ricci.ricci, entry.j_matrix).is_zero
+        ric, j = bundle.ricci.ricci, entry.j_matrix
+        assert anti_invariance_residual(ric, j.transpose() @ ric @ j).is_zero
 
 
 D42_OMEGA2_J22 = from_rows(
