@@ -11,11 +11,12 @@ A catalog document is a single JSON object::
              {"id": ..., "form": ..., "J": [["expr", ...], ...],
               "params": [...],
               "expected": {"label"?, "einstein_factor"?, "ric"?: [[...]]},
-              "variant"?: bool, "note"?: str}]}]}
+              "note"?: str}]}]}
 
 Expressions use the package grammar (integers, parameters, ``+ - * / ^``).
 ``load_catalog`` reports structural problems with the JSON-path of the
 offending field; ``dump_catalog`` and ``load_catalog`` round-trip exactly.
+The builtin document goes through the same loader (``builtin_catalog``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class CatalogEntry:
     j_matrix: ExprMatrix
     params: Tuple[Tuple[str, ParamDomain], ...]
     expected: ExpectedResults
-    variant: bool = False
     note: str = ""
 
 
@@ -135,12 +135,6 @@ def _items(path: str, owner: dict, key: str) -> list:
 def _name(path: str, raw) -> str:
     if not isinstance(raw, str):
         raise CatalogFormatError(path, f"expected a string, got {_shown(raw)}")
-    return raw
-
-
-def _flag(path: str, raw) -> bool:
-    if type(raw) is not bool:
-        raise CatalogFormatError(path, f"expected a boolean, got {_shown(raw)}")
     return raw
 
 
@@ -317,7 +311,6 @@ def load_catalog(document: dict) -> Catalog:
                     j_matrix=j_matrix,
                     params=_parse_params(f"{spath}.params", s_raw.get("params")),
                     expected=expected,
-                    variant=_flag(f"{spath}.variant", s_raw.get("variant", False)),
                     note=_name(f"{spath}.note", s_raw.get("note", "")),
                 )
             )
@@ -386,8 +379,6 @@ def dump_catalog(catalog: Catalog) -> dict:
                     [format_expr(e.expected.ric[r, c]) for c in range(e.expected.ric.cols)]
                     for r in range(e.expected.ric.rows)
                 ]
-            if e.variant:
-                s_out["variant"] = True
             if e.note:
                 s_out["note"] = e.note
             alg_out["structures"].append(s_out)
@@ -397,12 +388,5 @@ def dump_catalog(catalog: Catalog) -> dict:
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
-    """The builtin classification: 15 algebras, 57 structures.  The two
-    ``variant`` entries of the builtin document are left out; ``load_catalog``
-    on the document keeps them."""
-    catalog = load_catalog(BUILTIN_DOCUMENT)
-    return Catalog(
-        algebras=catalog.algebras,
-        forms=catalog.forms,
-        entries=[e for e in catalog.entries if not e.variant],
-    )
+    """The builtin classification: 15 algebras, 57 structures."""
+    return load_catalog(BUILTIN_DOCUMENT)

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0 or PARAKAHLER_SEED)")
+        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--samples", type=int, default=20, help="parameter samples per entry")
         p.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json")
         p.add_argument("--catalog", default=None, help="path to an external catalog document")
@@ -89,17 +89,10 @@ def _load(path: Optional[str]) -> Catalog:
 
 
 def _config(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("PARAKAHLER_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise UsageError(f"PARAKAHLER_SEED must be an integer, got {raw!r}") from None
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     return RunConfig(
-        seed=seed,
+        seed=args.seed,
         samples=args.samples,
         strict=args.strict,
         entry_filter=args.entry_filter,
@@ -181,6 +174,8 @@ def _cmd_run(args) -> int:
     _check_out(args)
     catalog = _load(args.catalog)
     config = _config(args)
+    if config.entry_filter is not None and not catalog.select(config.entry_filter):
+        raise UsageError(f"--filter {config.entry_filter!r} matches no structure id")
     report = verify_all(catalog, config, include_extensions=args.command != "verify")
     if args.out or args.command == "report":
         _emit(args, render_report(report, args.fmt))

@@ -10,13 +10,13 @@ connection coefficients and curvature are
 (the torsion-free condition appears as Gamma^m_ij - Gamma^m_ji = C^m_ij).
 Each kernel clears its inputs to one shared denominator, lists the nonzero
 entries of each input row once, and forms each output numerator from those
-alone with polynomial ring operations.  Gamma, Ric and RIC are normalized once
-per entry.  R^s_ijk is formed only for i < j (R^s_jik = -R^s_ijk, R^s_iik = 0)
-and only where a term is nonzero; ``CurvatureTensor`` keeps those numerators
-over one denominator for ``ricci``, the 5D lift check and the corroboration.
-Everything is exact; labels are decided by symbolic zero tests, never by
-sampling.  ``classify`` forms Jt Ric J and RIC J - J RIC once per entry, and
-``label_holds`` reads only the ``Classification`` it returns.
+alone with polynomial ring operations.  Gamma and Ric are normalized once per
+entry, RIC and S only where read.  R^s_ijk is formed only for i < j (R^s_jik =
+-R^s_ijk, R^s_iik = 0) and only where a term is nonzero; ``CurvatureTensor``
+keeps those numerators over one denominator for ``ricci``, the 5D lift check
+and the corroboration.  Everything is exact; labels are decided by symbolic
+zero tests, never by sampling.  ``classify`` forms Jt Ric J and RIC J - J RIC
+once per entry, and ``label_holds`` reads only the ``Classification`` it returns.
 """
 
 from __future__ import annotations
@@ -140,14 +140,21 @@ def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
 
 
 @dataclass(frozen=True)
-class RicciData:
+class RicciData:  # RIC and S are formed on first read: the 5D lift reads only Ric
     ricci: ExprMatrix
-    operator: ExprMatrix
-    scalar: RationalExpr
+    metric_inverse: ExprMatrix
+
+    @cached_property
+    def operator(self) -> ExprMatrix:  # RIC = Ric . g^{-1}
+        return self.ricci @ self.metric_inverse
+
+    @cached_property
+    def scalar(self) -> RationalExpr:  # S = trace(RIC)
+        return self.operator.trace()
 
 
 def ricci(riemann: CurvatureTensor, ginv: ExprMatrix) -> RicciData:
-    """Ric_jk = R^i_ijk, operator RIC = Ric . g^{-1}, scalar S = trace(RIC)."""
+    """Ric_jk = R^i_ijk; ``RicciData`` forms RIC = Ric . g^{-1} and S = trace(RIC)."""
     n = riemann.dim
     # Ric_jk = sum_i R^i_ijk over R's den: R^s_ijk adds to Ric_jk where s = i,
     # and R^j_jik = -R^j_ijk to Ric_ik where s = j
@@ -159,8 +166,7 @@ def ricci(riemann: CurvatureTensor, ginv: ExprMatrix) -> RicciData:
             ric[i][k] = ric[i][k] - x
     split = _split(riemann.den)
     ric = ExprMatrix([[_make(x, riemann.den, split) for x in row] for row in ric])
-    operator = ric @ ginv
-    return RicciData(ricci=ric, operator=operator, scalar=operator.trace())
+    return RicciData(ricci=ric, metric_inverse=ginv)
 
 
 @dataclass(frozen=True)

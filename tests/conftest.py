@@ -1,6 +1,8 @@
 """Shared fixture algebras and forms (transcribed independently of the catalog)."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,13 @@ def make_algebra(name):
 
 def make_form(dim, terms):
     return TwoForm.from_terms(dim, terms)
+
+
+def relatives() -> dict:
+    """Two relatives of the classification, outside the builtin catalog, with
+    all forms of their algebras: h4.omegam.J, the sign-twin of h4.omegap.J
+    sharing its J, and r2r2.lambda0.J24bc, J24 specialized to c = b."""
+    return json.loads(Path(__file__).with_name("relatives.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture

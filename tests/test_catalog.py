@@ -42,12 +42,14 @@ def test_builtin_section_counts():
     assert len(lambda0) == 5
 
 
-def test_variants_are_optional():
-    default = builtin_catalog()
-    full = load_catalog(BUILTIN_DOCUMENT)
-    assert len(full.entries) == len(default.entries) + 2
-    variant_ids = {e.entry_id for e in full.entries if e.variant}
-    assert variant_ids == {"h4.omegam.J", "r2r2.lambda0.J24bc"}
+def test_builtin_document_is_the_catalog():
+    # the builtin document goes through the loader as it is, and holds
+    # the 57 structures of the classification and no other
+    ids = [e.entry_id for e in load_catalog(BUILTIN_DOCUMENT).entries]
+    assert ids == [e.entry_id for e in builtin_catalog().entries]
+    assert len(set(ids)) == 57
+    structures = [s for alg in BUILTIN_DOCUMENT["algebras"] for s in alg["structures"]]
+    assert not any("variant" in s for s in structures)
 
 
 def test_builtin_gates():
@@ -264,10 +266,6 @@ def _small_algebra(dim):
             "algebras[0].structures[0].note",
         ),
         (
-            lambda d: d["algebras"][0]["structures"][0].__setitem__("variant", "no"),
-            "algebras[0].structures[0].variant",
-        ),
-        (
             lambda d: d["algebras"][0]["params"][0].__setitem__("name", "a+b"),
             "algebras[0].params[0].name",
         ),
@@ -304,7 +302,7 @@ def _small_algebra(dim):
         "expected-not-object", "bracket-index-string", "excluded-not-rational",
         "id-not-string", "structures-in-dim-3", "structures-in-dim-2",
         "nested-parentheses", "nested-unary-minus", "true-in-j", "true-in-bracket",
-        "true-in-terms", "true-in-expected", "note-not-string", "variant-not-boolean",
+        "true-in-terms", "true-in-expected", "note-not-string",
         "param-name-expression", "param-name-integer", "literal-of-5000-digits",
         "exponent-of-5000-digits", "superscript-digit", "dim-5-without-structures",
         "dim-million-without-structures",

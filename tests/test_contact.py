@@ -6,7 +6,6 @@ from itertools import product
 
 import pytest
 
-from parakahler.builtin_data import BUILTIN_DOCUMENT
 from parakahler.catalog import builtin_catalog, load_catalog
 from parakahler.contact import (
     CentralExtension,
@@ -33,7 +32,7 @@ from parakahler.liealgebra import (
 from parakahler.sampling import DeterministicRng, sample_point
 from parakahler.structures import Metric, metric_from
 
-from conftest import make_algebra, make_form
+from conftest import make_algebra, make_form, relatives
 from oracles import (
     agrees,
     eval_matrix,
@@ -249,7 +248,7 @@ def test_extension_jacobi_and_center_across_catalog():
 def test_variant_entries_verify():
     from parakahler.verify import RunConfig, verify_entry
 
-    catalog = load_catalog(BUILTIN_DOCUMENT)
+    catalog = load_catalog(relatives())
     for entry_id in ("h4.omegam.J", "r2r2.lambda0.J24bc"):
         entry = next(e for e in catalog.entries if e.entry_id == entry_id)
         report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))

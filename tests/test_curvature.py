@@ -579,15 +579,21 @@ def test_corroboration_detects_single_perturbations():
         riem = riemann_with(bundle.riemann, {(i, j, k, s): lambda x: x + expr(1)})
         return dataclasses.replace(bundle, riemann=riem)
 
-    def with_scalar():
-        ricci = dataclasses.replace(bundle.ricci, scalar=bundle.ricci.scalar + expr(1))
+    def with_ricci(**planted):
+        # RIC and S are cached properties: the unperturbed ones are stored
+        # beside a planted Ric, so that each error is in one tensor only
+        ricci = dataclasses.replace(bundle.ricci, ricci=planted.pop("ricci", bundle.ricci.ricci))
+        vars(ricci).update({"operator": bundle.ricci.operator, "scalar": bundle.ricci.scalar})
+        vars(ricci).update(planted)
         return dataclasses.replace(bundle, ricci=ricci)
+
+    def with_scalar():
+        return with_ricci(scalar=bundle.ricci.scalar + expr(1))
 
     def with_matrix_entry(field, i, j):
         rows = [list(row) for row in getattr(bundle.ricci, field).entries]
         rows[i][j] = rows[i][j] + expr(1)
-        ricci = dataclasses.replace(bundle.ricci, **{field: ExprMatrix(rows)})
-        return dataclasses.replace(bundle, ricci=ricci)
+        return with_ricci(**{field: ExprMatrix(rows)})
 
     def with_gamma_factor(i, j, m):
         # (a+2)/(a+1) != 1 moves the value through the denominator: a

@@ -27,7 +27,8 @@ from parakahler.verify import (
     verify_entry,
     verify_extension,
 )
-from test_cli import _degenerate_catalog
+from conftest import relatives
+from test_cli import degenerate
 
 CFG = RunConfig(seed=0, samples=3)
 
@@ -202,7 +203,7 @@ def test_one_lift_per_form(monkeypatch):
         "is_symplectic": 20,
         "ce_differential_1": 20,
         "ExprMatrix.det": 20,
-        "ExprMatrix.__matmul__": 972,
+        "ExprMatrix.__matmul__": 915,
     }
 
 
@@ -226,7 +227,7 @@ def test_work_counters(monkeypatch):
     catalog = builtin_catalog.__wrapped__()  # not the cached one: no matrix cleared yet
     monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
     render_report(verify_all(catalog, RunConfig(seed=7, samples=1), include_extensions=True))
-    assert counts["mul"] == 82_437
+    assert counts["mul"] == 80_723
     catalog = builtin_catalog.__wrapped__()
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     render_report(verify_all(catalog, RunConfig(seed=0, samples=20)))
@@ -387,11 +388,10 @@ def test_involution_failure_document():
     )
 
 
-def test_degenerate_form_document(tmp_path):
+def test_degenerate_form_document():
     # the entry's own note comes first, then the degenerate form's
-    document = json.loads(_degenerate_catalog(tmp_path).read_text())
     _assert_document(
-        _verify(load_catalog(document), "r2r2.lambda0.J24bc"),
+        _verify(load_catalog(degenerate(relatives())), "r2r2.lambda0.J24bc"),
         {
             "id": "r2r2.lambda0.J24bc",
             "algebra": "r2r2",
@@ -529,8 +529,8 @@ def test_clean_entry_document():
     )
 
 
-def test_extension_of_a_form_that_is_not_symplectic_document(tmp_path):
-    catalog = load_catalog(json.loads(_degenerate_catalog(tmp_path).read_text()))
+def test_extension_of_a_form_that_is_not_symplectic_document():
+    catalog = load_catalog(degenerate(BUILTIN_DOCUMENT))
     entry = _entry(catalog, "r2r2.lambda0.J21")
     algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
     lift = lift_form(algebra, form, is_symplectic(algebra, form))
