@@ -21,12 +21,10 @@ The builtin document goes through the same loader (``builtin_catalog``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .builtin_data import BUILTIN_DOCUMENT
 from .curvature import LABELS
 from .expressions import (
     DIGIT_LIMIT,
@@ -52,15 +50,13 @@ class CatalogFormatError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class ExpectedResults:
+class ExpectedResults(NamedTuple):
     label: Optional[str] = None
     einstein_factor: Optional[RationalExpr] = None
     ric: Optional[ExprMatrix] = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     entry_id: str
     algebra: str
     form: str
@@ -70,11 +66,14 @@ class CatalogEntry:
     note: str = ""
 
 
-@dataclass
 class Catalog:
-    algebras: Dict[str, LieAlgebra]
-    forms: Dict[Tuple[str, str], TwoForm]
-    entries: List[CatalogEntry]
+    def __init__(
+        self,
+        algebras: Dict[str, LieAlgebra],
+        forms: Dict[Tuple[str, str], TwoForm],
+        entries: List[CatalogEntry],
+    ):
+        self.algebras, self.forms, self.entries = algebras, forms, entries
 
     def form_of(self, entry: CatalogEntry) -> TwoForm:
         return self.forms[(entry.algebra, entry.form)]
@@ -388,5 +387,8 @@ def dump_catalog(catalog: Catalog) -> dict:
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
-    """The builtin classification: 15 algebras, 57 structures."""
+    """The builtin classification: 15 algebras, 57 structures.  Its data module
+    is imported here, so a run on a catalog file never compiles it."""
+    from .builtin_data import BUILTIN_DOCUMENT
+
     return load_catalog(BUILTIN_DOCUMENT)

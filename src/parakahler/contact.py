@@ -41,9 +41,8 @@ visited.  Both checks report their residuals through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .curvature import CurvatureBundle
 from .expressions import (
@@ -64,8 +63,7 @@ class NonSymplecticError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CentralExtension:
+class CentralExtension(NamedTuple):
     base: LieAlgebra
     omega: TwoForm
     extended: LieAlgebra
@@ -106,8 +104,7 @@ def _bordered(m: ExprMatrix, corner: RationalExpr) -> ExprMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ParacontactStructure:
+class ParacontactStructure(NamedTuple):
     extension: CentralExtension
     phi: ExprMatrix
     h: Metric
@@ -134,8 +131,7 @@ def build_paracontact(ext: CentralExtension, j_matrix: ExprMatrix) -> Paracontac
     return ParacontactStructure(ext, phi, h, fundamental, phi_vs_deta)
 
 
-@dataclass(frozen=True)
-class ContactReport:
+class ContactReport(NamedTuple):
     ok: bool
     coefficient: RationalExpr  # eta ^ d(eta) ^ d(eta) on (e_1..e_4, xi)
 

@@ -21,10 +21,9 @@ once per entry, and ``label_holds`` reads only the ``Classification`` it returns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expressions import (
     _P_ZERO,
@@ -41,12 +40,10 @@ from .expressions import (
 from .liealgebra import LieAlgebra
 from .structures import Metric
 
-@dataclass(frozen=True)
-class Christoffel:
+class Christoffel(NamedTuple):
     dim: int
-    gamma: tuple  # gamma[i][j][m] = Gamma^m_ij
-    den: Polynomial  # gamma as numerators over one den:
-    nums: tuple  # Gamma^m_ij = nums[(i * dim + j) * dim + m] / den
+    den: Polynomial  # Gamma^m_ij = nums[(i * dim + j) * dim + m] / den
+    nums: tuple
 
 
 def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel:
@@ -73,15 +70,13 @@ def christoffel(algebra: LieAlgebra, g: Metric, ginv: ExprMatrix) -> Christoffel
                 for m, gkm in gi_rows[k]:
                     acc[m] = acc[m] + term * gkm
         gamma.append(tuple(_make(x, den, split) for x in acc))
-    frozen = tuple(tuple(gamma[i * n:(i + 1) * n]) for i in range(n))
     den, nums = common_denominator([x for row in gamma for x in row])
-    return Christoffel(n, frozen, den, tuple(nums))
+    return Christoffel(n, den, tuple(nums))
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(NamedTuple):
     """R^s_ijk over one denominator: ``nums`` holds the nonzero numerators with
-    i < j as ((i, j, k, s), numerator), in index order; ``comps`` normalizes."""
+    i < j as ((i, j, k, s), numerator), in index order."""
 
     dim: int
     den: Polynomial
@@ -95,16 +90,6 @@ class CurvatureTensor:
         """{(i, j, k, s): R^s_ijk} for the nonzero components with i < j."""
         split = _split(self.den)
         return {key: _make(x, self.den, split) for key, x in self.nums}
-
-    @cached_property
-    def comps(self) -> tuple:  # comps[i][j][k][s] = R^s_ijk
-        n = self.dim
-        comps = [[[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (i, j, k, s), r in self.normalized().items():
-            comps[i][j][k][s], comps[j][i][k][s] = r, -r
-        return tuple(
-            tuple(tuple(tuple(row) for row in plane) for plane in block) for block in comps
-        )
 
 
 def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
@@ -139,10 +124,9 @@ def curvature(algebra: LieAlgebra, gam: Christoffel) -> CurvatureTensor:
     return CurvatureTensor(n, dg * dg * dc, tuple(nums))
 
 
-@dataclass(frozen=True)
 class RicciData:  # RIC and S are formed on first read: the 5D lift reads only Ric
-    ricci: ExprMatrix
-    metric_inverse: ExprMatrix
+    def __init__(self, ricci: ExprMatrix, metric_inverse: ExprMatrix):
+        self.ricci, self.metric_inverse = ricci, metric_inverse
 
     @cached_property
     def operator(self) -> ExprMatrix:  # RIC = Ric . g^{-1}
@@ -169,8 +153,7 @@ def ricci(riemann: CurvatureTensor, ginv: ExprMatrix) -> RicciData:
     return RicciData(ricci=ric, metric_inverse=ginv)
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
+class CurvatureBundle(NamedTuple):
     christoffel: Christoffel
     riemann: CurvatureTensor
     ricci: RicciData
@@ -190,8 +173,7 @@ def curvature_bundle(algebra: LieAlgebra, g: Metric) -> CurvatureBundle:
 LABELS = ("flat", "ricci_flat", "einstein", "hermitian_ricci", "generic")  # most specific first
 
 
-@dataclass(frozen=True)
-class Classification:  # what classify found and read; the factor is 0 if Ric = 0
+class Classification(NamedTuple):  # what classify found and read; the factor is 0 if Ric = 0
     label: str
     einstein_factor: Optional[RationalExpr]
     anti_invariant: bool

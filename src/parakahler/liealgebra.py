@@ -12,10 +12,9 @@ so that for a central extension d(eta) = -omega on the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .expressions import (
     EXPR_ONE,
@@ -39,27 +38,43 @@ class OddDimensionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ParamDomain:
     """Admissible values of one parameter.
 
     ``kind`` is one of ``free``, ``positive``, ``open-interval``; an interval
     admits lo <= x < hi, and either end may be left unset.  ``excluded`` lists
-    isolated forbidden values on top of the kind constraint.
+    isolated forbidden values on top of the kind constraint.  Domains compare
+    by value.
     """
 
-    kind: str = "free"
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    excluded: Tuple[Fraction, ...] = ()
+    __slots__ = ("kind", "lo", "hi", "excluded")
 
-    def __post_init__(self):
-        if self.kind not in ("free", "positive", "open-interval"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "open-interval" and self.lo is None and self.hi is None:
+    def __init__(
+        self,
+        kind: str = "free",
+        lo: Optional[Fraction] = None,
+        hi: Optional[Fraction] = None,
+        excluded: Tuple[Fraction, ...] = (),
+    ):
+        if kind not in ("free", "positive", "open-interval"):
+            raise ValueError(f"unknown domain kind {kind!r}")
+        if kind == "open-interval" and lo is None and hi is None:
             raise ValueError("open-interval domain needs at least one endpoint")
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
+        if lo is not None and hi is not None and not lo < hi:
             raise ValueError("interval endpoints must satisfy lo < hi")
+        self.kind, self.lo, self.hi, self.excluded = kind, lo, hi, excluded
+
+    def _key(self) -> tuple:
+        return self.kind, self.lo, self.hi, self.excluded
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ParamDomain) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ParamDomain{self._key()!r}"
 
     def admits(self, value: Fraction) -> bool:
         if value in self.excluded:
@@ -218,8 +233,7 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     ok: bool
     violation: Optional[Tuple[int, int, int, int, str]] = None  # (i, j, k, m, residual)
 
@@ -283,8 +297,7 @@ def ce_differential_2(algebra: LieAlgebra, omega: TwoForm) -> dict:
     return comps
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
+class SymplecticReport(NamedTuple):
     ok: bool
     closed: bool
     det: RationalExpr

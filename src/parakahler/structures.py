@@ -19,9 +19,8 @@ that broken inputs can be diagnosed; every reported identity, here and in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .expressions import _P_ZERO, EXPR_ZERO, ExprMatrix, RationalExpr, _make, format_expr
 from .liealgebra import LieAlgebra, TwoForm
@@ -35,8 +34,7 @@ class SingularMetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identities: Dict[str, bool]
     residuals: Tuple[Tuple[str, str], ...]  # (component tag, residual text)
 

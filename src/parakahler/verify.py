@@ -34,8 +34,7 @@ a form that is not symplectic or fails the Reeb identities, and keeps
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import numeric
 from .catalog import Catalog, CatalogEntry
@@ -75,8 +74,7 @@ from .structures import (
 from .sampling import DeterministicRng, sample_point
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int = 0
     samples: int = 20
     strict: bool = False
@@ -101,20 +99,39 @@ def _avoid(
     return list(algebra.denominators()) + [v.den for v in values if not v.den.is_const]
 
 
-@dataclass
-class EntryFinding:
-    entry_id: str
-    algebra: str
-    form: str
-    axioms: Dict[str, dict]
-    metric: Dict[str, object]
-    label: Dict[str, object]
-    ric_comparison: Dict[str, object]
-    corroboration: Dict[str, int]
-    status: str  # ok | discrepancy | failure
-    notes: List[str] = field(default_factory=list)
-    # the 4D curvature, handed on to the extension check; never reported
-    bundle: Optional[CurvatureBundle] = field(default=None, repr=False, compare=False)
+class _Document:
+    """A finding or report whose value is its document: equality and repr
+    read ``to_document``."""
+
+    __hash__ = None  # mutable
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.to_document() == other.to_document()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_document()!r})"
+
+
+class EntryFinding(_Document):
+    def __init__(
+        self,
+        entry_id: str,
+        algebra: str,
+        form: str,
+        axioms: Dict[str, dict],
+        metric: Dict[str, object],
+        label: Dict[str, object],
+        ric_comparison: Dict[str, object],
+        corroboration: Dict[str, int],
+        status: str,  # ok | discrepancy | failure
+        notes: List[str],
+    ):
+        self.entry_id, self.algebra, self.form = entry_id, algebra, form
+        self.axioms, self.metric, self.label = axioms, metric, label
+        self.ric_comparison, self.corroboration = ric_comparison, corroboration
+        self.status, self.notes = status, notes
+        # the 4D curvature, handed on to the extension check; never reported
+        self.bundle: Optional[CurvatureBundle] = None
 
     def to_document(self) -> dict:
         return {
@@ -299,21 +316,31 @@ def verify_entry(
     return finding
 
 
-@dataclass
-class ExtensionFinding:
-    entry_id: str
-    residuals: Tuple[Tuple[str, str], ...]
-    # a lift that was never built keeps these: every check fails
-    contact_ok: bool = False
-    contact_coefficient: str = "n/a"
-    almost_paracontact_ok: bool = False
-    compatible_metric_ok: bool = False
-    restriction_ok: bool = False
-    reeb_ok: bool = False
-    phi_vs_deta: str = "mismatch"  # equal | negated | mismatch
-    curvature_identities: Dict[str, bool] = field(default_factory=dict)
-    ricci_identities: Dict[str, bool] = field(default_factory=dict)
-    status: str = "failure"
+class ExtensionFinding(_Document):
+    def __init__(
+        self,
+        entry_id: str,
+        residuals: Tuple[Tuple[str, str], ...],
+        # a lift that was never built keeps these: every check fails
+        contact_ok: bool = False,
+        contact_coefficient: str = "n/a",
+        almost_paracontact_ok: bool = False,
+        compatible_metric_ok: bool = False,
+        restriction_ok: bool = False,
+        reeb_ok: bool = False,
+        phi_vs_deta: str = "mismatch",  # equal | negated | mismatch
+        curvature_identities: Optional[Dict[str, bool]] = None,
+        ricci_identities: Optional[Dict[str, bool]] = None,
+        status: str = "failure",
+    ):
+        self.entry_id, self.residuals = entry_id, residuals
+        self.contact_ok, self.contact_coefficient = contact_ok, contact_coefficient
+        self.almost_paracontact_ok = almost_paracontact_ok
+        self.compatible_metric_ok, self.restriction_ok = compatible_metric_ok, restriction_ok
+        self.reeb_ok, self.phi_vs_deta = reeb_ok, phi_vs_deta
+        self.curvature_identities = curvature_identities or {}
+        self.ricci_identities = ricci_identities or {}
+        self.status = status
 
     def to_document(self) -> dict:
         return {
@@ -399,13 +426,17 @@ def verify_extension(
     )
 
 
-@dataclass
-class VerificationReport:
-    config: RunConfig
-    gates: Dict[str, dict]
-    findings: List[EntryFinding]
-    sasakian: Optional[List[ExtensionFinding]]
-    summary: Dict[str, int]
+class VerificationReport(_Document):
+    def __init__(
+        self,
+        config: RunConfig,
+        gates: Dict[str, dict],
+        findings: List[EntryFinding],
+        sasakian: Optional[List[ExtensionFinding]],
+        summary: Dict[str, int],
+    ):
+        self.config, self.gates, self.findings = config, gates, findings
+        self.sasakian, self.summary = sasakian, summary
 
     def to_document(self) -> dict:
         doc = {

@@ -2,10 +2,11 @@
 Fraction Nijenhuis tensor, a Fraction matrix product, the Fraction signature
 that the integer ``signature_at`` replaced, the one adapter through which the
 tests call the integer oracle on ``Fraction`` tensors, planted errors in
-cleared curvature tensors, readers for nested tensors and three-forms, the
-packing of an exponent tuple into the ``int`` monomial of a ``Polynomial`` and
-back, polynomial product and exact division over exponent tuples, and the
-Fraction loop that evaluates a polynomial term by term.
+cleared curvature tensors, the nested Gamma and R tables that the tests read,
+readers for nested tensors and three-forms, the packing of an exponent tuple
+into the ``int`` monomial of a ``Polynomial`` and back, polynomial product and
+exact division over exponent tuples, and the Fraction loop that evaluates a
+polynomial term by term.
 
 The residual functions return every nonzero component of an identity that
 must vanish, 1-based with the residual last; an empty list means it holds.
@@ -24,6 +25,7 @@ from parakahler.expressions import (
     Polynomial,
     RationalExpr,
     SamplePoint,
+    _make,
     common_denominator,
     expr,
 )
@@ -142,15 +144,37 @@ def agrees(point: SamplePoint, e: RationalExpr, v: Fraction) -> bool:
     return n * v.denominator == v.numerator * d
 
 
+def gamma_table(christ: Christoffel) -> tuple:
+    """Gamma^m_ij as ``gamma_table(christ)[i][j][m]``, each numerator made
+    canonical over the shared denominator."""
+    n = christ.dim
+    flat = [_make(x, christ.den) for x in christ.nums]
+    return tuple(
+        tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
+        for i in range(n)
+    )
+
+
+def riemann_table(riem: CurvatureTensor) -> tuple:
+    """R^s_ijk as ``riemann_table(riem)[i][j][k][s]``, filled from the
+    canonical components with i < j by R^s_jik = -R^s_ijk."""
+    n = riem.dim
+    comps = [[[[EXPR_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (i, j, k, s), r in riem.normalized().items():
+        comps[i][j][k][s], comps[j][i][k][s] = r, -r
+    return tuple(
+        tuple(tuple(tuple(row) for row in plane) for plane in block) for block in comps
+    )
+
+
 def christoffel_with(christ: Christoffel, changes) -> Christoffel:
     """``christ`` with ``change(Gamma^m_ij)`` for each (i, j, m) in ``changes``,
     cleared afresh to numerators over one denominator."""
-    gamma = [[list(row) for row in plane] for plane in christ.gamma]
+    gamma = [[list(row) for row in plane] for plane in gamma_table(christ)]
     for (i, j, m), change in changes.items():
         gamma[i][j][m] = change(gamma[i][j][m])
     den, nums = common_denominator([x for plane in gamma for row in plane for x in row])
-    return Christoffel(christ.dim, tuple(tuple(map(tuple, plane)) for plane in gamma), den,
-                       tuple(nums))
+    return Christoffel(christ.dim, den, tuple(nums))
 
 
 def riemann_with(riem: CurvatureTensor, changes) -> CurvatureTensor:
@@ -288,12 +312,12 @@ def poly_eval(poly: Polynomial, point) -> Fraction:
 
 def torsion_residuals(algebra: LieAlgebra, gam: Christoffel):
     """Gamma^m_ij - Gamma^m_ji - C^m_ij for all components; empty iff torsion-free."""
-    n = algebra.dim
+    n, gamma = algebra.dim, gamma_table(gam)
     bad = []
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                res = gam.gamma[i][j][m] - gam.gamma[j][i][m] - algebra.c(i, j, m)
+                res = gamma[i][j][m] - gamma[j][i][m] - algebra.c(i, j, m)
                 if not res.is_zero:
                     bad.append((i + 1, j + 1, m + 1, res))
     return bad
@@ -301,15 +325,15 @@ def torsion_residuals(algebra: LieAlgebra, gam: Christoffel):
 
 def connection_metric_residuals(algebra: LieAlgebra, gam: Christoffel, g: Metric):
     """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) must vanish for a metric connection."""
-    n = algebra.dim
+    n, gamma = algebra.dim, gamma_table(gam)
     bad = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 acc = EXPR_ZERO
                 for m in range(n):
-                    acc = acc + gam.gamma[i][j][m] * g(m, k)
-                    acc = acc + gam.gamma[i][k][m] * g(j, m)
+                    acc = acc + gamma[i][j][m] * g(m, k)
+                    acc = acc + gamma[i][k][m] * g(j, m)
                 if not acc.is_zero:
                     bad.append((i + 1, j + 1, k + 1, acc))
     return bad
@@ -317,30 +341,26 @@ def connection_metric_residuals(algebra: LieAlgebra, gam: Christoffel, g: Metric
 
 def bianchi_residuals(riemann: CurvatureTensor):
     """First Bianchi identity: cyclic sum of R^s_ijk over (i, j, k)."""
-    n = riemann.dim
+    n, comps = riemann.dim, riemann_table(riemann)
     bad = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for s in range(n):
-                    acc = (
-                        riemann.comps[i][j][k][s]
-                        + riemann.comps[j][k][i][s]
-                        + riemann.comps[k][i][j][s]
-                    )
+                    acc = comps[i][j][k][s] + comps[j][k][i][s] + comps[k][i][j][s]
                     if not acc.is_zero:
                         bad.append((i + 1, j + 1, k + 1, s + 1, acc))
     return bad
 
 
 def antisymmetry_residuals(riemann: CurvatureTensor):
-    n = riemann.dim
+    n, comps = riemann.dim, riemann_table(riemann)
     bad = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for s in range(n):
-                    acc = riemann.comps[i][j][k][s] + riemann.comps[j][i][k][s]
+                    acc = comps[i][j][k][s] + comps[j][i][k][s]
                     if not acc.is_zero:
                         bad.append((i + 1, j + 1, k + 1, s + 1, acc))
     return bad

@@ -1,7 +1,5 @@
 """Central extensions, para-contact structures, and the para-Sasakian lift."""
 
-import dataclasses
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -20,7 +18,7 @@ from parakahler.contact import (
     verify_lifted_curvature,
     verify_lifted_ricci,
 )
-from parakahler.curvature import curvature_bundle
+from parakahler.curvature import RicciData, curvature_bundle
 from parakahler.expressions import EXPR_ONE, EXPR_ZERO, ExprMatrix, expr
 from parakahler.liealgebra import (
     LieAlgebra,
@@ -38,6 +36,8 @@ from oracles import (
     eval_matrix,
     fraction_oracle,
     from_rows,
+    gamma_table,
+    riemann_table,
     riemann_with,
     structure_fractions,
 )
@@ -155,7 +155,7 @@ def test_compatible_metric_identity_and_failure(rn4):
     for i in range(5):
         assert (ps.h(4, i) - ps.extension.eta[0, i]).is_zero
     h = Metric(ExprMatrix.identity(5))
-    broken = dataclasses.replace(ps, h=h, fundamental=ps.phi.transpose() @ h.matrix)
+    broken = ps._replace(h=h, fundamental=ps.phi.transpose() @ h.matrix)
     assert not check_compatible_metric(broken).is_zero
 
 
@@ -219,10 +219,10 @@ def test_r_x_xi_xi_component(rn4):
     omega = make_form(4, STD_OMEGA)
     ext = _extend(rn4, omega)
     ps = build_paracontact(ext, RN4_J)
-    bundle = curvature_bundle(ext.extended, ps.h)
+    riem = riemann_table(curvature_bundle(ext.extended, ps.h).riemann)
     for i in range(4):
         for s in range(5):
-            component = bundle.riemann.comps[i][4][4][s]
+            component = riem[i][4][4][s]
             expected = expr("-1/4") if s == i else EXPR_ZERO
             assert (component - expected).is_zero
 
@@ -287,9 +287,9 @@ def test_lifted_riemann_fill_agrees_with_the_oracle():
         ps = build_paracontact(extensions[key], entry.j_matrix)
         ext = ps.extension.extended
         bundle = curvature_bundle(ext, ps.h)
-        riem = bundle.riemann.comps
+        riem = riemann_table(bundle.riemann)
         values = [x for m in (ps.h.matrix, bundle.metric_inverse) for r in m.entries for x in r]
-        values += [x for plane in bundle.christoffel.gamma for row in plane for x in row]
+        values += [x for plane in gamma_table(bundle.christoffel) for row in plane for x in row]
         values += [x for block in riem for plane in block for row in plane for x in row]
         avoid = list(ext.denominators()) + [v.den for v in values if not v.den.is_const]
         rng = DeterministicRng(len(entry.entry_id))
@@ -339,14 +339,14 @@ def d42_lift():
 def _with_riemann(bundle, changes):
     """``bundle`` with ``change(R^s_ijk)`` for each (i, j, k, s) in ``changes``,
     planted into the cleared tensor: R^s_jik changes with R^s_ijk."""
-    return replace(bundle, riemann=riemann_with(bundle.riemann, changes))
+    return bundle._replace(riemann=riemann_with(bundle.riemann, changes))
 
 
 def _with_ricci(bundle, changes):
     rows = [list(row) for row in bundle.ricci.ricci.entries]
     for (i, j), change in changes.items():
         rows[i][j] = change(rows[i][j])
-    return replace(bundle, ricci=replace(bundle.ricci, ricci=ExprMatrix(rows)))
+    return bundle._replace(ricci=RicciData(ExprMatrix(rows), bundle.ricci.metric_inverse))
 
 
 def _curvature_identities(*failed):

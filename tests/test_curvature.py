@@ -1,7 +1,6 @@
 """Connection, curvature tensor, Ricci data, and classification labels."""
 
 import ast
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +10,7 @@ import pytest
 
 from parakahler import numeric
 from parakahler.curvature import (
+    RicciData,
     anti_invariance_residual,
     christoffel,
     classify,
@@ -34,7 +34,9 @@ from oracles import (
     first_nonzero,
     fraction_oracle,
     from_rows,
+    gamma_table,
     mat_mul,
+    riemann_table,
     riemann_with,
     structure_fractions,
     torsion_residuals,
@@ -58,9 +60,9 @@ def test_abelian_connection_vanishes():
     g = Metric(from_rows(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "a", 0], [0, 0, 0, -1]]
     ))
-    gam = christoffel(rn4, g, g.matrix.inverse())
+    gamma = gamma_table(christoffel(rn4, g, g.matrix.inverse()))
     assert all(
-        gam.gamma[i][j][m].is_zero for i in range(4) for j in range(4) for m in range(4)
+        gamma[i][j][m].is_zero for i in range(4) for j in range(4) for m in range(4)
     )
 
 
@@ -71,7 +73,7 @@ def test_christoffel_against_numeric_oracle():
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, "a", 1, 0], ["b", 0, 0, -1]]
     )
     g = metric_from(omega, j1)
-    gam = christoffel(rr3m1, g, g.matrix.inverse())
+    gamma = gamma_table(christoffel(rr3m1, g, g.matrix.inverse()))
     point = dict(FULL_POINT, a=Fraction(0), b=Fraction(0))
     g_num = eval_matrix(g.matrix, point)
     oracle = fraction_oracle.christoffel(
@@ -80,10 +82,10 @@ def test_christoffel_against_numeric_oracle():
     for i in range(4):
         for j in range(4):
             for m in range(4):
-                assert gam.gamma[i][j][m].eval(point) == oracle[i][j][m]
+                assert gamma[i][j][m].eval(point) == oracle[i][j][m]
     # at a = b = 0 the metric is the antidiagonal one and Gamma^2_12 = 1
-    assert gam.gamma[0][0] == tuple(expr(0) for _ in range(4)) or True
-    assert gam.gamma[0][1][1].eval(point) == 1
+    assert gamma[0][0] == tuple(expr(0) for _ in range(4)) or True
+    assert gamma[0][1][1].eval(point) == 1
 
 
 def test_christoffel_singular_metric_raises():
@@ -118,14 +120,15 @@ def test_r2r2_lambda_family_ricci_flat_but_curved():
     g = metric_from(omega, j11)
     riem = curvature(r2r2, christoffel(r2r2, g, g.matrix.inverse()))
     assert not riem.is_zero
-    i, j, k, s, value = first_nonzero(riem.comps)
+    comps = riemann_table(riem)
+    i, j, k, s, value = first_nonzero(comps)
     assert (i, j, k, s) == (1, 3, 1, 4) and value == expr("lam")
     bundle = curvature_bundle(r2r2, g)
     assert bundle.ricci.ricci.is_zero
     # the whole curvature tensor is proportional to lam: it dies at lam = 0
     lam0 = {"lam": Fraction(0), "a": Fraction(5, 2), "b": Fraction(-3)}
     assert all(
-        riem.comps[x][y][z][w].eval(lam0) == 0
+        comps[x][y][z][w].eval(lam0) == 0
         for x in range(4)
         for y in range(4)
         for z in range(4)
@@ -573,19 +576,19 @@ def test_corroboration_detects_single_perturbations():
     # each error is planted into the cleared tensor that the corroboration reads
     def with_gamma(i, j, m, change=lambda x: x + expr(1)):
         christ = christoffel_with(bundle.christoffel, {(i, j, m): change})
-        return dataclasses.replace(bundle, christoffel=christ)
+        return bundle._replace(christoffel=christ)
 
     def with_riemann(i, j, k, s):
         riem = riemann_with(bundle.riemann, {(i, j, k, s): lambda x: x + expr(1)})
-        return dataclasses.replace(bundle, riemann=riem)
+        return bundle._replace(riemann=riem)
 
     def with_ricci(**planted):
         # RIC and S are cached properties: the unperturbed ones are stored
         # beside a planted Ric, so that each error is in one tensor only
-        ricci = dataclasses.replace(bundle.ricci, ricci=planted.pop("ricci", bundle.ricci.ricci))
+        ricci = RicciData(planted.pop("ricci", bundle.ricci.ricci), bundle.ricci.metric_inverse)
         vars(ricci).update({"operator": bundle.ricci.operator, "scalar": bundle.ricci.scalar})
         vars(ricci).update(planted)
-        return dataclasses.replace(bundle, ricci=ricci)
+        return bundle._replace(ricci=ricci)
 
     def with_scalar():
         return with_ricci(scalar=bundle.ricci.scalar + expr(1))

@@ -1,7 +1,6 @@
 """Verification driver, findings, and report rendering."""
 
 import copy
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -283,7 +282,7 @@ def test_lift_whose_xi_is_not_the_reeb_vector_is_a_failure(monkeypatch):
     ext = contact.central_extend(algebra, form, report)
     rows = [list(row) for row in ext.d_eta.matrix.entries]
     rows[4][0], rows[0][4] = expr(1), expr(-1)
-    perturbed = dataclasses.replace(ext, d_eta=TwoForm(ExprMatrix(rows)))
+    perturbed = ext._replace(d_eta=TwoForm(ExprMatrix(rows)))
     assert not contact.reeb_residuals(perturbed)[0].is_zero
     monkeypatch.setattr(verify, "central_extend", lambda *args: perturbed)
     lift = lift_form(algebra, form, report)
