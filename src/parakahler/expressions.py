@@ -268,7 +268,7 @@ class Polynomial:
         return exp, self.terms[exp]
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        return at_point(point).value(self)
+        return SamplePoint(point).value(self)
 
     def __str__(self) -> str:
         return _poly_str(self)
@@ -535,11 +535,6 @@ class RationalExpr:
             return _make(self.den ** (-n), self.num ** (-n))
         return _make(self.num**n, self.den**n)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        return at_point(point).quotient(self)
-
     def __str__(self) -> str:
         return format_expr(self)
 
@@ -654,11 +649,6 @@ class SamplePoint(Mapping):
         """e at this point: one ``Fraction``, built from two integers."""
         [value], d = self.cleared(e.den, [e.num])
         return Fraction(value, d)
-
-
-def at_point(point: Mapping[str, Fraction]) -> SamplePoint:
-    """``point`` itself if it is a ``SamplePoint``, else a new one."""
-    return point if isinstance(point, SamplePoint) else SamplePoint(point)
 
 
 # -- text grammar ------------------------------------------------------------
@@ -950,10 +940,6 @@ class ExprMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix construction")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExprMatrix":
-        return cls([[EXPR_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "ExprMatrix":

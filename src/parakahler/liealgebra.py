@@ -23,7 +23,7 @@ from .expressions import (
     ExprMatrix,
     Polynomial,
     RationalExpr,
-    at_point,
+    SamplePoint,
     common_denominator,
     expr,
     format_expr,
@@ -211,12 +211,12 @@ class LieAlgebra:
         cleared once at construction."""
         return self._cleared
 
-    def structure_at(self, point) -> Tuple[list, int]:
-        """(c, den): the structure constants at a sample as integers
+    def structure_at(self, point: SamplePoint) -> Tuple[list, int]:
+        """(c, den): the structure constants at ``point`` as integers
         c[i][j][k] over one positive den, evaluated from ``cleared_constants``."""
         n = self.dim
         den, constants = self._cleared
-        values, d = at_point(point).cleared(den, [x for *_, x in constants])
+        values, d = point.cleared(den, [x for *_, x in constants])
         out = [[[0] * n for _ in range(n)] for _ in range(n)]
         for (i, j, k, _), v in zip(constants, values):
             out[i][j][k] = v

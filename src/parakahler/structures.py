@@ -10,8 +10,9 @@ A^k_im = J^l_i C^k_lm, formed once:
     N^k_ij = C^k_ij + J^m_j A^k_im - J^k_m (A^m_ij - A^m_ji),
 
 normalized for i < j only and filled by N^k_ji = -N^k_ij, N^k_ii = 0, since
-C^k_ji = -C^k_ij.  As J^T omega = -(omega J)^T, the omega check forms omega J
-once: its residual is the asymmetry of g, and its cross-check omega - (omega J)^T J.  All
+C^k_ji = -C^k_ij.  The compatibility checks read P1 = omega J and P2 = (omega J)^T J,
+formed once by the caller: as J^T omega = -(omega J)^T, the omega check reads
+the asymmetry of P1 and omega - P2; once it passes, P1 = g and P2 = g J.  All
 checks are symbolic and report structured findings instead of raising, so
 that broken inputs can be diagnosed; every reported identity, here and in
 ``contact``, goes through ``collect_residuals``.
@@ -81,12 +82,11 @@ def check_involution(j_matrix: ExprMatrix) -> IdentityReport:
     )
 
 
-def check_omega_compat(omega: TwoForm, j_matrix: ExprMatrix, wj=None) -> IdentityReport:
-    """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega;
-    ``wj`` is omega . J when the caller has formed it."""
-    wj = omega.matrix @ j_matrix if wj is None else wj
+def check_omega_compat(omega: TwoForm, wj: ExprMatrix, wjj: ExprMatrix) -> IdentityReport:
+    """omega(JX, Y) + omega(X, JY) = 0, cross-checked as omega(JX,JY) = -omega,
+    read from the products ``wj`` = omega J and ``wjj`` = (omega J)^T J."""
     primary = _entries("Jt*w+w*J", wj - wj.transpose())
-    crosscheck = _entries("w(J.,J.)+w", omega.matrix - wj.transpose() @ j_matrix)
+    crosscheck = _entries("w(J.,J.)+w", omega.matrix - wjj)
     return _axiom_check("omega-compat", primary + crosscheck)
 
 
@@ -174,9 +174,9 @@ class Metric:
         return f"Metric({self.matrix})"
 
 
-def metric_from(omega: TwoForm, j_matrix: ExprMatrix, wj=None) -> Metric:
-    """g = omega . J (``wj`` if the caller has formed it); raises if it is asymmetric."""
-    return Metric(omega.matrix @ j_matrix if wj is None else wj)
+def metric_from(omega: TwoForm, j_matrix: ExprMatrix) -> Metric:
+    """g = omega . J; raises if it is asymmetric."""
+    return Metric(omega.matrix @ j_matrix)
 
 
 def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
@@ -184,12 +184,10 @@ def omega_from(g: Metric, j_matrix: ExprMatrix) -> TwoForm:
     return TwoForm(g.matrix @ j_matrix)
 
 
-def check_metric_compat(g: Metric, j_matrix: ExprMatrix, gj=None) -> IdentityReport:
-    """g(JX, Y) + g(X, JY) = 0 entrywise, symbolically; g is symmetric, so
-    J^T g = (g J)^T and one product, ``gj`` if the caller has formed it, serves both."""
-    gj = g.matrix @ j_matrix if gj is None else gj
-    residual = gj.transpose() + gj
-    return _axiom_check("metric-compat", _entries("Jt*g+g*J", residual))
+def check_metric_compat(g: Metric, gj: ExprMatrix) -> IdentityReport:
+    """g(JX, Y) + g(X, JY) = 0 entrywise, read from the product ``gj`` = g J:
+    g is symmetric, so J^T g = (g J)^T."""
+    return _axiom_check("metric-compat", _entries("Jt*g+g*J", gj.transpose() + gj))
 
 
 def signature_at(g: List[List[int]]) -> Tuple[int, int]:

@@ -62,13 +62,12 @@ from .curvature import (
 from .expressions import ExprMatrix, Polynomial, format_expr
 from .liealgebra import LieAlgebra, SymplecticReport, TwoForm, is_symplectic, jacobi_check
 from .structures import (
+    Metric,
     SingularMetricError,
     check_involution,
     check_metric_compat,
     check_omega_compat,
-    metric_from,
     nijenhuis,
-    omega_from,
     signature_at,
 )
 from .sampling import DeterministicRng, sample_point
@@ -92,11 +91,12 @@ def _axiom_dict(check) -> dict:
 def _avoid(
     algebra: LieAlgebra, form: TwoForm, *matrices: Optional[ExprMatrix]
 ) -> List[Polynomial]:
-    """The non-constant denominators of the structure constants, of the form and
-    of ``matrices`` (None is skipped): the sampler must dodge their zeros."""
+    """The distinct non-constant denominators of the structure constants, of the
+    form and of ``matrices`` (None is skipped): the sampler must dodge their zeros."""
     values = [v for _, _, v in form.terms()]
     values += [v for m in matrices if m is not None for row in m.entries for v in row]
-    return list(algebra.denominators()) + [v.den for v in values if not v.den.is_const]
+    dens = list(algebra.denominators()) + [v.den for v in values if not v.den.is_const]
+    return list(dict.fromkeys(dens))
 
 
 class _Document:
@@ -193,8 +193,9 @@ def verify_entry(
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
     involution = check_involution(entry.j_matrix)
-    wj = form.matrix @ entry.j_matrix  # the metric, once the omega check passes
-    compat = check_omega_compat(form, entry.j_matrix, wj)
+    wj = form.matrix @ entry.j_matrix  # g, once the omega check passes
+    wjj = wj.transpose() @ entry.j_matrix  # then g J = omega
+    compat = check_omega_compat(form, wj, wjj)
     integrability = nijenhuis(algebra, entry.j_matrix).as_check()
     finding = EntryFinding(
         entry_id=entry.entry_id,
@@ -234,11 +235,10 @@ def verify_entry(
     if not (involution.ok and compat.ok and integrability.ok):
         return finding
     metric_info, label_info, ric_info = finding.metric, finding.label, finding.ric_comparison
-    g = metric_from(form, entry.j_matrix, wj)
+    g = Metric(wj)
     metric_info["symmetric"] = True
-    recovered = omega_from(g, entry.j_matrix)
-    metric_info["compat"] = check_metric_compat(g, entry.j_matrix, recovered.matrix).ok
-    metric_info["roundtrip"] = recovered == form
+    metric_info["compat"] = check_metric_compat(g, wjj).ok
+    metric_info["roundtrip"] = TwoForm(wjj) == form
     # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
     # identically exactly when the form is degenerate.
     if report.det.is_zero:
@@ -476,7 +476,7 @@ def _algebra_gates(catalog: Catalog, entries, config: RunConfig):
             avoid = _avoid(algebra, form)
             for _ in range(config.samples):
                 point = sample_point(rng, dict(algebra.params), avoid)
-                if rep.det.eval(point) != 0:
+                if point.quotient(rep.det) != 0:
                     det_nonzero += 1
             gate["forms"][fid] = {
                 "closed": rep.closed,

@@ -1,5 +1,6 @@
 """Checks that only the tests run: connection and curvature identities, a
-Fraction Nijenhuis tensor, a Fraction matrix product, the Fraction signature
+Fraction Nijenhuis tensor, the omega check on the two products it reads,
+formed here, a Fraction matrix product, the Fraction signature
 that the integer ``signature_at`` replaced, the one adapter through which the
 tests call the integer oracle on ``Fraction`` tensors, planted errors in
 cleared curvature tensors, the nested Gamma and R tables that the tests read,
@@ -29,8 +30,14 @@ from parakahler.expressions import (
     common_denominator,
     expr,
 )
-from parakahler.liealgebra import LieAlgebra
-from parakahler.structures import Metric, SingularMetricError, signature_at
+from parakahler.liealgebra import LieAlgebra, TwoForm
+from parakahler.structures import (
+    IdentityReport,
+    Metric,
+    SingularMetricError,
+    check_omega_compat,
+    signature_at,
+)
 
 Mat = List[List[Fraction]]
 
@@ -40,9 +47,16 @@ def from_rows(rows) -> ExprMatrix:
     return ExprMatrix([[expr(v) for v in row] for row in rows])
 
 
+def omega_compat(omega: TwoForm, j_matrix: ExprMatrix) -> IdentityReport:
+    """``check_omega_compat`` on the two products it reads, formed here."""
+    wj = omega.matrix @ j_matrix
+    return check_omega_compat(omega, wj, wj.transpose() @ j_matrix)
+
+
 def eval_matrix(m: ExprMatrix, point) -> Mat:
     """The entries of ``m`` at ``point`` as Fractions."""
-    return [[x.eval(point) for x in row] for row in m.entries]
+    at = SamplePoint(point)
+    return [[at.quotient(x) for x in row] for row in m.entries]
 
 
 def _leaves(tensor):

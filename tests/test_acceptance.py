@@ -45,14 +45,13 @@ from parakahler.sampling import DeterministicRng, sample_point
 from parakahler.structures import (
     check_involution,
     check_metric_compat,
-    check_omega_compat,
     metric_from,
     nijenhuis,
     omega_from,
 )
 from parakahler.verify import RunConfig, render_report, verify_all
 
-from oracles import first_nonzero, gamma_table, riemann_table
+from oracles import first_nonzero, gamma_table, omega_compat, riemann_table
 
 SAMPLES = 20
 SEED = 0
@@ -105,7 +104,7 @@ def test_criterion_1_algebra_gates(catalog):
         avoid = list(algebra.denominators())
         for _ in range(SAMPLES):
             point = sample_point(rng, dict(algebra.params), avoid)
-            if report.det.eval(point) == 0:
+            if point.quotient(report.det) == 0:
                 failures.append(f"det-vanishes:{name}.{fid}")
                 break
     elapsed = time.perf_counter() - started
@@ -123,7 +122,7 @@ def test_criterion_2_axiom_suite(catalog):
         algebra = catalog.algebra_of(entry)
         if not check_involution(entry.j_matrix).ok:
             failures.append(f"{entry.entry_id}:involution")
-        if not check_omega_compat(form, entry.j_matrix).ok:
+        if not omega_compat(form, entry.j_matrix).ok:
             failures.append(f"{entry.entry_id}:omega_compat")
         if not nijenhuis(algebra, entry.j_matrix).as_check().ok:
             failures.append(f"{entry.entry_id}:nijenhuis")
@@ -138,7 +137,7 @@ def test_criterion_2_axiom_suite(catalog):
 def test_criterion_3_metric_suite(catalog, bundles, full_report):
     failures = []
     for entry_id, (entry, g, _bundle) in bundles.items():
-        if not check_metric_compat(g, entry.j_matrix).ok:
+        if not check_metric_compat(g, g.matrix @ entry.j_matrix).ok:
             failures.append(f"{entry_id}:compat")
         if not omega_from(g, entry.j_matrix) == catalog.form_of(entry):
             failures.append(f"{entry_id}:roundtrip")

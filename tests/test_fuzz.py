@@ -15,10 +15,11 @@ from parakahler.sampling import DeterministicRng
 from parakahler.structures import (
     MetricAsymmetryError,
     check_involution,
-    check_omega_compat,
     metric_from,
     nijenhuis,
 )
+
+from oracles import omega_compat
 
 SEED = 0
 MUTATIONS = 100
@@ -46,7 +47,7 @@ def _mutation_outcome(catalog, entry, row, col, delta, cache):
     mutant = ExprMatrix(rows)
     if not check_involution(mutant).ok:
         return "axiom:involution"
-    if not check_omega_compat(form, mutant).ok:
+    if not omega_compat(form, mutant).ok:
         return "axiom:omega_compat"
     if not nijenhuis(algebra, mutant).as_check().ok:
         return "axiom:nijenhuis"
@@ -108,7 +109,7 @@ def test_absorbed_positions_hold_free_parameters():
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
     assert check_involution(mutant).ok
-    assert check_omega_compat(form, mutant).ok
+    assert omega_compat(form, mutant).ok
     assert nijenhuis(algebra, mutant).as_check().ok
     bundle = curvature_bundle(algebra, metric_from(form, mutant))
     assert classify(bundle, mutant).label == "ricci_flat"
