@@ -210,6 +210,8 @@ def _parse_params(path: str, raw) -> Tuple[Tuple[str, ParamDomain], ...]:
                 f"{path}[{idx}].name",
                 f"expected one of {', '.join(PARAMS)}, got {_shown(name)}",
             )
+        if any(name == seen for seen, _ in out):
+            raise CatalogFormatError(f"{path}[{idx}].name", f"duplicate parameter {_shown(name)}")
         out.append((name, _parse_domain(f"{path}[{idx}].domain", item.get("domain"))))
     return tuple(out)
 

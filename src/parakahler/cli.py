@@ -158,12 +158,13 @@ def _domain_text(dom) -> str:
     return text
 
 
-def _exit_code(report, strict: bool) -> int:
-    if report.summary["failures"] or not report.summary["gates_ok"]:
+def _exit_code(report: dict, strict: bool) -> int:
+    summary = report["summary"]
+    if summary["failures"] or not summary["gates_ok"]:
         return EXIT_DISCREPANCY
-    if report.summary.get("sasakian_failures"):
+    if summary.get("sasakian_failures"):
         return EXIT_DISCREPANCY
-    if strict and report.summary["discrepancies"]:
+    if strict and summary["discrepancies"]:
         return EXIT_DISCREPANCY
     return EXIT_OK
 
@@ -181,30 +182,31 @@ def _cmd_run(args) -> int:
         _emit(args, render_report(report, args.fmt))
     if args.command == "report":
         return _exit_code(report, config.strict)
-    for f in report.findings:
-        marker = {"ok": "ok", "discrepancy": "DISCREPANCY", "failure": "FAILURE"}[f.status]
+    for f in report["entries"]:
+        status = f["status"]
+        marker = {"ok": "ok", "discrepancy": "DISCREPANCY", "failure": "FAILURE"}[status]
         detail = ""
-        if f.status != "ok":
-            bad_axioms = [k for k, v in f.axioms.items() if not v["ok"]]
+        if status != "ok":
+            label = f["label"]
+            bad_axioms = [k for k, v in f["axioms"].items() if not v["ok"]]
             if bad_axioms:
                 detail = f" axiom={','.join(bad_axioms)}"
-            elif f.metric["symmetric"] and f.label["computed"] is None:
+            elif f["metric"]["symmetric"] and label["computed"] is None:
                 # a metric without curvature: verify_entry found the form degenerate
                 detail = " degenerate-form"
-            elif not f.label["match"]:
-                detail = f" label {f.label['expected']}->{f.label['computed']}"
-            elif f.ric_comparison["residuals"]:
+            elif not label["match"]:
+                detail = f" label {label['expected']}->{label['computed']}"
+            elif f["ric_comparison"]["residuals"]:
                 detail = " ric-differs"
-        print(f"{marker:12s} {f.entry_id}{detail}")
-    if report.sasakian is not None:
-        for f in report.sasakian:
-            print(f"{'ok' if f.status == 'ok' else 'FAILURE':12s} sasakian {f.entry_id}")
-    s = report.summary
+        print(f"{marker:12s} {f['id']}{detail}")
+    for f in report.get("sasakian", ()):
+        print(f"{'ok' if f['status'] == 'ok' else 'FAILURE':12s} sasakian {f['id']}")
+    s = report["summary"]
     print(
         f"verified {s['total']} structures: {s['ok']} clean, "
         f"{s['discrepancies']} documented discrepancies, {s['failures']} failures"
     )
-    if report.sasakian is not None:
+    if "sasakian" in report:
         print(
             f"extensions: {s['sasakian_ok']} clean, {s['sasakian_failures']} failures"
         )

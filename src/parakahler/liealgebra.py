@@ -42,9 +42,9 @@ class ParamDomain:
     """Admissible values of one parameter.
 
     ``kind`` is one of ``free``, ``positive``, ``open-interval``; an interval
-    admits lo <= x < hi, and either end may be left unset.  ``excluded`` lists
-    isolated forbidden values on top of the kind constraint.  Domains compare
-    by value.
+    admits lo <= x < hi, and either end may be left unset, and only an interval
+    has ends.  ``excluded`` lists isolated forbidden values on top of the kind
+    constraint.  Domains compare by value.
     """
 
     __slots__ = ("kind", "lo", "hi", "excluded")
@@ -62,6 +62,8 @@ class ParamDomain:
             raise ValueError("open-interval domain needs at least one endpoint")
         if lo is not None and hi is not None and not lo < hi:
             raise ValueError("interval endpoints must satisfy lo < hi")
+        if kind != "open-interval" and (lo is not None or hi is not None):
+            raise ValueError(f"a {kind} domain takes no lo or hi")
         self.kind, self.lo, self.hi, self.excluded = kind, lo, hi, excluded
 
     def _key(self) -> tuple:

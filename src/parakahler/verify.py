@@ -27,8 +27,11 @@ form's lift, which ``verify_all`` builds once per (algebra, form) with
 ``lift_form`` with its contact and Reeb checks, and takes the entry's 4D
 curvature bundle as given.  An entry whose 4D check built no bundle (its J
 fails an axiom) has nothing to lift: its extension is a recorded failure, like
-a form that is not symplectic or fails the Reeb identities, and keeps
-``ExtensionFinding``'s defaults with its one cause in ``residuals``.
+a form that is not symplectic or fails the Reeb identities; every check of
+its document fails, and its one cause is in ``residuals``.
+
+A finding is its report document, a dict of JSON values, and ``verify_all``
+returns the report document that ``render_report`` dumps as it is.
 """
 
 from __future__ import annotations
@@ -99,55 +102,6 @@ def _avoid(
     return list(dict.fromkeys(dens))
 
 
-class _Document:
-    """A finding or report whose value is its document: equality and repr
-    read ``to_document``."""
-
-    __hash__ = None  # mutable
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.to_document() == other.to_document()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_document()!r})"
-
-
-class EntryFinding(_Document):
-    def __init__(
-        self,
-        entry_id: str,
-        algebra: str,
-        form: str,
-        axioms: Dict[str, dict],
-        metric: Dict[str, object],
-        label: Dict[str, object],
-        ric_comparison: Dict[str, object],
-        corroboration: Dict[str, int],
-        status: str,  # ok | discrepancy | failure
-        notes: List[str],
-    ):
-        self.entry_id, self.algebra, self.form = entry_id, algebra, form
-        self.axioms, self.metric, self.label = axioms, metric, label
-        self.ric_comparison, self.corroboration = ric_comparison, corroboration
-        self.status, self.notes = status, notes
-        # the 4D curvature, handed on to the extension check; never reported
-        self.bundle: Optional[CurvatureBundle] = None
-
-    def to_document(self) -> dict:
-        return {
-            "id": self.entry_id,
-            "algebra": self.algebra,
-            "form": self.form,
-            "axioms": self.axioms,
-            "metric": self.metric,
-            "label": self.label,
-            "ric_comparison": self.ric_comparison,
-            "corroboration": self.corroboration,
-            "status": self.status,
-            "notes": list(self.notes),
-        }
-
-
 def _numeric_corroboration(algebra, g, bundle, at) -> bool:
     """Re-run the pipeline in integers from ``g``, the metric at ``at`` as
     integers over one denominator; each symbolic tensor's shared denominator is
@@ -188,8 +142,10 @@ def verify_entry(
     entry: CatalogEntry,
     report: SymplecticReport,
     config: RunConfig = RunConfig(),
-) -> EntryFinding:
-    """Verify one entry; ``report`` is ``is_symplectic`` of its form."""
+) -> Tuple[dict, Optional[CurvatureBundle]]:
+    """Verify one entry; ``report`` is ``is_symplectic`` of its form.  Returns the
+    finding and the 4D curvature, which the extension check takes and which is
+    None when the finding stops before computing one."""
     algebra = catalog.algebra_of(entry)
     form = catalog.form_of(entry)
     involution = check_involution(entry.j_matrix)
@@ -197,23 +153,23 @@ def verify_entry(
     wjj = wj.transpose() @ entry.j_matrix  # then g J = omega
     compat = check_omega_compat(form, wj, wjj)
     integrability = nijenhuis(algebra, entry.j_matrix).as_check()
-    finding = EntryFinding(
-        entry_id=entry.entry_id,
-        algebra=entry.algebra,
-        form=entry.form,
-        axioms={
+    finding = {
+        "id": entry.entry_id,
+        "algebra": entry.algebra,
+        "form": entry.form,
+        "axioms": {
             "involution": _axiom_dict(involution),
             "omega_compat": _axiom_dict(compat),
             "nijenhuis": _axiom_dict(integrability),
         },
-        metric={
+        "metric": {
             "symmetric": False,
             "compat": False,
             "roundtrip": False,
             "signature_samples": 0,
             "signature_ok": False,
         },
-        label={
+        "label": {
             "computed": None,
             "expected": entry.expected.label,
             "match": entry.expected.label is None,
@@ -224,17 +180,18 @@ def verify_entry(
             "anti_invariant": None,
             "operator_commutes": None,
         },
-        ric_comparison={
+        "ric_comparison": {
             "expected_present": entry.expected.ric is not None,
             "residuals": [],
         },
-        corroboration={"samples": 0, "agree": 0},
-        status="failure",
-        notes=[entry.note] if entry.note else [],
-    )
+        "corroboration": {"samples": 0, "agree": 0},
+        "status": "failure",  # ok | discrepancy | failure
+        "notes": [entry.note] if entry.note else [],
+    }
     if not (involution.ok and compat.ok and integrability.ok):
-        return finding
-    metric_info, label_info, ric_info = finding.metric, finding.label, finding.ric_comparison
+        return finding, None
+    metric_info, label_info = finding["metric"], finding["label"]
+    ric_info, notes = finding["ric_comparison"], finding["notes"]
     g = Metric(wj)
     metric_info["symmetric"] = True
     metric_info["compat"] = check_metric_compat(g, wjj).ok
@@ -242,13 +199,13 @@ def verify_entry(
     # det g = det(omega) det(J) and J^2 = Id, so det g vanishes
     # identically exactly when the form is degenerate.
     if report.det.is_zero:
-        finding.notes.append(
+        notes.append(
             f"form {entry.form!r} is degenerate (det omega = 0): the metric "
             "is singular, so no curvature is computed"
         )
-        return finding
+        return finding, None
 
-    bundle = finding.bundle = curvature_bundle(algebra, g)
+    bundle = curvature_bundle(algebra, g)
     classification = classify(bundle, entry.j_matrix)
     label_info["computed"] = classification.label
     if classification.einstein_factor is not None:
@@ -295,67 +252,25 @@ def verify_entry(
             agree += 1
     metric_info["signature_samples"] = config.samples
     metric_info["signature_ok"] = signature_ok
-    finding.corroboration = {"samples": config.samples, "agree": agree}
+    finding["corroboration"] = {"samples": config.samples, "agree": agree}
     if not (
         metric_info["compat"]
         and metric_info["roundtrip"]
         and signature_ok
         and agree == config.samples
     ):
-        return finding
+        return finding, bundle
 
     if not label_info["match"]:
-        finding.notes.append(
+        notes.append(
             f"published label {entry.expected.label!r} does not hold; "
             f"recomputed label is {label_info['computed']!r}"
         )
     if ric_info["residuals"]:
-        finding.notes.append("published Ricci operator differs; recomputed matrix attached")
+        notes.append("published Ricci operator differs; recomputed matrix attached")
     discrepant = not label_info["match"] or ric_info["residuals"]
-    finding.status = "discrepancy" if discrepant else "ok"
-    return finding
-
-
-class ExtensionFinding(_Document):
-    def __init__(
-        self,
-        entry_id: str,
-        residuals: Tuple[Tuple[str, str], ...],
-        # a lift that was never built keeps these: every check fails
-        contact_ok: bool = False,
-        contact_coefficient: str = "n/a",
-        almost_paracontact_ok: bool = False,
-        compatible_metric_ok: bool = False,
-        restriction_ok: bool = False,
-        reeb_ok: bool = False,
-        phi_vs_deta: str = "mismatch",  # equal | negated | mismatch
-        curvature_identities: Optional[Dict[str, bool]] = None,
-        ricci_identities: Optional[Dict[str, bool]] = None,
-        status: str = "failure",
-    ):
-        self.entry_id, self.residuals = entry_id, residuals
-        self.contact_ok, self.contact_coefficient = contact_ok, contact_coefficient
-        self.almost_paracontact_ok = almost_paracontact_ok
-        self.compatible_metric_ok, self.restriction_ok = compatible_metric_ok, restriction_ok
-        self.reeb_ok, self.phi_vs_deta = reeb_ok, phi_vs_deta
-        self.curvature_identities = curvature_identities or {}
-        self.ricci_identities = ricci_identities or {}
-        self.status = status
-
-    def to_document(self) -> dict:
-        return {
-            "id": self.entry_id,
-            "contact": {"ok": self.contact_ok, "coefficient": self.contact_coefficient},
-            "almost_paracontact_ok": self.almost_paracontact_ok,
-            "compatible_metric_ok": self.compatible_metric_ok,
-            "restriction_ok": self.restriction_ok,
-            "reeb_ok": self.reeb_ok,
-            "phi_vs_deta": self.phi_vs_deta,
-            "curvature_identities": self.curvature_identities,
-            "ricci_identities": self.ricci_identities,
-            "residuals": [list(r) for r in self.residuals],
-            "status": self.status,
-        }
+    finding["status"] = "discrepancy" if discrepant else "ok"
+    return finding, bundle
 
 
 # a form's extension with its contact check and Reeb result, or why it has none
@@ -372,28 +287,43 @@ def lift_form(algebra: LieAlgebra, form: TwoForm, report: SymplecticReport) -> F
     return ext, check_contact(ext), all(r.is_zero for r in reeb_residuals(ext))
 
 
+def _unbuilt(entry_id: str, where: str, why: str) -> dict:
+    """The extension document of a lift that was never built: every check fails."""
+    return {
+        "id": entry_id,
+        "contact": {"ok": False, "coefficient": "n/a"},
+        "almost_paracontact_ok": False,
+        "compatible_metric_ok": False,
+        "restriction_ok": False,
+        "reeb_ok": False,
+        "phi_vs_deta": "mismatch",
+        "curvature_identities": {},
+        "ricci_identities": {},
+        "residuals": [[where, why]],
+        "status": "failure",
+    }
+
+
 def verify_extension(
     entry: CatalogEntry, lift: FormLift, base_bundle: Optional[CurvatureBundle]
-) -> ExtensionFinding:
+) -> dict:
     """Check the para-Sasakian identities of one entry on its form's lift.
 
     ``base_bundle`` is the entry's 4D curvature from ``verify_entry``; it is
     None when the 4D check failed before computing one.
     """
     if isinstance(lift, NonSymplecticError):
-        return ExtensionFinding(
-            entry.entry_id, (("central_extension", f"form {entry.form!r}: {lift}"),)
-        )
+        return _unbuilt(entry.entry_id, "central_extension", f"form {entry.form!r}: {lift}")
     ext, contact, reeb = lift
     if not reeb:  # then h = eta^T eta - d(eta) phi is no metric
         why = f"form {entry.form!r}: xi is not the Reeb vector of eta"
-        return ExtensionFinding(entry.entry_id, (("reeb", why),))
+        return _unbuilt(entry.entry_id, "reeb", why)
     if base_bundle is None:
         why = (
             f"structure {entry.entry_id!r} fails a para-Kahler axiom, so it has "
             "no 4D curvature to lift"
         )
-        return ExtensionFinding(entry.entry_id, (("base_structure", why),))
+        return _unbuilt(entry.entry_id, "base_structure", why)
     ps = build_paracontact(ext, entry.j_matrix)
     ext_bundle = curvature_bundle(ext.extended, ps.h)
     apc = all(r.is_zero for r in almost_paracontact_residuals(ps))
@@ -410,49 +340,19 @@ def verify_extension(
         and t2.ok
         and t3.ok
     )
-    return ExtensionFinding(
-        entry_id=entry.entry_id,
-        contact_ok=contact.ok,
-        contact_coefficient=format_expr(contact.coefficient),
-        almost_paracontact_ok=apc,
-        compatible_metric_ok=compat,
-        restriction_ok=restriction,
-        reeb_ok=True,
-        phi_vs_deta=ps.phi_vs_deta,
-        curvature_identities=dict(t2.identities),
-        ricci_identities=dict(t3.identities),
-        residuals=t2.residuals + t3.residuals,
-        status="ok" if ok else "failure",
-    )
-
-
-class VerificationReport(_Document):
-    def __init__(
-        self,
-        config: RunConfig,
-        gates: Dict[str, dict],
-        findings: List[EntryFinding],
-        sasakian: Optional[List[ExtensionFinding]],
-        summary: Dict[str, int],
-    ):
-        self.config, self.gates, self.findings = config, gates, findings
-        self.sasakian, self.summary = sasakian, summary
-
-    def to_document(self) -> dict:
-        doc = {
-            "config": {
-                "seed": self.config.seed,
-                "samples": self.config.samples,
-                "strict": self.config.strict,
-                "filter": self.config.entry_filter,
-            },
-            "gates": self.gates,
-            "entries": [f.to_document() for f in self.findings],
-        }
-        if self.sasakian is not None:
-            doc["sasakian"] = [f.to_document() for f in self.sasakian]
-        doc["summary"] = self.summary
-        return doc
+    return {
+        "id": entry.entry_id,
+        "contact": {"ok": contact.ok, "coefficient": format_expr(contact.coefficient)},
+        "almost_paracontact_ok": apc,
+        "compatible_metric_ok": compat,
+        "restriction_ok": restriction,
+        "reeb_ok": True,
+        "phi_vs_deta": ps.phi_vs_deta,  # equal | negated | mismatch
+        "curvature_identities": dict(t2.identities),
+        "ricci_identities": dict(t3.identities),
+        "residuals": [list(r) for r in t2.residuals + t3.residuals],
+        "status": "ok" if ok else "failure",
+    }
 
 
 def _algebra_gates(catalog: Catalog, entries, config: RunConfig):
@@ -492,34 +392,36 @@ def verify_all(
     catalog: Catalog,
     config: RunConfig = RunConfig(),
     include_extensions: bool = False,
-) -> VerificationReport:
+) -> dict:
+    """The report document: the run's config, the gates, one finding per entry,
+    the extensions when ``include_extensions``, and the summary."""
     entries = catalog.select(config.entry_filter)
     gates, symplectic = _algebra_gates(catalog, entries, config)
-    findings, sasakian = [], ([] if include_extensions else None)
+    findings, sasakian = [], []
     lifts: Dict[Tuple[str, str], FormLift] = {}  # one lift per form, this run only
     for e in entries:
-        findings.append(verify_entry(catalog, e, symplectic[e.algebra, e.form], config))
-        if sasakian is not None:
+        finding, bundle = verify_entry(catalog, e, symplectic[e.algebra, e.form], config)
+        findings.append(finding)
+        if include_extensions:
             key = (e.algebra, e.form)
             if key not in lifts:
                 lifts[key] = lift_form(
                     catalog.algebra_of(e), catalog.form_of(e), symplectic[key]
                 )
-            sasakian.append(verify_extension(e, lifts[key], findings[-1].bundle))
-        findings[-1].bundle = None  # hold one bundle at a time, not all of them
+            sasakian.append(verify_extension(e, lifts[key], bundle))
     summary = {
         "total": len(findings),
-        "ok": sum(1 for f in findings if f.status == "ok"),
-        "discrepancies": sum(1 for f in findings if f.status == "discrepancy"),
-        "failures": sum(1 for f in findings if f.status == "failure"),
-        "label_matches": sum(1 for f in findings if f.label["match"]),
+        "ok": sum(1 for f in findings if f["status"] == "ok"),
+        "discrepancies": sum(1 for f in findings if f["status"] == "discrepancy"),
+        "failures": sum(1 for f in findings if f["status"] == "failure"),
+        "label_matches": sum(1 for f in findings if f["label"]["match"]),
         # only entries whose curvature was computed had their Ricci compared
         "ric_exact": sum(
             1
             for f in findings
-            if f.ric_comparison["expected_present"]
-            and f.label["computed"] is not None
-            and not f.ric_comparison["residuals"]
+            if f["ric_comparison"]["expected_present"]
+            and f["label"]["computed"] is not None
+            and not f["ric_comparison"]["residuals"]
         ),
         "gates_ok": int(
             all(
@@ -528,57 +430,65 @@ def verify_all(
             )
         ),
     }
-    if sasakian is not None:
-        summary["sasakian_ok"] = sum(1 for f in sasakian if f.status == "ok")
-        summary["sasakian_failures"] = sum(1 for f in sasakian if f.status != "ok")
-    return VerificationReport(
-        config=config,
-        gates=gates,
-        findings=findings,
-        sasakian=sasakian,
-        summary=summary,
-    )
+    report = {
+        "config": {
+            "seed": config.seed,
+            "samples": config.samples,
+            "strict": config.strict,
+            "filter": config.entry_filter,
+        },
+        "gates": gates,
+        "entries": findings,
+    }
+    if include_extensions:
+        report["sasakian"] = sasakian
+        summary["sasakian_ok"] = sum(1 for f in sasakian if f["status"] == "ok")
+        summary["sasakian_failures"] = sum(1 for f in sasakian if f["status"] != "ok")
+    report["summary"] = summary
+    return report
 
 
-def render_report(report: VerificationReport, fmt: str = "json") -> str:
-    """Deterministic rendering of the report as JSON or markdown."""
+def render_report(report: dict, fmt: str = "json") -> str:
+    """Deterministic rendering of the report document as JSON or markdown."""
     if fmt == "json":
-        return json.dumps(report.to_document(), indent=2) + "\n"
+        return json.dumps(report, indent=2) + "\n"
     if fmt == "markdown":
         lines = ["# Verification report", ""]
         lines.append(
             "| entry | axioms | computed | expected | ric | corroborated | status |"
         )
         lines.append("|---|---|---|---|---|---|---|")
-        for f in report.findings:
-            axioms = "pass" if all(a["ok"] for a in f.axioms.values()) else "FAIL"
+        for f in report["entries"]:
+            axioms = "pass" if all(a["ok"] for a in f["axioms"].values()) else "FAIL"
+            rc = f["ric_comparison"]
             ric = (
                 "-"
-                if not f.ric_comparison["expected_present"]
-                else ("match" if not f.ric_comparison["residuals"] else "DIFFERS")
+                if not rc["expected_present"]
+                else ("match" if not rc["residuals"] else "DIFFERS")
             )
+            label, corroboration = f["label"], f["corroboration"]
             lines.append(
-                f"| {f.entry_id} | {axioms} | {f.label['computed']} | "
-                f"{f.label['expected'] or '-'} | {ric} | "
-                f"{f.corroboration['agree']}/{f.corroboration['samples']} | {f.status} |"
+                f"| {f['id']} | {axioms} | {label['computed']} | "
+                f"{label['expected'] or '-'} | {ric} | "
+                f"{corroboration['agree']}/{corroboration['samples']} | {f['status']} |"
             )
-        if report.sasakian is not None:
+        if "sasakian" in report:
             lines.append("")
             lines.append("## Para-Sasakian extensions")
             lines.append("")
             lines.append("| entry | contact | curvature | ricci | status |")
             lines.append("|---|---|---|---|---|")
-            for f in report.sasakian:
-                t2 = "pass" if all(f.curvature_identities.values()) else "FAIL"
-                t3 = "pass" if all(f.ricci_identities.values()) else "FAIL"
+            for f in report["sasakian"]:
+                t2 = "pass" if all(f["curvature_identities"].values()) else "FAIL"
+                t3 = "pass" if all(f["ricci_identities"].values()) else "FAIL"
                 lines.append(
-                    f"| {f.entry_id} | {'yes' if f.contact_ok else 'NO'} | {t2} | {t3} |"
-                    f" {f.status} |"
+                    f"| {f['id']} | {'yes' if f['contact']['ok'] else 'NO'} | {t2} | {t3} |"
+                    f" {f['status']} |"
                 )
         lines.append("")
         lines.append("## Summary")
         lines.append("")
-        for key, value in report.summary.items():
+        for key, value in report["summary"].items():
             lines.append(f"- {key}: {value}")
         lines.append("")
         return "\n".join(lines)

@@ -141,13 +141,13 @@ def test_criterion_3_metric_suite(catalog, bundles, full_report):
             failures.append(f"{entry_id}:compat")
         if not omega_from(g, entry.j_matrix) == catalog.form_of(entry):
             failures.append(f"{entry_id}:roundtrip")
-    for finding in full_report.findings:
-        if not finding.metric["symmetric"]:
-            failures.append(f"{finding.entry_id}:symmetric")
-        if not finding.metric["signature_ok"]:
-            failures.append(f"{finding.entry_id}:signature")
-        if finding.metric["signature_samples"] != SAMPLES:
-            failures.append(f"{finding.entry_id}:sample-count")
+    for finding in full_report["entries"]:
+        if not finding["metric"]["symmetric"]:
+            failures.append(f"{finding['id']}:symmetric")
+        if not finding["metric"]["signature_ok"]:
+            failures.append(f"{finding['id']}:signature")
+        if finding["metric"]["signature_samples"] != SAMPLES:
+            failures.append(f"{finding['id']}:sample-count")
     _line(3, not failures, f"metric suite, signatures (2,2) at {SAMPLES} samples each")
     assert not failures, failures
 
@@ -283,8 +283,8 @@ def test_criterion_5_ric_budget(bundles, full_report):
         residuals = compare_ric_operator(bundle.ricci.operator, entry.expected.ric)
         if not residuals:
             continue
-        finding = next(f for f in full_report.findings if f.entry_id == entry_id)
-        if "recomputed" not in finding.ric_comparison:
+        finding = next(f for f in full_report["entries"] if f["id"] == entry_id)
+        if "recomputed" not in finding["ric_comparison"]:
             unaccounted.append(entry_id)
     _line(
         5,
@@ -357,10 +357,10 @@ def test_criterion_6_extension_suite(catalog, bundles):
 
 def test_criterion_7_numeric_corroboration(full_report):
     bad = [
-        f.entry_id
-        for f in full_report.findings
-        if f.corroboration["agree"] != SAMPLES
-        or f.corroboration["samples"] != SAMPLES
+        f["id"]
+        for f in full_report["entries"]
+        if f["corroboration"]["agree"] != SAMPLES
+        or f["corroboration"]["samples"] != SAMPLES
     ]
     _line(7, not bad, f"pure-Fraction pipeline re-run agrees at {SAMPLES} samples per entry")
     assert not bad, bad

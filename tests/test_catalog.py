@@ -135,10 +135,54 @@ def test_domain_exponent_past_the_digit_limit_is_refused(key, value, path):
 
 def test_domain_exponent_at_the_digit_limit_is_read():
     doc = _mutate(
-        lambda d: d["algebras"][0]["params"][0]["domain"].update(lo="-1e4300", hi="1e4300")
+        lambda d: d["algebras"][0]["params"][0]["domain"].update(
+            kind="open-interval", lo="-1e4300", hi="1e4300"
+        )
     )
     domain = dict(load_catalog(doc).algebras["r2r2"].params)["lam"]
     assert (domain.lo, domain.hi) == (-(10**4300), 10**4300)
+
+
+@pytest.mark.parametrize(
+    "params, where, message",
+    [
+        # only an interval has ends: a positive domain would admit lam = 1 anyway
+        (
+            [{"name": "lam", "domain": {"kind": "positive", "hi": "1/100"}}],
+            "algebras[0].params[0].domain",
+            "a positive domain takes no lo or hi",
+        ),
+        # the second would replace the first, and lam > 0 would be lost
+        (
+            [{"name": "lam", "domain": {"kind": "positive"}}, {"name": "lam"}],
+            "algebras[0].params[1].name",
+            "duplicate parameter 'lam'",
+        ),
+    ],
+    ids=["bounds-on-positive", "duplicate-name"],
+)
+def test_param_list_refusal_exits_2_on_one_line(tmp_path, capsys, params, where, message):
+    doc = _mutate(lambda d: d["algebras"][0].__setitem__("params", params))
+    with pytest.raises(CatalogFormatError) as info:
+        load_catalog(doc)
+    assert info.value.path == where
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"catalog error: {where}: {message}\n"
+
+
+def test_structure_params_override_the_algebras():
+    # a name is listed once per list; a structure may still name its algebra's
+    def narrow(d):
+        d["algebras"][0]["structures"][0]["params"] = [
+            {"name": "lam", "domain": {"kind": "open-interval", "lo": "1"}}
+        ]
+
+    catalog = load_catalog(_mutate(narrow))
+    entry = catalog.entries[0]
+    assert catalog.domains_of(entry)["lam"].kind == "open-interval"
+    assert dict(catalog.algebras[entry.algebra].params)["lam"].kind == "positive"
 
 
 def test_bad_bracket_indices_rejected():

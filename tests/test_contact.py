@@ -252,9 +252,9 @@ def test_variant_entries_verify():
     for entry_id in ("h4.omegam.J", "r2r2.lambda0.J24bc"):
         entry = next(e for e in catalog.entries if e.entry_id == entry_id)
         report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))
-        finding = verify_entry(catalog, entry, report, RunConfig(seed=0, samples=3))
-        assert finding.status == "ok", (entry_id, finding.notes)
-        assert finding.label["match"]
+        finding, _ = verify_entry(catalog, entry, report, RunConfig(seed=0, samples=3))
+        assert finding["status"] == "ok", (entry_id, finding["notes"])
+        assert finding["label"]["match"]
 
 
 def test_lift_identities_across_builtin_sample():

@@ -1,8 +1,10 @@
-"""The package's records and its cold start.
+"""The package's records, its findings, and its cold start.
 
 Records are ``typing.NamedTuple``s or plain classes, so a fresh interpreter
 imports neither ``dataclasses`` nor ``inspect``, and the builtin catalog's
-data module is compiled only when the builtin catalog is asked for.
+data module is compiled only when the builtin catalog is asked for.  A
+finding and the report are plain documents of JSON values, with no record
+class of their own.
 """
 
 import json
@@ -19,7 +21,7 @@ from parakahler.contact import build_paracontact
 from parakahler.curvature import classify
 from parakahler.liealgebra import ParamDomain, is_symplectic, jacobi_check
 from parakahler.structures import check_involution
-from parakahler.verify import RunConfig, lift_form, verify_entry
+from parakahler.verify import RunConfig, lift_form, render_report, verify_all, verify_entry
 from test_schema_fuzz import EXAMPLE as README_EXAMPLE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,7 +76,7 @@ def records():
     entry = next(e for e in catalog.entries if e.entry_id == "d42.omega3.J38")
     algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
     report = is_symplectic(algebra, form)
-    bundle = verify_entry(catalog, entry, report, RunConfig(samples=1)).bundle
+    bundle = verify_entry(catalog, entry, report, RunConfig(samples=1))[1]
     ext, contact, _ = lift_form(algebra, form, report)
     return {
         "ExpectedResults": entry.expected,
@@ -108,17 +110,19 @@ def test_immutable_records_refuse_assignment(records, name):
         setattr(record, record._fields[0], None)
 
 
-def test_entry_finding_equality_and_repr_ignore_the_bundle():
+def test_a_finding_is_a_json_document_and_its_bundle_comes_apart():
     catalog = builtin_catalog()
     entry = next(e for e in catalog.entries if e.entry_id == "d42.omega3.J38")
     report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))
-    first, second = (verify_entry(catalog, entry, report, RunConfig(samples=1)) for _ in "12")
-    assert first.bundle is not None and first.bundle is not second.bundle
-    assert first == second and repr(first) == repr(second)
-    second.bundle = None
-    assert first == second and "bundle" not in repr(first)
-    second.notes.append("another note")
-    assert first != second
+    (first, bundle), (second, other) = (
+        verify_entry(catalog, entry, report, RunConfig(samples=1)) for _ in "12"
+    )
+    assert first == second
+    assert type(bundle).__name__ == "CurvatureBundle" and bundle is not other
+    assert "bundle" not in first and bundle not in first.values()
+    # every value of the report is JSON: no tuple and no expression leaks in
+    run = verify_all(catalog, RunConfig(samples=1), include_extensions=True)
+    assert json.loads(render_report(run)) == run
 
 
 @pytest.mark.parametrize(
@@ -128,6 +132,7 @@ def test_entry_finding_equality_and_repr_ignore_the_bundle():
         ({"kind": "open-interval"}, "needs at least one endpoint"),
         ({"kind": "open-interval", "lo": Fraction(1), "hi": Fraction(1)}, "lo < hi"),
         ({"lo": Fraction(2), "hi": Fraction(1)}, "lo < hi"),
+        ({"kind": "positive", "hi": Fraction(1, 100)}, "a positive domain takes no lo or hi"),
     ],
 )
 def test_param_domain_refuses_a_bad_domain(kwargs, message):

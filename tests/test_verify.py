@@ -37,65 +37,64 @@ def _entry(catalog, entry_id):
 
 
 def _verify(catalog, entry_id):
-    """``verify_entry`` on the form's symplectic gate, as ``verify_all`` runs it."""
+    """The finding of ``verify_entry`` on the form's symplectic gate, as
+    ``verify_all`` runs it."""
     entry = _entry(catalog, entry_id)
     report = is_symplectic(catalog.algebra_of(entry), catalog.form_of(entry))
-    return verify_entry(catalog, entry, report, CFG)
+    return verify_entry(catalog, entry, report, CFG)[0]
 
 
 def test_verify_entry_flat():
     catalog = builtin_catalog()
     finding = _verify(catalog, "rr3m1.omega.J3")
-    assert finding.status == "ok"
-    assert all(a["ok"] for a in finding.axioms.values())
-    assert finding.label["computed"] == "flat"
-    assert finding.metric["signature_ok"]
-    assert finding.corroboration == {"samples": 3, "agree": 3}
+    assert finding["status"] == "ok"
+    assert all(a["ok"] for a in finding["axioms"].values())
+    assert finding["label"]["computed"] == "flat"
+    assert finding["metric"]["signature_ok"]
+    assert finding["corroboration"] == {"samples": 3, "agree": 3}
 
 
 def test_verify_entry_einstein_factor():
     catalog = builtin_catalog()
     finding = _verify(catalog, "d42.omega1.J11")
-    assert finding.status == "ok"
-    assert finding.label["computed"] == "einstein"
-    assert parse_expr(finding.label["einstein_factor"]) == parse_expr("3*(a^2-1)/(2*b)")
-    assert finding.label["einstein_factor"] == "(3/2*a^2 - 3/2)/b"
-    assert finding.label["match"]
+    assert finding["status"] == "ok"
+    assert finding["label"]["computed"] == "einstein"
+    assert parse_expr(finding["label"]["einstein_factor"]) == parse_expr("3*(a^2-1)/(2*b)")
+    assert finding["label"]["einstein_factor"] == "(3/2*a^2 - 3/2)/b"
+    assert finding["label"]["match"]
 
 
 def test_verify_entry_label_discrepancy_documented():
     catalog = builtin_catalog()
     finding = _verify(catalog, "r2r2.lambdapos.J11")
-    assert finding.status == "discrepancy"
-    assert finding.label["computed"] == "ricci_flat"
-    assert not finding.label["match"]
-    assert any("recomputed label" in note for note in finding.notes)
+    assert finding["status"] == "discrepancy"
+    assert finding["label"]["computed"] == "ricci_flat"
+    assert not finding["label"]["match"]
+    assert any("recomputed label" in note for note in finding["notes"])
 
 
 def test_verify_entry_ricci_anti_invariance_always_holds():
     catalog = builtin_catalog()
     for entry_id in ("r2r2.lambda0.J21", "d42.omega3.J36", "r2p.omega.J2"):
         finding = _verify(catalog, entry_id)
-        assert finding.label["anti_invariant"] is True
+        assert finding["label"]["anti_invariant"] is True
 
 
 def test_verify_all_builtin_summary():
     catalog = builtin_catalog()
     report = verify_all(catalog, CFG)
-    assert report.summary["total"] == 57
-    assert report.summary["failures"] == 0
-    assert report.summary["gates_ok"] == 1
+    summary = report["summary"]
+    assert summary["total"] == 57
+    assert summary["failures"] == 0
+    assert summary["gates_ok"] == 1
     # every published Ricci operator matches the recomputation exactly
-    present = [f for f in report.findings if f.ric_comparison["expected_present"]]
-    assert all(not f.ric_comparison["residuals"] for f in present)
-    assert report.summary["ric_exact"] == len(present) == 22
+    present = [f for f in report["entries"] if f["ric_comparison"]["expected_present"]]
+    assert all(not f["ric_comparison"]["residuals"] for f in present)
+    assert summary["ric_exact"] == len(present) == 22
     # the only discrepancies are the published-label ones; pin the inventory
-    assert report.summary["discrepancies"] == 20
-    assert (
-        report.summary["ok"] + report.summary["discrepancies"] + report.summary["failures"]
-        == report.summary["total"]
-    )
-    discrepant = {f.entry_id for f in report.findings if f.status == "discrepancy"}
+    assert summary["discrepancies"] == 20
+    assert summary["ok"] + summary["discrepancies"] + summary["failures"] == summary["total"]
+    discrepant = {f["id"] for f in report["entries"] if f["status"] == "discrepancy"}
     assert discrepant == {
         # published as zero curvature, actually Ricci-flat with R ~ lam
         "r2r2.lambdapos.J11", "r2r2.lambdapos.J12", "r2r2.lambdapos.J13",
@@ -107,18 +106,18 @@ def test_verify_all_builtin_summary():
         "d42.omega3.J33", "d42.omega3.J34", "d42.omega3.J36", "d42.omega3.J37",
         "d42.omega3.J38", "d42.omega3.J39",
     }
-    for f in report.findings:
-        if f.status == "discrepancy":
-            assert not f.label["match"]
-            assert all(a["ok"] for a in f.axioms.values())
-            assert f.label["anti_invariant"] is True
+    for f in report["entries"]:
+        if f["status"] == "discrepancy":
+            assert not f["label"]["match"]
+            assert all(a["ok"] for a in f["axioms"].values())
+            assert f["label"]["anti_invariant"] is True
 
 
 def test_verify_all_empty_filter():
     catalog = builtin_catalog()
     report = verify_all(catalog, RunConfig(seed=0, samples=2, entry_filter="nothing*"))
-    assert report.summary["total"] == 0
-    assert report.findings == []
+    assert report["summary"]["total"] == 0
+    assert report["entries"] == []
 
 
 def _corrupted_catalog():
@@ -133,15 +132,15 @@ def _corrupted_catalog():
 def test_corrupted_entry_is_failure_with_attribution():
     catalog = _corrupted_catalog()
     finding = _verify(catalog, "rr3m1.omega.J1")
-    assert finding.status == "failure"
-    assert not finding.axioms["involution"]["ok"]
-    assert "J^2-Id" in finding.axioms["involution"]["first_failure"]["where"]
+    assert finding["status"] == "failure"
+    assert not finding["axioms"]["involution"]["ok"]
+    assert "J^2-Id" in finding["axioms"]["involution"]["first_failure"]["where"]
 
 
 def test_corrupted_entry_counts_in_summary():
     catalog = _corrupted_catalog()
     report = verify_all(catalog, RunConfig(seed=0, samples=2, entry_filter="rr3m1.*"))
-    assert report.summary["failures"] == 1
+    assert report["summary"]["failures"] == 1
 
 
 def test_extension_findings_builtin_sample():
@@ -152,12 +151,12 @@ def test_extension_findings_builtin_sample():
         finding = verify_extension(
             entry,
             lift_form(algebra, form, is_symplectic(algebra, form)),
-            verify_entry(catalog, entry, is_symplectic(algebra, form), CFG).bundle,
+            verify_entry(catalog, entry, is_symplectic(algebra, form), CFG)[1],
         )
-        assert finding.status == "ok", (entry_id, finding.residuals)
-        assert finding.phi_vs_deta == "equal"
-        assert all(finding.curvature_identities.values())
-        assert all(finding.ricci_identities.values())
+        assert finding["status"] == "ok", (entry_id, finding["residuals"])
+        assert finding["phi_vs_deta"] == "equal"
+        assert all(finding["curvature_identities"].values())
+        assert all(finding["ricci_identities"].values())
 
 
 def test_one_lift_per_form(monkeypatch):
@@ -193,7 +192,7 @@ def test_one_lift_per_form(monkeypatch):
         monkeypatch.setattr(ExprMatrix, name, counter(f"ExprMatrix.{name}", method))
     catalog = builtin_catalog()
     report = verify_all(catalog, RunConfig(seed=0, samples=1), include_extensions=True)
-    assert len(report.sasakian) == 57
+    assert len(report["sasakian"]) == 57
     assert len({(e.algebra, e.form) for e in catalog.entries}) == 20
     assert calls == {
         "central_extend": 20,
@@ -253,7 +252,7 @@ def test_shared_denominators_vanish_only_where_the_sampler_looks():
     for entry in catalog.entries:
         algebra, form = catalog.algebra_of(entry), catalog.form_of(entry)
         report = is_symplectic(algebra, form)
-        bundle = verify_entry(catalog, entry, report, RunConfig(samples=0)).bundle
+        bundle = verify_entry(catalog, entry, report, RunConfig(samples=0))[1]
         if bundle is None:
             continue
         avoid = verify._avoid(algebra, form, entry.j_matrix, entry.expected.ric)
@@ -299,10 +298,10 @@ def test_lift_whose_xi_is_not_the_reeb_vector_is_a_failure(monkeypatch):
     assert not contact.reeb_residuals(perturbed)[0].is_zero
     monkeypatch.setattr(verify, "central_extend", lambda *args: perturbed)
     lift = lift_form(algebra, form, report)
-    finding = verify_extension(entry, lift, verify_entry(catalog, entry, report, CFG).bundle)
-    assert finding.reeb_ok is False
-    assert finding.status == "failure"
-    assert [where for where, _ in finding.residuals] == ["reeb"]
+    finding = verify_extension(entry, lift, verify_entry(catalog, entry, report, CFG)[1])
+    assert finding["reeb_ok"] is False
+    assert finding["status"] == "failure"
+    assert [where for where, _ in finding["residuals"]] == ["reeb"]
 
 
 def test_report_json_round_trip():
@@ -310,7 +309,7 @@ def test_report_json_round_trip():
     report = verify_all(catalog, RunConfig(seed=0, samples=2, entry_filter="rh3.*"))
     text = render_report(report, "json")
     parsed = json.loads(text)
-    assert parsed["summary"] == report.summary
+    assert parsed["summary"] == report["summary"]
     assert [e["id"] for e in parsed["entries"]] == ["rh3.omega.J1", "rh3.omega.J2"]
 
 
@@ -337,8 +336,8 @@ def test_different_seed_changes_nothing_mathematical():
         report = verify_all(
             catalog, RunConfig(seed=seed, samples=2, entry_filter="rr30.*")
         )
-        assert report.summary["failures"] == 0
-        assert report.summary["total"] == 2
+        assert report["summary"]["failures"] == 0
+        assert report["summary"]["total"] == 2
 
 
 # Every way out of verify_entry and of an extension that was never built, pinned
@@ -362,7 +361,7 @@ NOT_LIFTED = {
 
 def _assert_document(finding, expected):
     # compared as JSON text, so that the key order counts too
-    assert json.dumps(finding.to_document(), indent=1) == json.dumps(expected, indent=1)
+    assert json.dumps(finding, indent=1) == json.dumps(expected, indent=1)
 
 
 def test_involution_failure_document():
